@@ -2,9 +2,10 @@
 envelope, and by how much?
 
 Generates random small bound instances, runs the fixpoint rules and the
-case-splitting complete mode, and compares both against brute-force
-enumeration.  Complete mode must agree with enumeration (if it does not,
-that is a bug, and the script exits nonzero).
+exact-envelope complete mode, and compares both against brute-force
+enumeration (`tight_bounds` in tests/helpers.py).  Complete mode must
+agree with enumeration (if it does not, that is a bug, and the script
+exits nonzero).
 
 Usage: python3 scripts/tightness_gap.py [--instances N] [--seed S]
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import incalc as ic
-from helpers import arbitrary_instance
+from helpers import arbitrary_instance, tight_bounds
 
 
 def slack(assignment, reference):
@@ -50,7 +51,7 @@ def main(argv=None):
             atoms=("a", "b", "c")[: rng.randint(1, 3)],
             n_sentences=rng.randint(1, 4),
         )
-        tight = ic.tight_bounds(assignment)
+        tight = tight_bounds(assignment)
         complete = ic.propagate(assignment, "complete")
         if tight is None:
             assert complete.status == ic.INCONSISTENT, "complete mode missed an unsat instance"

@@ -62,9 +62,7 @@ from .propagation import (
     PropagationOutcome,
     amalgamate_lower_bounds,
     check_consistency,
-    enumerate_legal,
     propagate,
-    tight_bounds,
 )
 from .space import (
     Incidence,
@@ -119,7 +117,6 @@ __all__ = [
     "check_consistency",
     "cond_prob",
     "correlation",
-    "enumerate_legal",
     "format_formula",
     "holds_at",
     "incidence_of",
@@ -135,5 +132,4 @@ __all__ = [
     "propagate",
     "storage_costs",
     "subformulas",
-    "tight_bounds",
 ]

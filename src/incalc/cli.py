@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--complete",
         action="store_true",
-        help="case-split to exact bounds (exponential; small instances only)",
+        help="exact bounds from all 2^atoms valuations (any width; limited atoms)",
     )
     p.set_defaults(run=_cmd_solve)
 
@@ -137,4 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (IncalcError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2

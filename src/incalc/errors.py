@@ -38,7 +38,7 @@ class UnknownSentenceError(IncalcError):
 
 
 class InstanceTooLargeError(IncalcError):
-    """Exhaustive search was refused because the instance exceeds the guard."""
+    """An exhaustive computation was refused because the instance is too large."""
 
 
 class InfeasibleTargetError(IncalcError):

@@ -263,15 +263,14 @@ def holds_at(f: Formula, point: int, env: Environment) -> bool:
     """Pointwise truth of f at one sample-space point.
 
     Evaluating every point and collecting the true ones must agree with
-    incidence_of; the point index is checked against the environment's
-    width when the environment is non-empty.
+    incidence_of; the point index is checked against the width of every
+    incidence in the environment.
     """
     if point < 0:
         raise ValueError(f"point index must be >= 0, got {point}")
     for inc in env.values():
         if point >= inc.width:
             raise ValueError(f"point index {point} out of range for width {inc.width}")
-        break
     return _holds(f, point, env)
 
 

@@ -19,10 +19,11 @@ i(A | B) = i(A) | i(B), and i(A -> B) = (w \\ i(A)) | i(B).
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
-`propagate(..., mode="complete")` closes that gap by case splitting on
-undetermined point memberships, at worst-case exponential cost, and
-`enumerate_legal` provides the brute-force ground truth for small
-instances.
+`propagate(..., mode="complete")` computes that envelope directly.
+Because every connective is pointwise, the legal assignments factor point
+by point: one pass over the 2^atoms valuations, each evaluated at all
+points at once, finds the valuations admitted at every point.  The cost is
+exponential in the number of atoms only, never in the width.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ from .space import Incidence, SampleSpace
 FIXPOINT = "fixpoint"
 INCONSISTENT = "inconsistent"
 
-#: Refuse exhaustive search when width * number_of_atoms exceeds this.
-GUARD_BITS = 24
+#: Complete mode refuses instances with more atoms than this: its one
+#: pass visits all 2^atoms valuations.
+MAX_ATOMS = 16
 
 _Bounds = tuple[Incidence, Incidence]
 
@@ -316,10 +318,13 @@ RULES_BY_CONNECTIVE: dict[type, tuple[Rule, ...]] = {
 
 @dataclass(frozen=True)
 class PropagationOutcome:
-    """Result of running the rules: final bounds, status, and the number
-    of strict bound changes performed (each one either adds points to a
-    lower bound or removes points from an upper bound, so the count is at
-    most 2 * width * number_of_sentences)."""
+    """Result of `propagate`: final bounds, status, the culprit of an
+    inconsistency, and the number of strict bound changes the rules
+    performed (each one either adds points to a lower bound or removes
+    points from an upper bound, so the count is at most
+    2 * width * number_of_sentences).  Complete mode fires no rules, so
+    its `steps` is 0; when it finds no legal assignment, `final` is the
+    declared bounds."""
 
     status: str
     culprit: Formula | None
@@ -390,55 +395,59 @@ def _run_fixpoint(
     return PropagationOutcome(FIXPOINT, None, assignment, steps)
 
 
-def _pick_split(assignment: BoundAssignment) -> tuple[Atom, int] | None:
-    """First undetermined (atom, point) in registration order.
+def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
+    """Exact envelope of the legal assignments in one pass over valuations.
 
-    At a consistent fixpoint, exact atoms force every compound exact (the
-    self-targeted rules pin i(C) from both sides once the parts are
-    pinned), so splitting on atoms alone is enough for completeness.
+    Every connective acts point by point, so an assignment is legal
+    exactly when its valuation at each point is admitted there, and the
+    legal assignments are all ways of picking one admitted valuation per
+    point.  Binding each atom to no point or to every point evaluates a
+    valuation at all points at once; the points it is admitted at are
+    those where every sentence's value lies within its bounds.
     """
-    for sentence in assignment:
-        if isinstance(sentence, Atom):
-            low, high = assignment.bounds(sentence)
-            free = high.bits & ~low.bits
-            if free:
-                return sentence, (free & -free).bit_length() - 1
-    return None
-
-
-def _run_complete(assignment: BoundAssignment) -> PropagationOutcome:
-    out = _run_fixpoint(assignment, None)
-    if not out.ok:
-        return out
-    split = _pick_split(out.final)
-    if split is None:
-        return out
-    atom, point = split
-    width = assignment.space.size
-    member = out.final.copy()
-    member.raise_lower(atom, Incidence(1 << point, width))
-    non_member = out.final.copy()
-    non_member.cut_upper(atom, Incidence(1 << point, width).complement())
-    first = _run_complete(member)
-    second = _run_complete(non_member)
-    steps = out.steps + first.steps + second.steps
-    if not first.ok and not second.ok:
-        # No legal assignment on either side of the split: report against
-        # the atom whose cases are exhausted.
-        return PropagationOutcome(INCONSISTENT, atom, out.final, steps)
-    if not first.ok:
-        return PropagationOutcome(FIXPOINT, None, second.final, steps)
-    if not second.ok:
-        return PropagationOutcome(FIXPOINT, None, first.final, steps)
-    combined = first.final
-    for sentence in combined:
-        low1, high1 = first.final.bounds(sentence)
-        low2, high2 = second.final.bounds(sentence)
-        # The branches partition the legal assignments, so a sound lower
-        # bound is what both branches guarantee, and a sound upper bound
-        # must cover both: intersect the lowers, union the uppers.
-        combined.set_bounds(sentence, low1 & low2, high1 | high2)
-    return PropagationOutcome(FIXPOINT, None, combined, steps)
+    space = assignment.space
+    sentences = assignment.sentences()
+    atoms = [f.name for f in sentences if isinstance(f, Atom)]
+    if len(atoms) > MAX_ATOMS:
+        raise InstanceTooLargeError(
+            f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope"
+        )
+    bounds = [(low.bits, high.bits) for low, high in map(assignment.bounds, sentences)]
+    full = space.full().bits
+    lower = [full] * len(sentences)
+    upper = [0] * len(sentences)
+    # first_rejected[i]: points where some valuation is admitted by the
+    # bounds of sentences[:i] but not by those of sentences[i].
+    first_rejected = [0] * len(sentences)
+    covered = 0
+    for values in itertools.product((space.empty(), space.full()), repeat=len(atoms)):
+        env = dict(zip(atoms, values))
+        admitted = full
+        truths = []
+        for i, (sentence, (low, high)) in enumerate(zip(sentences, bounds)):
+            truth = bool(incidence_of(sentence, env, space).bits)
+            kept = admitted & (high if truth else ~low)
+            first_rejected[i] |= admitted & ~kept
+            admitted = kept
+            if not admitted:
+                break
+            truths.append(truth)
+        else:
+            covered |= admitted
+            for i, truth in enumerate(truths):
+                if truth:
+                    upper[i] |= admitted
+                else:
+                    lower[i] &= ~admitted
+    uncovered = full & ~covered
+    if uncovered:
+        point = (uncovered & -uncovered).bit_length() - 1
+        last = max(i for i, bits in enumerate(first_rejected) if bits >> point & 1)
+        return PropagationOutcome(INCONSISTENT, sentences[last], assignment, 0)
+    width = space.size
+    for sentence, low, high in zip(sentences, lower, upper):
+        assignment.set_bounds(sentence, Incidence(low, width), Incidence(high, width))
+    return PropagationOutcome(FIXPOINT, None, assignment, 0)
 
 
 def propagate(
@@ -446,20 +455,25 @@ def propagate(
     mode: str = "fixpoint",
     *,
     worklist_rng: random.Random | None = None,
-    guard_bits: int = GUARD_BITS,
 ) -> PropagationOutcome:
-    """Tighten bounds until no rule changes anything.
+    """Tighten bounds with the rules, or compute the exact envelope.
 
     The input assignment is not touched; the outcome holds a private
     copy.  With mode="fixpoint" the rules run to their (order-independent)
     fixed point; `worklist_rng` only varies the order in which that fixed
-    point is reached.  With mode="complete" the fixed point is refined by
-    case splitting until the bounds are exactly the envelope of the legal
-    assignments; this is exponential in the worst case and therefore
-    guarded like `enumerate_legal`.
+    point is reached.  With mode="complete" the bounds become exactly the
+    envelope of the legal assignments, computed in one pass over the
+    2^atoms valuations; instances with more than MAX_ATOMS atoms raise
+    InstanceTooLargeError, whatever their width.
 
-    Inconsistency (a lower bound escaping its upper bound) is reported
-    eagerly via the outcome's culprit, and propagation stops there.
+    A lower bound escaping its upper bound, before or during the rules,
+    is reported eagerly via the outcome's culprit, and propagation stops
+    there.  When complete mode finds that no valuation is admitted at
+    some point, the instance has no legal assignment: the outcome keeps
+    the declared bounds, `steps` is 0, and the culprit is found at the
+    lowest such point, as the sentence that ends the shortest
+    registration-order prefix of sentences whose bounds already admit no
+    valuation there.
     """
     if mode not in (FIXPOINT, "complete"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -468,76 +482,5 @@ def propagate(
     if bad is not None:
         return PropagationOutcome(INCONSISTENT, bad, work, 0)
     if mode == "complete":
-        _check_guard(work, guard_bits)
-        return _run_complete(work)
+        return _run_envelope(work)
     return _run_fixpoint(work, worklist_rng)
-
-
-def _check_guard(assignment: BoundAssignment, guard_bits: int) -> None:
-    atoms = sum(1 for f in assignment if isinstance(f, Atom))
-    cost = assignment.space.size * atoms
-    if cost > guard_bits:
-        raise InstanceTooLargeError(
-            f"width * atoms = {cost} exceeds the {guard_bits}-bit search guard"
-        )
-
-
-def enumerate_legal(
-    initial: BoundAssignment, *, guard_bits: int = GUARD_BITS
-) -> list[dict[str, Incidence]]:
-    """Brute-force oracle: every exact assignment of incidences to atoms
-    whose induced sentence incidences respect all registered bounds.
-
-    Only candidate incidences inside each atom's own bounds are tried,
-    but the instance must still pass the width * atoms guard.
-    """
-    _check_guard(initial, guard_bits)
-    space = initial.space
-    width = space.size
-    atoms = [f for f in initial if isinstance(f, Atom)]
-    candidate_sets: list[list[Incidence]] = []
-    for atom in atoms:
-        low, high = initial.bounds(atom)
-        free = [k for k in range(width) if k in high and k not in low]
-        values = []
-        for picks in range(1 << len(free)):
-            bits = low.bits
-            for j, k in enumerate(free):
-                if picks >> j & 1:
-                    bits |= 1 << k
-            values.append(Incidence(bits, width))
-        candidate_sets.append(values)
-    legal = []
-    sentences = initial.sentences()
-    for combo in itertools.product(*candidate_sets):
-        env = {atom.name: inc for atom, inc in zip(atoms, combo)}
-        for sentence in sentences:
-            value = incidence_of(sentence, env, space)
-            low, high = initial.bounds(sentence)
-            if not (low.is_subset(value) and value.is_subset(high)):
-                break
-        else:
-            legal.append(env)
-    return legal
-
-
-def tight_bounds(
-    initial: BoundAssignment, *, guard_bits: int = GUARD_BITS
-) -> BoundAssignment | None:
-    """The exact envelope of the legal assignments: per sentence, the
-    intersection (lower) and union (upper) of its value across all legal
-    assignments.  None when no assignment is legal."""
-    legal = enumerate_legal(initial, guard_bits=guard_bits)
-    if not legal:
-        return None
-    space = initial.space
-    result = initial.copy()
-    for sentence in initial:
-        values = [incidence_of(sentence, env, space) for env in legal]
-        low = values[0]
-        high = values[0]
-        for value in values[1:]:
-            low = low & value
-            high = high | value
-        result.set_bounds(sentence, low, high)
-    return result

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 import incalc as ic
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
+
+#: The brute-force oracle refuses instances where width * atoms exceeds this.
+ORACLE_GUARD_BITS = 24
 
 
 def random_weights(rng: random.Random, size: int) -> tuple[Fraction, ...]:
@@ -94,6 +98,69 @@ def arbitrary_instance(rng: random.Random, *, width: int, atoms, n_sentences: in
 
 def truth_of(assignment: ic.BoundAssignment, env, f: ic.Formula) -> ic.Incidence:
     return ic.incidence_of(f, env, assignment.space)
+
+
+def enumerate_legal(initial: ic.BoundAssignment) -> list[dict[str, ic.Incidence]]:
+    """Brute-force oracle: every exact assignment of incidences to atoms
+    whose induced sentence incidences respect all registered bounds.
+
+    Only candidate incidences inside each atom's own bounds are tried,
+    but the instance must still pass the width * atoms guard.  This is
+    the independent reference for complete mode, so it uses nothing of
+    `propagate`.
+    """
+    space = initial.space
+    width = space.size
+    atoms = [f for f in initial if isinstance(f, ic.Atom)]
+    if width * len(atoms) > ORACLE_GUARD_BITS:
+        raise ic.InstanceTooLargeError(
+            f"width * atoms = {width * len(atoms)} exceeds the"
+            f" {ORACLE_GUARD_BITS}-bit oracle guard"
+        )
+    candidate_sets: list[list[ic.Incidence]] = []
+    for atom in atoms:
+        low, high = initial.bounds(atom)
+        free = [k for k in range(width) if k in high and k not in low]
+        values = []
+        for picks in range(1 << len(free)):
+            bits = low.bits
+            for j, k in enumerate(free):
+                if picks >> j & 1:
+                    bits |= 1 << k
+            values.append(ic.Incidence(bits, width))
+        candidate_sets.append(values)
+    legal = []
+    sentences = initial.sentences()
+    for combo in itertools.product(*candidate_sets):
+        env = {atom.name: inc for atom, inc in zip(atoms, combo)}
+        for sentence in sentences:
+            value = ic.incidence_of(sentence, env, space)
+            low, high = initial.bounds(sentence)
+            if not (low.is_subset(value) and value.is_subset(high)):
+                break
+        else:
+            legal.append(env)
+    return legal
+
+
+def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
+    """The exact envelope of the legal assignments, by enumeration: per
+    sentence, the intersection (lower) and union (upper) of its value
+    across all legal assignments.  None when no assignment is legal."""
+    legal = enumerate_legal(initial)
+    if not legal:
+        return None
+    space = initial.space
+    result = initial.copy()
+    for sentence in initial:
+        values = [ic.incidence_of(sentence, env, space) for env in legal]
+        low = values[0]
+        high = values[0]
+        for value in values[1:]:
+            low = low & value
+            high = high | value
+        result.set_bounds(sentence, low, high)
+    return result
 
 
 # hypothesis strategies

@@ -19,6 +19,7 @@ from helpers import (
     random_space,
     sound_instance,
     arbitrary_instance,
+    tight_bounds,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -130,7 +131,7 @@ def test_5_tightness_against_enumeration():
                 atoms=ATOMS[: rng.randint(1, 3)],
                 n_sentences=rng.randint(1, 4),
             )
-            tight = ic.tight_bounds(assignment)
+            tight = tight_bounds(assignment)
             complete = ic.propagate(assignment, "complete")
             if tight is None:
                 assert complete.status == ic.INCONSISTENT

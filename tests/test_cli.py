@@ -42,6 +42,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", DATA / "no_such.kb", "-f", "a")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("formula", ["~" * 3000 + "a", "(" * 2000 + "a" + ")" * 2000])
+    def test_deep_nesting_is_a_data_error(self, capsys, formula):
+        code, out, err = run(capsys, "eval", DATA / "example.kb", "-f", formula)
+        assert code == 2 and out == ""
+        assert err == "error: input nested too deeply\n"
+
 
 class TestQuery:
     def test_matches_golden(self, capsys):
@@ -78,7 +84,7 @@ class TestSolve:
     def test_complete_tightens_past_the_fixpoint(self, capsys, tmp_path):
         # Whether a holds at the single point is open, but both cases
         # force b there (one through the disjunction, one through the
-        # implication), which only case splitting can see.
+        # implication), which only the exact envelope can see.
         kb = tmp_path / "gap.kb"
         kb.write_text(
             "space 1\n"

@@ -139,6 +139,9 @@ class TestHoldsAt:
             ic.holds_at(A, 10, env)
         with pytest.raises(ValueError):
             ic.holds_at(A, -1, env)
+        narrow = {"a": ic.Incidence.empty(5), "b": ic.Incidence.empty(1)}
+        with pytest.raises(ValueError, match="out of range"):
+            ic.holds_at(B, 4, narrow)
 
     @settings(max_examples=80)
     @given(formulas_st, st.integers(0, 2**32))

@@ -3,8 +3,9 @@ import random
 import pytest
 
 import incalc as ic
-from incalc.propagation import RULES, RULES_BY_CONNECTIVE
-from helpers import arbitrary_instance, sound_instance
+from incalc.cli import main
+from incalc.propagation import MAX_ATOMS, RULES, RULES_BY_CONNECTIVE
+from helpers import arbitrary_instance, enumerate_legal, sound_instance, tight_bounds
 
 A, B = ic.Atom("a"), ic.Atom("b")
 
@@ -93,7 +94,7 @@ class TestWorkedExamples:
         outcome = ic.propagate(assignment)
         assert outcome.ok
         assert outcome.final.upper(A) == space.incidence([1])
-        legal = ic.enumerate_legal(assignment)
+        legal = enumerate_legal(assignment)
         assert sorted(env["a"].indices() for env in legal) == [(), (1,)]
 
     def test_contradictory_lower_bounds(self):
@@ -105,6 +106,25 @@ class TestWorkedExamples:
         assert outcome.status == ic.INCONSISTENT
         assert outcome.culprit == A
         assert outcome.final.upper(A) == space.incidence([1])
+
+    def test_complete_mode_culprit_on_unsatisfiable_bounds(self):
+        # No valuation is admitted at point 0 (a and ~a must both hold)
+        # nor at point 1 (b | c must hold, b and c may not).  The culprit
+        # comes from the lowest such point: ~a is read after a, and only
+        # by then is every valuation rejected.
+        space = u(2)
+        assignment = ic.BoundAssignment(space)
+        assignment.declare(A, lower=space.incidence([0]))
+        assignment.declare(ic.Not(A), lower=space.incidence([0]))
+        assignment.declare(ic.parse_formula("b | c"), lower=space.incidence([1]))
+        assignment.declare(B, upper=space.incidence([0]))
+        assignment.declare(ic.Atom("c"), upper=space.incidence([0]))
+        outcome = ic.propagate(assignment, "complete")
+        assert outcome.status == ic.INCONSISTENT
+        assert outcome.culprit == ic.Not(A)
+        assert outcome.final == assignment
+        assert outcome.steps == 0
+        assert tight_bounds(assignment) is None
 
     def test_detachment_through_implication(self):
         space = u(4)
@@ -278,7 +298,7 @@ class TestOracle:
             space, assignment = arbitrary_instance(
                 rng, width=rng.randint(1, 4), atoms=("a", "b"), n_sentences=3
             )
-            for env in ic.enumerate_legal(assignment):
+            for env in enumerate_legal(assignment):
                 for sentence in assignment:
                     value = ic.incidence_of(sentence, env, space)
                     low, high = assignment.bounds(sentence)
@@ -290,7 +310,7 @@ class TestOracle:
             _, assignment = arbitrary_instance(
                 rng, width=rng.randint(1, 4), atoms=("a", "b", "c"), n_sentences=3
             )
-            tight = ic.tight_bounds(assignment)
+            tight = tight_bounds(assignment)
             if tight is None:
                 continue
             outcome = ic.propagate(assignment)
@@ -305,7 +325,7 @@ class TestOracle:
             _, assignment = arbitrary_instance(
                 rng, width=rng.randint(1, 4), atoms=("a", "b", "c"), n_sentences=3
             )
-            tight = ic.tight_bounds(assignment)
+            tight = tight_bounds(assignment)
             outcome = ic.propagate(assignment, "complete")
             if tight is None:
                 assert outcome.status == ic.INCONSISTENT
@@ -313,12 +333,64 @@ class TestOracle:
                 assert outcome.ok
                 assert outcome.final == tight
 
-    def test_guard_refuses_large_instances(self):
+    def test_guard_refuses_large_instances(self, tmp_path, capsys):
+        # The brute-force oracle guards width * atoms; complete mode
+        # guards the atom count alone.
         space = u(10)
         assignment = ic.BoundAssignment(space)
         assignment.declare(ic.parse_formula("a & b & c"))
         with pytest.raises(ic.InstanceTooLargeError):
-            ic.enumerate_legal(assignment)
+            enumerate_legal(assignment)
+        assert ic.propagate(assignment, "complete").ok
+        assert ic.propagate(assignment).ok
+
+        wide = u(4096)
+        assignment = ic.BoundAssignment(wide)
+        assignment.declare(ic.parse_formula("a & b -> c | d"), lower=wide.incidence([7]))
+        assignment.declare(ic.parse_formula("a & b"), lower=wide.incidence([7, 4095]))
+        outcome = ic.propagate(assignment, "complete")
+        assert outcome.ok
+        assert outcome.final.lower(ic.parse_formula("c | d")) == wide.incidence([7])
+
+        too_many = " & ".join(f"x{j}" for j in range(MAX_ATOMS + 1))
+        assignment = ic.BoundAssignment(u(1))
+        assignment.declare(ic.parse_formula(too_many))
         with pytest.raises(ic.InstanceTooLargeError):
             ic.propagate(assignment, "complete")
-        assert ic.propagate(assignment).ok
+        kb = tmp_path / "many_atoms.kb"
+        kb.write_text(f"space 1\nbounds ({too_many}) inf {{}} sup {{0}}\n")
+        assert main(["solve", str(kb), "--complete"]) == 2
+        assert "atoms" in capsys.readouterr().err
+
+    def test_complete_mode_matches_oracle_at_each_point_of_a_wide_space(self):
+        # Complete mode treats the points together; the oracle sees one
+        # width-1 projection of the instance at a time.
+        rng = random.Random(73)
+        one = u(1)
+        for _ in range(3):
+            space, assignment, env = sound_instance(
+                rng, width=256, atoms=("a", "b", "c"), n_sentences=5
+            )
+            complete = ic.propagate(assignment, "complete")
+            plain = ic.propagate(assignment)
+            assert complete.ok and plain.ok
+            for sentence in assignment:
+                truth = ic.incidence_of(sentence, env, space)
+                low, high = complete.final.bounds(sentence)
+                assert low.is_subset(truth) and truth.is_subset(high)
+                assert plain.final.lower(sentence).is_subset(low)
+                assert high.is_subset(plain.final.upper(sentence))
+            for k in range(space.size):
+                projected = ic.BoundAssignment(one)
+                for sentence in assignment:
+                    low, high = assignment.bounds(sentence)
+                    projected.declare(
+                        sentence,
+                        lower=ic.Incidence(low.bits >> k & 1, 1),
+                        upper=ic.Incidence(high.bits >> k & 1, 1),
+                    )
+                tight = tight_bounds(projected)
+                for sentence in assignment:
+                    low, high = complete.final.bounds(sentence)
+                    assert tight.lower(sentence).bits == low.bits >> k & 1
+                    assert tight.upper(sentence).bits == high.bits >> k & 1
