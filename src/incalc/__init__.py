@@ -60,13 +60,11 @@ from .propagation import (
     INCONSISTENT,
     BoundAssignment,
     PropagationOutcome,
-    amalgamate_lower_bounds,
     check_consistency,
     propagate,
 )
 from .space import (
     Incidence,
-    Point,
     SampleSpace,
     StorageCost,
     parse_incidence_text,
@@ -97,7 +95,6 @@ __all__ = [
     "KnowledgeBase",
     "Not",
     "Or",
-    "Point",
     "ProbabilityInterval",
     "PropagationOutcome",
     "Query",
@@ -112,7 +109,6 @@ __all__ = [
     "UnknownSentenceError",
     "WidthMismatchError",
     "ZeroProbabilityError",
-    "amalgamate_lower_bounds",
     "atom_names",
     "check_consistency",
     "cond_prob",

@@ -17,7 +17,7 @@ ignored; the space must be declared first and exactly once):
 An <incidence> is a bit string (character k is point k) or a point-set
 literal like {0,2,5}.  A bounds <target> is an atom name or a
 parenthesised formula.  A name defined by `formula` may be used inside
-later formulas and expands to its definition.
+later formulas and stands for its definition, shared rather than copied.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import FormulaSyntaxError, KBError
-from .logic import Atom, Formula, parse_formula, subformulas
+from .logic import Atom, Formula, atom_names, parse_formula
 from .propagation import BoundAssignment
 from .rational import parse_rational
 from .space import Incidence, SampleSpace, parse_incidence_text
@@ -58,9 +58,9 @@ class KnowledgeBase:
         return dict(self.incidences)
 
     def resolve(self, text: str) -> Formula:
-        """Parse formula text in this KB's context, expanding names that
-        `formula` directives defined."""
-        return _expand(parse_formula(text), self.formulas)
+        """Parse formula text in this KB's context: a name that a
+        `formula` directive defined stands for the defined sentence."""
+        return parse_formula(text, self.formulas)
 
     def initial_assignment(self) -> BoundAssignment:
         """Starting bounds for propagation: exact incidences pin their
@@ -75,22 +75,6 @@ class KnowledgeBase:
         for sentence in self.formulas.values():
             assignment.declare(sentence)
         return assignment
-
-
-def _expand(f: Formula, definitions: dict[str, Formula]) -> Formula:
-    from .logic import And, Implies, Not, Or
-
-    if isinstance(f, Atom) and f.name in definitions:
-        return definitions[f.name]
-    if isinstance(f, Not):
-        return Not(_expand(f.operand, definitions))
-    if isinstance(f, And):
-        return And(_expand(f.left, definitions), _expand(f.right, definitions))
-    if isinstance(f, Or):
-        return Or(_expand(f.left, definitions), _expand(f.right, definitions))
-    if isinstance(f, Implies):
-        return Implies(_expand(f.left, definitions), _expand(f.right, definitions))
-    return f
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -178,7 +162,7 @@ def _parse_formula_def(kb: KnowledgeBase, line: str, lineno: int) -> None:
         sentence = kb.resolve(m.group(2))
     except FormulaSyntaxError as exc:
         raise KBError(str(exc), lineno) from None
-    if any(isinstance(g, Atom) and g.name == name for g in subformulas(sentence)):
+    if name in atom_names(sentence):
         raise KBError(f"formula {name!r} refers to itself", lineno)
     kb.formulas[name] = sentence
 

@@ -8,8 +8,12 @@ compound sentence is a fixed set operation on the incidences of its parts,
                                     i(A | B)  = i(A) union i(B)
                                     i(A -> B) = complement of i(A), union i(B)
 
-with no independence assumption anywhere.  Equality on formulas is
-structural; nothing here normalises or simplifies.
+with no independence assumption anywhere.  Formulas are interned:
+building a node equal to one that already exists returns that node, so
+equal formulas are the same object, hashing is O(1), and a sentence that
+uses a subterm twice stores it once.  The walks below visit each distinct
+node once and never recurse, so cost follows the number of distinct nodes
+and depth is unbounded.  Nothing here normalises or simplifies.
 
 Concrete syntax: identifiers are atoms ([A-Za-z][A-Za-z0-9_]*), `true` and
 `false` are constants, `~` binds tighter than `&`, which binds tighter
@@ -19,63 +23,104 @@ associates right, and parentheses group.
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+import threading
+import weakref
+from collections import Counter
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping
 
 from .errors import FormulaSyntaxError, UnboundAtomError, WidthMismatchError
 from .space import Incidence, SampleSpace
 
+_nodes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_serials = itertools.count()
+_by_serial = attrgetter("serial")
+_interning = threading.Lock()  # one node per key, even under threads
+
 
 class Formula:
-    """Base class for sentence nodes; subclasses are frozen dataclasses."""
+    """An interned sentence node.
 
-    __slots__ = ()
+    `args` holds the child nodes and `serial` counts node creations;
+    children exist before their parents, so sorting nodes by serial puts
+    every child before its parents.  `apply(full, *child_masks)` is the
+    connective as a set operation on bitmasks, `full` being every point.
+    For rendering, `prec` is the binding strength and `contexts` holds
+    the strength each child position demands, one entry per child.
+    """
+
+    __slots__ = ("args", "serial", "__weakref__")
+    prec, contexts = 5, ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        with _interning:
+            node = _nodes.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                node._init(*args)
+                node.serial = next(_serials)
+                _nodes[key] = node
+        return node
+
+    def _init(self, *args) -> None:
+        if len(args) != len(self.contexts) or not all(isinstance(a, Formula) for a in args):
+            raise TypeError(f"bad operands for {type(self).__name__}: {args!r}")
+        self.args = args
+
+    def __reduce__(self):
+        return type(self), self.args
+
+    def __repr__(self) -> str:
+        return f"parse_formula({format_formula(self)!r})"
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    symbol = "true"
+    apply = staticmethod(lambda full: full)
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    symbol = "false"
+    apply = staticmethod(lambda full: 0)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    symbol = property(attrgetter("name"))
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"bad atom name: {self.name!r}")
+    def _init(self, name: str) -> None:
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"bad atom name: {name!r}")
+        self.name, self.args = name, ()
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    prec, symbol, contexts = 4, "~", (4,)
+    apply = staticmethod(lambda full, a: full ^ a)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    prec, symbol, contexts = 3, " & ", (3, 4)
+    apply = staticmethod(lambda full, a, b: a & b)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    prec, symbol, contexts = 2, " | ", (2, 3)
+    apply = staticmethod(lambda full, a, b: a | b)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    prec, symbol, contexts = 1, " -> ", (2, 1)
+    apply = staticmethod(lambda full, a, b: (full ^ a) | b)
 
 
 TRUE = Top()
@@ -105,8 +150,9 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, definitions: Mapping[str, Formula]):
         self.text = text
+        self.definitions = definitions
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -175,88 +221,90 @@ class _Parser:
             self.take()
             if tok in _KEYWORDS:
                 return _KEYWORDS[tok]
+            if tok in self.definitions:
+                return self.definitions[tok]
             return Atom(tok)
         raise FormulaSyntaxError(f"unexpected {tok!r}", self.pos())
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into a Formula, or raise FormulaSyntaxError."""
-    return _Parser(text).parse()
+def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -> Formula:
+    """Parse concrete syntax into a Formula, or raise FormulaSyntaxError.
 
-
-# Binding strength, loosest first; used to drop redundant parentheses.
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
+    An identifier named in `definitions` stands for that node itself, so
+    a defined sentence is shared by every formula that uses its name.
+    """
+    return _Parser(text, definitions or {}).parse()
 
 
 def format_formula(f: Formula) -> str:
-    """Render with the fewest parentheses that re-parse to the same tree."""
-    return _fmt(f, 0)
+    """Render with the fewest parentheses that re-parse to the same tree.
 
-
-def _fmt(f: Formula, context: int) -> str:
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + _fmt(f.operand, _PREC_NOT)
-    if isinstance(f, And):
-        text = f"{_fmt(f.left, _PREC_AND)} & {_fmt(f.right, _PREC_AND + 1)}"
-        return f"({text})" if context > _PREC_AND else text
-    if isinstance(f, Or):
-        text = f"{_fmt(f.left, _PREC_OR)} | {_fmt(f.right, _PREC_OR + 1)}"
-        return f"({text})" if context > _PREC_OR else text
-    if isinstance(f, Implies):
-        text = f"{_fmt(f.left, _PREC_IMPLIES + 1)} -> {_fmt(f.right, _PREC_IMPLIES)}"
-        return f"({text})" if context > _PREC_IMPLIES else text
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Not):
-        return (f.operand,)
-    if isinstance(f, (And, Or, Implies)):
-        return (f.left, f.right)
-    return ()
+    Each distinct node is rendered once, children first, from its
+    children's text; a child's text is dropped after its last use, so a
+    deep chain holds no more than its own text at any time.
+    """
+    order = sorted(subformulas(f), key=_by_serial)
+    uses = Counter(a for g in order for a in g.args)
+    text: dict[Formula, str] = {}
+    for g in order:
+        parts = []
+        for a, context in zip(g.args, g.contexts):
+            uses[a] -= 1
+            part = text[a] if uses[a] else text.pop(a)
+            parts.append(f"({part})" if a.prec < context else part)
+        text[g] = g.symbol.join(parts) if len(parts) == 2 else g.symbol + "".join(parts)
+    return text[f]
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All nodes of f in preorder, duplicates included."""
-    yield f
-    for child in children(f):
-        yield from subformulas(child)
+    """Each distinct node of f once, in preorder of first occurrence: f,
+    then the nodes of each child left to right, skipping nodes already
+    seen."""
+    seen = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            yield g
+            stack.extend(reversed(g.args))
 
 
 def atom_names(f: Formula) -> set[str]:
     return {g.name for g in subformulas(f) if isinstance(g, Atom)}
 
 
+def evaluation_order(nodes: Iterable[Formula]) -> list[Formula]:
+    """The non-atoms among `nodes`, children first, as `evaluate` takes them."""
+    return sorted((g for g in nodes if not isinstance(g, Atom)), key=_by_serial)
+
+
+def evaluate(order: list[Formula], value: dict[Formula, int], full: int) -> dict[Formula, int]:
+    """Extend `value`, which maps every atom below `order` to a bitmask,
+    to each node of `order` (from `evaluation_order`): one set operation
+    per node, `full` being the mask of all points."""
+    for g in order:
+        value[g] = g.apply(full, *map(value.__getitem__, g.args))
+    return value
+
+
 def incidence_of(f: Formula, env: Environment, space: SampleSpace) -> Incidence:
-    """Evaluate f to its incidence under exact atom incidences."""
-    if isinstance(f, Top):
-        return space.full()
-    if isinstance(f, Bottom):
-        return space.empty()
-    if isinstance(f, Atom):
-        inc = env.get(f.name)
-        if inc is None:
-            raise UnboundAtomError(f"atom {f.name!r} has no incidence")
-        if inc.width != space.size:
-            raise WidthMismatchError(
-                f"incidence for {f.name!r} has width {inc.width}, space has {space.size}"
-            )
-        return inc
-    if isinstance(f, Not):
-        return incidence_of(f.operand, env, space).complement()
-    if isinstance(f, And):
-        return incidence_of(f.left, env, space) & incidence_of(f.right, env, space)
-    if isinstance(f, Or):
-        return incidence_of(f.left, env, space) | incidence_of(f.right, env, space)
-    if isinstance(f, Implies):
-        return incidence_of(f.left, env, space).complement() | incidence_of(f.right, env, space)
-    raise TypeError(f"not a formula: {f!r}")
+    """Evaluate f to its incidence under exact atom incidences, with one
+    set operation per distinct node."""
+    nodes = list(subformulas(f))
+    value = {}
+    for g in nodes:
+        if isinstance(g, Atom):
+            inc = env.get(g.name)
+            if inc is None:
+                raise UnboundAtomError(f"atom {g.name!r} has no incidence")
+            if inc.width != space.size:
+                raise WidthMismatchError(
+                    f"incidence for {g.name!r} has width {inc.width}, space has {space.size}"
+                )
+            value[g] = inc.bits
+    evaluate(evaluation_order(nodes), value, space.full().bits)
+    return Incidence(value[f], space.size)
 
 
 def holds_at(f: Formula, point: int, env: Environment) -> bool:
@@ -285,11 +333,11 @@ def _holds(f: Formula, point: int, env: Environment) -> bool:
             raise UnboundAtomError(f"atom {f.name!r} has no incidence")
         return point in inc
     if isinstance(f, Not):
-        return not _holds(f.operand, point, env)
+        return not _holds(f.args[0], point, env)
     if isinstance(f, And):
-        return _holds(f.left, point, env) and _holds(f.right, point, env)
+        return _holds(f.args[0], point, env) and _holds(f.args[1], point, env)
     if isinstance(f, Or):
-        return _holds(f.left, point, env) or _holds(f.right, point, env)
+        return _holds(f.args[0], point, env) or _holds(f.args[1], point, env)
     if isinstance(f, Implies):
-        return not _holds(f.left, point, env) or _holds(f.right, point, env)
+        return not _holds(f.args[0], point, env) or _holds(f.args[1], point, env)
     raise TypeError(f"not a formula: {f!r}")

@@ -22,8 +22,12 @@ bounds strictly looser than the envelope of all legal assignments.
 `propagate(..., mode="complete")` computes that envelope directly.
 Because every connective is pointwise, the legal assignments factor point
 by point: one pass over the 2^atoms valuations, each evaluated at all
-points at once, finds the valuations admitted at every point.  The cost is
-exponential in the number of atoms only, never in the width.
+points at once, finds the valuations admitted at every point.  Each
+valuation costs one set operation per distinct registered node, so the
+cost is 2^atoms times that node count, and never grows with the width.
+
+Sentences are interned (see `incalc.logic`), so a subterm shared by many
+sentences, or used twice in one, is one entry with one pair of bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import (
     InstanceTooLargeError,
@@ -39,15 +43,16 @@ from .errors import (
     WidthMismatchError,
 )
 from .logic import (
+    FALSE,
+    TRUE,
     And,
     Atom,
-    Bottom,
     Formula,
     Implies,
     Not,
     Or,
-    Top,
-    children,
+    evaluate,
+    evaluation_order,
     format_formula,
     incidence_of,
     subformulas,
@@ -69,9 +74,10 @@ class BoundAssignment:
     """Mutable map from sentences to (lower, upper) incidence bounds.
 
     Sentences are registered in a stable order (used for reporting and
-    for dump output).  Registering a sentence registers all of its
-    subformulas: unseen ones default to the vacuous bounds (empty, full),
-    except the constants, whose incidences are forced by the axioms.
+    for dump output).  Registering a sentence registers each distinct
+    subformula once, in the first-occurrence preorder of `subformulas`:
+    unseen ones default to the vacuous bounds (empty, full), except the
+    constants, whose incidences are forced by the axioms.
     Declaring bounds for an already-known sentence merges them: lower
     bounds amalgamate by union, upper bounds by intersection, which can
     leave the entry inconsistent (lower not inside upper) for
@@ -95,12 +101,10 @@ class BoundAssignment:
             lower = upper = exact
         for sub in subformulas(sentence):
             if sub not in self._entries:
-                if isinstance(sub, Top):
-                    self._entries[sub] = (self.space.full(), self.space.full())
-                elif isinstance(sub, Bottom):
-                    self._entries[sub] = (self.space.empty(), self.space.empty())
-                else:
-                    self._entries[sub] = (self.space.empty(), self.space.full())
+                low, high = self.space.empty(), self.space.full()
+                if sub in (TRUE, FALSE):
+                    low = high = incidence_of(sub, {}, self.space)
+                self._entries[sub] = (low, high)
         if lower is not None:
             self.raise_lower(sentence, lower)
         if upper is not None:
@@ -202,25 +206,6 @@ def check_consistency(assignment: BoundAssignment) -> Formula | None:
         if not assignment.consistent_at(sentence):
             return sentence
     return None
-
-
-def amalgamate_lower_bounds(
-    bounds: Iterable[Incidence], width: int | None = None
-) -> Incidence:
-    """Combine lower bounds for the same sentence by union: if each one
-    is a subset of i(S), so is their union.  An empty collection yields
-    the empty incidence, for which a width must be supplied."""
-    items = list(bounds)
-    if not items:
-        if width is None:
-            raise ValueError("width is required to amalgamate no bounds")
-        return Incidence.empty(width)
-    result = items[0]
-    for inc in items[1:]:
-        result = result | inc
-    if width is not None and result.width != width:
-        raise WidthMismatchError(f"bounds have width {result.width}, expected {width}")
-    return result
 
 
 # --- the rule catalog ----------------------------------------------------
@@ -336,40 +321,32 @@ class PropagationOutcome:
         return self.status == FIXPOINT
 
 
-def _is_compound(f: Formula) -> bool:
-    return isinstance(f, (Not, And, Or, Implies))
-
-
 def _parent_map(assignment: BoundAssignment) -> dict[Formula, list[Formula]]:
     parents: dict[Formula, list[Formula]] = {f: [] for f in assignment}
     for sentence in assignment:
-        if _is_compound(sentence):
-            for child in children(sentence):
-                if sentence not in parents[child]:
-                    parents[child].append(sentence)
+        for child in dict.fromkeys(sentence.args):
+            parents[child].append(sentence)
     return parents
 
 
 def _rule_target(sentence: Formula, rule: Rule) -> Formula:
     if rule.target == "self":
         return sentence
-    if rule.target == "left":
-        return children(sentence)[0]
-    return children(sentence)[1]
+    return sentence.args[0 if rule.target == "left" else 1]
 
 
 def _run_fixpoint(
     assignment: BoundAssignment, rng: random.Random | None
 ) -> PropagationOutcome:
     parents = _parent_map(assignment)
-    pending = [f for f in assignment if _is_compound(f)]
+    pending = [f for f in assignment if f.args]
     queued = set(pending)
     steps = 0
     while pending:
         index = rng.randrange(len(pending)) if rng is not None else 0
         sentence = pending.pop(index)
         queued.discard(sentence)
-        kids = children(sentence)
+        kids = sentence.args
         for rule in RULES_BY_CONNECTIVE[type(sentence)]:
             c = assignment.bounds(sentence)
             a = assignment.bounds(kids[0])
@@ -386,7 +363,7 @@ def _run_fixpoint(
             if not assignment.consistent_at(target):
                 return PropagationOutcome(INCONSISTENT, target, assignment, steps)
             wake = list(parents[target])
-            if _is_compound(target) and target not in wake:
+            if target.args and target not in wake:
                 wake.append(target)
             for f in wake:
                 if f not in queued:
@@ -401,13 +378,15 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     Every connective acts point by point, so an assignment is legal
     exactly when its valuation at each point is admitted there, and the
     legal assignments are all ways of picking one admitted valuation per
-    point.  Binding each atom to no point or to every point evaluates a
-    valuation at all points at once; the points it is admitted at are
-    those where every sentence's value lies within its bounds.
+    point.  A valuation has the same truth value at every point, so it is
+    evaluated once, on one-bit masks, with one set operation per
+    registered node; the points it is admitted at are those where every
+    sentence's value lies within its bounds.  The cost is 2^atoms times
+    the number of registered nodes.
     """
     space = assignment.space
     sentences = assignment.sentences()
-    atoms = [f.name for f in sentences if isinstance(f, Atom)]
+    atoms = [f for f in sentences if isinstance(f, Atom)]
     if len(atoms) > MAX_ATOMS:
         raise InstanceTooLargeError(
             f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope"
@@ -420,18 +399,17 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     # bounds of sentences[:i] but not by those of sentences[i].
     first_rejected = [0] * len(sentences)
     covered = 0
-    for values in itertools.product((space.empty(), space.full()), repeat=len(atoms)):
-        env = dict(zip(atoms, values))
+    order = evaluation_order(sentences)
+    for values in itertools.product((0, 1), repeat=len(atoms)):
+        value = evaluate(order, dict(zip(atoms, values)), 1)
+        truths = [value[f] for f in sentences]
         admitted = full
-        truths = []
-        for i, (sentence, (low, high)) in enumerate(zip(sentences, bounds)):
-            truth = bool(incidence_of(sentence, env, space).bits)
+        for i, (truth, (low, high)) in enumerate(zip(truths, bounds)):
             kept = admitted & (high if truth else ~low)
             first_rejected[i] |= admitted & ~kept
             admitted = kept
             if not admitted:
                 break
-            truths.append(truth)
         else:
             covered |= admitted
             for i, truth in enumerate(truths):
@@ -463,8 +441,9 @@ def propagate(
     fixed point; `worklist_rng` only varies the order in which that fixed
     point is reached.  With mode="complete" the bounds become exactly the
     envelope of the legal assignments, computed in one pass over the
-    2^atoms valuations; instances with more than MAX_ATOMS atoms raise
-    InstanceTooLargeError, whatever their width.
+    2^atoms valuations at a cost of 2^atoms times the registered nodes;
+    instances with more than MAX_ATOMS atoms raise InstanceTooLargeError,
+    whatever their width.
 
     A lower bound escaping its upper bound, before or during the rules,
     is reported eagerly via the outcome's culprit, and propagation stops

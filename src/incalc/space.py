@@ -139,11 +139,6 @@ def parse_incidence_text(text: str, width: int) -> Incidence:
     return Incidence.from_bitstring(t, width)
 
 
-class Point(NamedTuple):
-    index: int
-    weight: Fraction
-
-
 @dataclass(frozen=True)
 class SampleSpace:
     """A finite set of points, each carrying a non-negative rational weight.
@@ -173,10 +168,6 @@ class SampleSpace:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(Point(k, v) for k, v in enumerate(self.weights))
 
     @property
     def is_uniform(self) -> bool:

@@ -23,6 +23,7 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextmanager
@@ -36,10 +37,12 @@ def criterion(label):
 
 
 def run_cli(*argv):
+    # Run from src/ so that `-m incalc` imports this checkout, installed or not.
     return subprocess.run(
         [sys.executable, "-m", "incalc", *map(str, argv)],
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
 
 

@@ -75,6 +75,11 @@ class TestSolve:
         assert code == 0
         assert out == golden("tighten_solve.golden")
 
+    def test_shared_definitions_match_golden(self, capsys):
+        code, out, err = run(capsys, "solve", DATA / "chain.kb")
+        assert code == 0 and err == ""
+        assert out == golden("chain_solve.golden")
+
     def test_contradiction_exits_one(self, capsys):
         code, out, err = run(capsys, "solve", DATA / "contradiction.kb")
         assert code == 1 and err == ""
@@ -168,6 +173,7 @@ class TestUsage:
             [sys.executable, "-m", "incalc", "query", str(DATA / "example.kb")],
             capture_output=True,
             text=True,
+            cwd=DATA.parent.parent / "src",
         )
         assert proc.returncode == 0
         assert proc.stdout == golden("example_query.golden")

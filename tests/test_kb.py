@@ -125,6 +125,27 @@ class TestKnowledgeBase:
         kb = ic.parse_kb("space 2\nformula f = a & b\n")
         assert kb.resolve("~f") == ic.parse_formula("~(a & b)")
 
+    def test_long_definition_chain_is_shared(self):
+        # Each level uses the one below twice, so the text of d40 would
+        # hold 2^40 copies of d0; dump is skipped for that reason.
+        levels = "".join(
+            f"formula d{i} = (d{i - 1} & b) | ~d{i - 1}\n" for i in range(1, 41)
+        )
+        kb = ic.parse_kb(
+            "space 4\ninc b = 1010\nformula d0 = a -> c\n"
+            + levels
+            + "bounds d40 inf {0} sup {0,1,2}\n"
+        )
+        assignment = kb.initial_assignment()
+        top = kb.formulas["d40"]
+        assert len(assignment) == 3 * 40 + 4
+        assert set(assignment) == set(ic.subformulas(top))
+        # d_i is b | ~d_(i-1): at point 3, outside b, d40 = d0 is false.
+        for mode in ("fixpoint", "complete"):
+            outcome = ic.propagate(assignment, mode)
+            assert outcome.ok
+            assert 3 not in outcome.final.upper(kb.formulas["d0"])
+
 
 class TestKBFragment:
     def test_uniform_round_trip(self):

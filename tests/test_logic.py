@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,69 @@ class TestParser:
     def test_structural_equality_and_hashing(self):
         assert ic.parse_formula("a & (b | c)") == ic.And(A, ic.Or(B, C))
         assert hash(ic.parse_formula("a -> b")) == hash(ic.Implies(A, B))
+
+
+class TestInterning:
+    def test_equal_nodes_are_one_object(self):
+        assert ic.And(A, B) is ic.And(A, B)
+        assert ic.parse_formula("a -> ~b") is ic.Implies(A, ic.Not(B))
+
+    @given(formulas_st)
+    def test_round_trip_is_identity(self, f):
+        assert ic.parse_formula(ic.format_formula(f)) is f
+
+    def test_copies_are_the_interned_node(self):
+        f = ic.parse_formula("(a | true) & ~(b -> c)")
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_threads_get_one_node_per_formula(self):
+        # Threads race to build the same new formulas; a lost race would
+        # hand two threads different nodes for one formula.
+        names = [f"race{i}" for i in range(300)]
+
+        def build():
+            return [ic.Or(ic.Atom(n), ic.Not(ic.Atom(n))) for n in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(build) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for nodes in results[1:]:
+            assert all(a is b for a, b in zip(nodes, results[0]))
+
+    def test_shared_subterm_walked_once(self):
+        assert len(list(ic.subformulas(ic.parse_formula("a & a")))) == 2
+
+    def test_atom_names_still_checked(self):
+        with pytest.raises(ValueError):
+            ic.Atom("1x")
+
+    def test_deep_formula_needs_no_recursion(self):
+        # Built with constructors, since the parser is still recursive.
+        f = A
+        for _ in range(10**4):
+            f = ic.Not(ic.And(f, B))
+        space = ic.SampleSpace.uniform(3)
+        env = {"a": space.incidence([0, 1]), "b": space.incidence([1, 2])}
+        # ~(x & b) is true where b is false and ~x where b holds, so the
+        # 10^4 negations leave f true at point 0 and equal to a elsewhere.
+        truth = space.incidence([0, 1])
+        assert ic.incidence_of(f, env, space) == truth
+        assert ic.format_formula(f) == "~(" * 10**4 + "a & b" + ") & b" * (10**4 - 1) + ")"
+        assert len(list(ic.subformulas(f))) == 2 * 10**4 + 2
+        assignment = ic.BoundAssignment(space)
+        assignment.declare(f, upper=truth)
+        for name, inc in env.items():
+            assignment.declare(ic.Atom(name), exact=inc)
+        for mode in ("fixpoint", "complete"):
+            outcome = ic.propagate(assignment, mode)
+            assert outcome.ok and outcome.final.bounds(f) == (truth, truth)
 
 
 class TestPrinter:

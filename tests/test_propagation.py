@@ -159,6 +159,16 @@ class TestBoundAssignment:
         assert assignment.lower(A) == space.incidence([0, 1])
         assert assignment.upper(A) == space.incidence([0, 1])
 
+    def test_union_of_sound_lower_bounds_is_sound(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            width = rng.randint(1, 10)
+            truth = rng.getrandbits(width)
+            assignment = ic.BoundAssignment(u(width))
+            for _ in range(3):
+                assignment.declare(A, lower=ic.Incidence(truth & rng.getrandbits(width), width))
+            assert assignment.lower(A).bits & ~truth == 0
+
     def test_exact_shorthand(self):
         space = u(3)
         assignment = ic.BoundAssignment(space)
@@ -200,34 +210,6 @@ class TestBoundAssignment:
         before = assignment.copy()
         ic.propagate(assignment)
         assert assignment == before
-
-
-class TestAmalgamation:
-    def test_worked_example(self):
-        lowers = [ic.Incidence.from_indices([0, 1], 6), ic.Incidence.from_indices([1, 5], 6)]
-        assert ic.amalgamate_lower_bounds(lowers) == ic.Incidence.from_indices([0, 1, 5], 6)
-
-    def test_empty_collection_needs_width(self):
-        assert ic.amalgamate_lower_bounds([], width=4) == ic.Incidence.empty(4)
-        with pytest.raises(ValueError):
-            ic.amalgamate_lower_bounds([])
-
-    def test_width_mismatch(self):
-        with pytest.raises(ic.WidthMismatchError):
-            ic.amalgamate_lower_bounds([ic.Incidence.empty(3), ic.Incidence.empty(4)])
-        with pytest.raises(ic.WidthMismatchError):
-            ic.amalgamate_lower_bounds([ic.Incidence.empty(3)], width=4)
-
-    def test_union_of_sound_lower_bounds_is_sound(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            width = rng.randint(1, 10)
-            truth = rng.getrandbits(width)
-            parts = [
-                ic.Incidence(truth & rng.getrandbits(width), width) for _ in range(3)
-            ]
-            merged = ic.amalgamate_lower_bounds(parts)
-            assert merged.bits & ~truth == 0
 
 
 class TestPropagate:

@@ -125,14 +125,6 @@ class TestSampleSpace:
         with pytest.raises(ValueError):
             ic.SampleSpace.uniform(0)
 
-    def test_points_view(self):
-        space = ic.SampleSpace.uniform(3)
-        assert space.points == (
-            ic.Point(0, F(1, 3)),
-            ic.Point(1, F(1, 3)),
-            ic.Point(2, F(1, 3)),
-        )
-
     def test_weight_of_checks_width(self):
         with pytest.raises(ic.WidthMismatchError):
             ic.SampleSpace.uniform(3).weight_of(ic.Incidence.empty(4))
