@@ -26,7 +26,7 @@ from .construct import (
 )
 from .errors import IncalcError
 from .kb import KnowledgeBase, kb_fragment, parse_kb
-from .logic import format_formula
+from .logic import format_formula, incidence_of
 from .probability import cond_prob, correlation, prob
 from .propagation import propagate
 from .rational import format_prob
@@ -39,8 +39,6 @@ def _load_kb(path: str) -> KnowledgeBase:
 def _cmd_eval(args) -> int:
     kb = _load_kb(args.kb)
     sentence = kb.resolve(args.formula)
-    from .logic import incidence_of
-
     inc = incidence_of(sentence, kb.environment(), kb.space)
     print(inc.to_bitstring())
     print(inc.to_point_set())
@@ -137,7 +135,4 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (IncalcError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
         return 2

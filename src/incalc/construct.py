@@ -24,10 +24,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
+from .logic import IDENT_RE
 from .rational import parse_rational, round_half_up, sqrt_fraction
 from .space import Incidence, SampleSpace
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
+_CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 
 _TRUTHY = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
 
@@ -54,7 +56,7 @@ class TargetSpec:
             raise ValueError(f"size must be >= 1, got {self.size}")
         marginals = {}
         for name, p in self.marginals.items():
-            if not _IDENT_RE.fullmatch(name):
+            if not IDENT_RE.fullmatch(name):
                 raise ValueError(f"bad atom name: {name!r}")
             p = _as_exact(p)
             if not 0 <= p <= 1:
@@ -150,7 +152,7 @@ class RecordTable:
         if not self.columns:
             raise RecordTableError("table has no columns")
         for name in self.columns:
-            if not _IDENT_RE.fullmatch(name):
+            if not IDENT_RE.fullmatch(name):
                 raise RecordTableError(f"bad column name: {name!r}")
         if len(set(self.columns)) != len(self.columns):
             raise RecordTableError("duplicate column names")
@@ -226,14 +228,14 @@ def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str],
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.fullmatch(r"prob\s+([A-Za-z]\w*)\s*=\s*(\S+)", line)
+        m = _PROB_RE.fullmatch(line)
         if m:
             name, value = m.group(1), m.group(2)
             if name in marginals:
                 raise ValueError(f"line {lineno}: duplicate marginal for {name!r}")
             marginals[name] = parse_rational(value)
             continue
-        m = re.fullmatch(r"corr\s+([A-Za-z]\w*)\s+([A-Za-z]\w*)\s*=\s*(\S+)", line)
+        m = _CORR_RE.fullmatch(line)
         if m:
             pair = tuple(sorted((m.group(1), m.group(2))))
             if pair in correlations:

@@ -26,16 +26,16 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import FormulaSyntaxError, KBError
-from .logic import Atom, Formula, atom_names, parse_formula
+from .logic import IDENT_RE, Atom, Formula, atom_names, parse_formula
 from .propagation import BoundAssignment
 from .rational import parse_rational
 from .space import Incidence, SampleSpace, parse_incidence_text
 
-_INC_RE = re.compile(r"inc\s+([A-Za-z]\w*)\s*=\s*(.+)")
+_INC_RE = re.compile(rf"inc\s+({IDENT_RE.pattern})\s*=\s*(.+)")
 _BOUNDS_RE = re.compile(
     r"bounds\s+(?P<target>.+?)\s+inf\s+(?P<low>\{[^}]*\}|[01]+)\s+sup\s+(?P<high>\{[^}]*\}|[01]+)"
 )
-_FORMULA_RE = re.compile(r"formula\s+([A-Za-z]\w*)\s*=\s*(.+)")
+_FORMULA_RE = re.compile(rf"formula\s+({IDENT_RE.pattern})\s*=\s*(.+)")
 
 
 @dataclass(frozen=True)

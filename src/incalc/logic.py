@@ -18,7 +18,9 @@ and depth is unbounded.  Nothing here normalises or simplifies.
 Concrete syntax: identifiers are atoms ([A-Za-z][A-Za-z0-9_]*), `true` and
 `false` are constants, `~` binds tighter than `&`, which binds tighter
 than `|`, which binds tighter than `->`; `&` and `|` associate left, `->`
-associates right, and parentheses group.
+associates right, and parentheses group.  Each connective class is the
+single definition of its syntax (`symbol`, `prec`, `contexts`), which
+the parser and the formatter both read.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class Atom(Formula):
     symbol = property(attrgetter("name"))
 
     def _init(self, name: str) -> None:
-        if not _IDENT_RE.fullmatch(name):
+        if not IDENT_RE.fullmatch(name):
             raise ValueError(f"bad atom name: {name!r}")
         self.name, self.args = name, ()
 
@@ -128,103 +130,11 @@ FALSE = Bottom()
 
 Environment = Mapping[str, Incidence]
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|[~&|()]")
-_KEYWORDS = {"true": TRUE, "false": FALSE}
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, definitions: Mapping[str, Formula]):
-        self.text = text
-        self.definitions = definitions
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def pos(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.pos())
-        self.index += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise FormulaSyntaxError(f"expected {tok!r}", self.pos())
-        self.index += 1
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        if self.peek() is not None:
-            raise FormulaSyntaxError(f"unexpected {self.peek()!r}", self.pos())
-        return f
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.pos())
-        if tok == "~":
-            self.take()
-            return Not(self.unary())
-        if tok == "(":
-            self.take()
-            f = self.implication()
-            self.expect(")")
-            return f
-        if _IDENT_RE.fullmatch(tok):
-            self.take()
-            if tok in _KEYWORDS:
-                return _KEYWORDS[tok]
-            if tok in self.definitions:
-                return self.definitions[tok]
-            return Atom(tok)
-        raise FormulaSyntaxError(f"unexpected {tok!r}", self.pos())
+IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_CONSTANTS = {c.symbol: c for c in (TRUE, FALSE)}
+_BINARY = {cls.symbol.strip(): cls for cls in (And, Or, Implies)}
+_SYMBOLS = "|".join(map(re.escape, [*_BINARY, Not.symbol, "(", ")"]))
+_TOKEN_RE = re.compile(rf"\s*(?:({IDENT_RE.pattern}|{_SYMBOLS})|(\S))")
 
 
 def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -> Formula:
@@ -232,8 +142,58 @@ def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -
 
     An identifier named in `definitions` stands for that node itself, so
     a defined sentence is shared by every formula that uses its name.
+
+    One loop over the tokens, with no recursion: operands wait on one
+    stack and connectives on another.  A binary connective C arriving
+    first builds every waiting connective that binds at least as tightly
+    as C's left operand demands (`prec >= C.contexts[0]`), the test
+    `format_formula` uses to leave out parentheses, so `&` and `|`
+    associate left and `->` right.
     """
-    return _Parser(text, definitions or {}).parse()
+    definitions = definitions or {}
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m[2]:
+            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    tokens.append((None, len(text)))
+    operands: list[Formula] = []
+    waiting: list[type[Formula] | None] = []  # None marks an open parenthesis
+    depth = 0  # open parentheses
+    want_operand = True
+    for token, pos in tokens:
+        if want_operand:
+            if token == Not.symbol:
+                waiting.append(Not)
+            elif token == "(":
+                waiting.append(None)
+                depth += 1
+            elif token is None:
+                raise FormulaSyntaxError("unexpected end of input", pos)
+            elif IDENT_RE.fullmatch(token):
+                operands.append(_CONSTANTS.get(token) or definitions.get(token) or Atom(token))
+                want_operand = False
+            else:
+                raise FormulaSyntaxError(f"unexpected {token!r}", pos)
+            continue
+        binary = _BINARY.get(token)
+        if binary is None and not (token == ")" and depth):
+            if depth:
+                raise FormulaSyntaxError("expected ')'", pos)
+            if token is not None:
+                raise FormulaSyntaxError(f"unexpected {token!r}", pos)
+        floor = binary.contexts[0] if binary else 0
+        while waiting and waiting[-1] is not None and waiting[-1].prec >= floor:
+            connective = waiting.pop()
+            arity = len(connective.contexts)
+            operands[-arity:] = [connective(*operands[-arity:])]
+        if binary:
+            waiting.append(binary)
+            want_operand = True
+        elif token == ")":
+            waiting.pop()
+            depth -= 1
+    return operands[0]
 
 
 def format_formula(f: Formula) -> str:

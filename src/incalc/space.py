@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .errors import WidthMismatchError
+
+
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 def _as_weight(value) -> Fraction:
@@ -61,23 +65,21 @@ class Incidence:
         """Decode a '0'/'1' string; its length must equal the width."""
         if len(text) != width:
             raise ValueError(f"bit string has length {len(text)}, expected {width}")
-        bits = 0
-        for k, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << k
-            elif ch != "0":
-                raise ValueError(f"illegal character {ch!r} in bit string")
-        return cls(bits, width)
+        illegal = text.translate(_DROP_BITS)
+        if illegal:
+            raise ValueError(f"illegal character {illegal[0]!r} in bit string")
+        return cls(int(text[::-1] or "0", 2), width)
 
     def to_bitstring(self) -> str:
-        return "".join("1" if self.bits >> k & 1 else "0" for k in range(self.width))
+        return format(self.bits, f"0{self.width}b")[::-1]
 
     def to_point_set(self) -> str:
         """Render as a point-set literal, e.g. '{3,4}' or '{}'."""
         return "{" + ",".join(str(k) for k in self.indices()) + "}"
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.width) if self.bits >> k & 1)
+        lowest_first = format(self.bits, "b")[::-1]
+        return tuple(compress(range(len(lowest_first)), map("1".__eq__, lowest_first)))
 
     def count(self) -> int:
         return self.bits.bit_count()

@@ -184,6 +184,13 @@ class TestParseTargets:
         with pytest.raises(ValueError):
             ic.parse_targets(text)
 
+    @pytest.mark.parametrize(
+        "text", ["prob a = 0.5\nprob c\u00e9 = 0.5\n", "prob a = 0.5\ncorr a b\u00e9 = 0.1\n"]
+    )
+    def test_non_ascii_atom_names_rejected_with_line(self, text):
+        with pytest.raises(ValueError, match="line 2: unrecognised directive"):
+            ic.parse_targets(text)
+
     def test_feeds_target_spec(self):
         marginals, correlations = ic.parse_targets("prob a = 3/4\n")
         spec = ic.TargetSpec(marginals, 8, correlations, seed=1)

@@ -2,8 +2,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import incalc as ic
+from helpers import ATOMS
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,6 +86,10 @@ class TestParseKB:
             ("space 2\nquery corr a b\n", 2, ","),
             ("space 2\nquery guess a\n", 2, "prob|cond|corr"),
             ("space x\n", 1, None),
+            # Atom names are ASCII: [A-Za-z][A-Za-z0-9_]*.
+            ("space 4\ninc a\u00e9 = 0101\n", 2, "expected `inc"),
+            ("space 4\ninc a = 0101\nformula c\u00e9 = a\n", 3, "expected `formula"),
+            ("space 4\nbounds a\u00e9 inf {} sup {0}\n", 2, "unexpected character"),
         ],
     )
     def test_rejected(self, text, lineno, fragment):
@@ -159,5 +166,37 @@ class TestKBFragment:
     def test_weighted_round_trip(self):
         space = ic.SampleSpace((F(2, 5), F(1, 5), F(2, 5)))
         env = {"rain": space.incidence([0, 1]), "wet": space.incidence([0])}
+        back = ic.parse_kb(ic.kb_fragment(space, env))
+        assert back.space == space and back.incidences == env
+
+    @given(
+        st.lists(st.sampled_from(ATOMS), min_size=1, max_size=4, unique=True).flatmap(
+            lambda columns: st.tuples(
+                st.just(tuple(columns)),
+                st.lists(st.tuples(*[st.booleans()] * len(columns)), min_size=1, max_size=40),
+            )
+        )
+    )
+    def test_ingest_output_parses_back(self, table):
+        columns, rows = table
+        space, env = ic.incidences_from_records(ic.RecordTable(columns, tuple(rows)))
+        back = ic.parse_kb(ic.kb_fragment(space, env))
+        assert back.space == space and back.incidences == env
+
+    @given(st.data())
+    def test_sample_output_parses_back(self, data):
+        probability = st.fractions(0, 1, max_denominator=12)
+        names = data.draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=4, unique=True))
+        marginals = {name: data.draw(probability) for name in names}
+        inside = [name for name in names if 0 < marginals[name] < 1]
+        pairs = [(x, y) for i, x in enumerate(inside) for y in inside[i + 1 :]]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        correlations = {pair: data.draw(st.fractions(-1, 1, max_denominator=8)) for pair in chosen}
+        size = data.draw(st.integers(1, 120))
+        spec = ic.TargetSpec(marginals, size, correlations, seed=data.draw(st.integers(0, 99)))
+        try:
+            space, env = ic.incidences_from_probabilities(spec)
+        except ic.InfeasibleTargetError:
+            assume(False)
         back = ic.parse_kb(ic.kb_fragment(space, env))
         assert back.space == space and back.incidences == env

@@ -13,6 +13,13 @@ from helpers import ATOMS, formulas_st, random_env, random_formula, random_space
 
 A, B, C = ic.Atom("a"), ic.Atom("b"), ic.Atom("c")
 
+# Every token of the syntax, whitespace, and characters that are not
+# tokens or only part of one.
+TOKEN_SOUP = [
+    "a", "b", "x_1", "true", "false", "~", "&", "|", "->", "(", ")",
+    " ", "\t", "-", ">", "$", "1", "_", "\u00e9",
+]
+
 
 class TestParser:
     def test_precedence_worked_example(self):
@@ -49,6 +56,45 @@ class TestParser:
         with pytest.raises(ic.FormulaSyntaxError) as err:
             ic.parse_formula(text)
         assert err.value.position >= 0
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "unexpected end of input", 0),
+            ("a &", "unexpected end of input", 3),
+            ("(a", "expected ')'", 2),
+            ("a b", "unexpected 'b'", 2),
+            ("a $ b", "unexpected character '$'", 2),
+            ("& a", "unexpected '&'", 0),
+            ("a -> ", "unexpected end of input", 5),
+            ("~", "unexpected end of input", 1),
+            ("a ~ b", "unexpected '~'", 2),
+            ("1a", "unexpected character '1'", 0),
+            (")", "unexpected ')'", 0),
+            ("a)", "unexpected ')'", 1),
+            ("(a b", "expected ')'", 3),
+            ("((a)", "expected ')'", 4),
+            ("()", "unexpected ')'", 1),
+            ("(a &)", "unexpected ')'", 4),
+            ("a -> -> b", "unexpected '->'", 5),
+            ("a - b", "unexpected character '-'", 2),
+            # The whole text is scanned for bad characters first.
+            (")->$", "unexpected character '$'", 3),
+        ],
+    )
+    def test_syntax_error_messages(self, text, message, position):
+        with pytest.raises(ic.FormulaSyntaxError) as err:
+            ic.parse_formula(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @given(st.lists(st.sampled_from(TOKEN_SOUP)).map("".join))
+    def test_any_text_parses_or_raises_a_syntax_error(self, text):
+        try:
+            f = ic.parse_formula(text)
+        except ic.FormulaSyntaxError:
+            return
+        assert ic.parse_formula(ic.format_formula(f)) is f
 
     def test_no_normalisation(self):
         assert ic.parse_formula("a & b") != ic.parse_formula("b & a")
@@ -101,7 +147,6 @@ class TestInterning:
             ic.Atom("1x")
 
     def test_deep_formula_needs_no_recursion(self):
-        # Built with constructors, since the parser is still recursive.
         f = A
         for _ in range(10**4):
             f = ic.Not(ic.And(f, B))
@@ -112,6 +157,7 @@ class TestInterning:
         truth = space.incidence([0, 1])
         assert ic.incidence_of(f, env, space) == truth
         assert ic.format_formula(f) == "~(" * 10**4 + "a & b" + ") & b" * (10**4 - 1) + ")"
+        assert ic.parse_formula(ic.format_formula(f)) is f
         assert len(list(ic.subformulas(f))) == 2 * 10**4 + 2
         assignment = ic.BoundAssignment(space)
         assignment.declare(f, upper=truth)

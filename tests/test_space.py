@@ -23,12 +23,20 @@ class TestIncidence:
             ic.Incidence.from_bitstring("0101", 5)
 
     def test_decode_rejects_bad_characters(self):
-        with pytest.raises(ValueError, match="illegal character"):
-            ic.Incidence.from_bitstring("01x01", 5)
+        # int(text, 2) alone would accept all but the first.
+        for text in ["01x01", "1_0", " 10", "+1"]:
+            with pytest.raises(ValueError, match="illegal character"):
+                ic.Incidence.from_bitstring(text, len(text))
 
     @given(st.integers(1, 256).flatmap(lambda w: incidences(w)))
     def test_bitstring_round_trip(self, inc):
         assert ic.Incidence.from_bitstring(inc.to_bitstring(), inc.width) == inc
+
+    @given(st.integers(1, 256).flatmap(lambda w: incidences(w)))
+    def test_codecs_match_the_per_bit_definition(self, inc):
+        bits = [inc.bits >> k & 1 for k in range(inc.width)]
+        assert inc.to_bitstring() == "".join(map(str, bits))
+        assert inc.indices() == tuple(k for k, bit in enumerate(bits) if bit)
 
     def test_wide_spaces_supported(self):
         width = 10**4
