@@ -8,7 +8,8 @@ Subcommands:
     ingest  convert an observation table into KB directives
 
 Exit codes: 0 on success (and on a consistent solve), 1 when solve finds
-an inconsistency, 2 for usage, parse, or data errors.
+an inconsistency, 2 for usage, parse, or data errors, 3 for an internal
+error (a fault in incalc itself, reported as one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -136,3 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     except (IncalcError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3

@@ -112,6 +112,7 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
     implies.  Deterministic for a fixed seed.
     """
     size = spec.size
+    space = SampleSpace.uniform(size)
     rng = random.Random(spec.seed)
     names = sorted(spec.marginals)
     counts = {name: round_half_up(spec.marginals[name] * size) for name in names}
@@ -136,7 +137,6 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
         else:
             continue
         members[y] = second - set(departures) | set(arrivals)
-    space = SampleSpace.uniform(size)
     env = {name: space.incidence(members[name]) for name in names}
     return space, env
 

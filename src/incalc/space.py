@@ -8,26 +8,36 @@ on-disk format and must not change.
 
 Weights are exact rationals.  A probability read off an incidence is the
 sum of the weights of its member points, so downstream identities hold as
-equalities rather than to within a tolerance.
+equalities rather than to within a tolerance.  A space keeps its weights
+as integer numerators over one common denominator, so that sum is one
+integer sum turned into a `Fraction` once; a uniform space keeps no
+numerators, and the sum is the incidence's member count (a popcount).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import lcm
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import WidthMismatchError
 
 
 _DROP_BITS = str.maketrans("", "", "01")
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _as_weight(value) -> Fraction:
+def _as_ratio(value) -> tuple[int, int]:
+    """A weight as (numerator, denominator) in lowest terms."""
     if isinstance(value, float):
         raise TypeError("weights must be exact: use Fraction, int, or a string like '1/3'")
-    return Fraction(value)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -77,9 +87,12 @@ class Incidence:
         """Render as a point-set literal, e.g. '{3,4}' or '{}'."""
         return "{" + ",".join(str(k) for k in self.indices()) + "}"
 
+    def flags(self) -> bytes:
+        """One byte per point, point 0 first: 1 for a member, 0 otherwise."""
+        return format(self.bits, f"0{self.width}b")[::-1].encode("ascii").translate(_FLAG_BYTES)
+
     def indices(self) -> tuple[int, ...]:
-        lowest_first = format(self.bits, "b")[::-1]
-        return tuple(compress(range(len(lowest_first)), map("1".__eq__, lowest_first)))
+        return tuple(compress(range(self.width), self.flags()))
 
     def count(self) -> int:
         return self.bits.bit_count()
@@ -141,56 +154,96 @@ def parse_incidence_text(text: str, width: int) -> Incidence:
     return Incidence.from_bitstring(t, width)
 
 
-@dataclass(frozen=True)
 class SampleSpace:
     """A finite set of points, each carrying a non-negative rational weight.
 
     Weights must sum to exactly 1; individual points may have weight zero.
+    They are kept as integer numerators over one common denominator, the
+    lcm of the reduced weight denominators, so equal weights give equal
+    (and equally hashing) spaces however they were written.  A uniform
+    space keeps no per-point numerators at all: every one of them is 1.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("_size", "_denominator", "_numerators")
 
-    def __post_init__(self):
-        coerced = tuple(_as_weight(v) for v in self.weights)
-        object.__setattr__(self, "weights", coerced)
-        if not coerced:
+    def __init__(self, weights: Iterable):
+        ratios = [_as_ratio(v) for v in weights]
+        if not ratios:
             raise ValueError("a sample space needs at least one point")
-        if any(v < 0 for v in coerced):
+        denominator = lcm(*(d for _, d in ratios))
+        numerators = tuple(n * (denominator // d) for n, d in ratios)
+        if min(numerators) < 0:
             raise ValueError("weights must be non-negative")
-        total = sum(coerced)
-        if total != 1:
-            raise ValueError(f"weights must sum to 1, got {total}")
+        total = sum(numerators)
+        if total != denominator:
+            raise ValueError(f"weights must sum to 1, got {Fraction(total, denominator)}")
+        self._size = len(numerators)
+        self._denominator = denominator
+        uniform = numerators.count(1) == len(numerators)
+        self._numerators = None if uniform else numerators
 
     @classmethod
     def uniform(cls, size: int) -> "SampleSpace":
+        size = index(size)
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
-        return cls((Fraction(1, size),) * size)
+        if size > sys.maxsize:
+            raise ValueError(f"size must be <= {sys.maxsize}, got {size}")
+        space = cls.__new__(cls)
+        space._size = space._denominator = size
+        space._numerators = None
+        return space
 
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return self._size
 
     @property
     def is_uniform(self) -> bool:
-        return len(set(self.weights)) == 1
+        return self._numerators is None
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Each point's weight, point 0 first, built afresh on each read."""
+        if self._numerators is None:
+            return (Fraction(1, self._size),) * self._size
+        return tuple(Fraction(n, self._denominator) for n in self._numerators)
+
+    def _key(self) -> tuple:
+        return self._size, self._denominator, self._numerators
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleSpace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        if self._numerators is None:
+            return f"SampleSpace.uniform({self._size})"
+        return f"SampleSpace({self.weights!r})"
 
     def empty(self) -> Incidence:
-        return Incidence.empty(self.size)
+        return Incidence.empty(self._size)
 
     def full(self) -> Incidence:
-        return Incidence.full(self.size)
+        return Incidence.full(self._size)
 
     def incidence(self, indices: Iterable[int]) -> Incidence:
-        return Incidence.from_indices(indices, self.size)
+        return Incidence.from_indices(indices, self._size)
 
     def weight_of(self, inc: Incidence) -> Fraction:
         """Total weight of the incidence's members; the whole space has
         weight 1, so this is the probability of any sentence whose
-        incidence this is."""
-        if inc.width != self.size:
-            raise WidthMismatchError(f"incidence width {inc.width} != space size {self.size}")
-        return sum((self.weights[k] for k in inc.indices()), Fraction(0))
+        incidence this is.  One integer sum, or one popcount when the
+        space is uniform."""
+        if inc.width != self._size:
+            raise WidthMismatchError(f"incidence width {inc.width} != space size {self._size}")
+        if self._numerators is None:
+            return Fraction(inc.count(), self._size)
+        return Fraction(sum(compress(self._numerators, inc.flags())), self._denominator)
 
 
 class StorageCost(NamedTuple):

@@ -30,6 +30,13 @@ def random_space(rng: random.Random, size: int) -> ic.SampleSpace:
     return ic.SampleSpace(random_weights(rng, size))
 
 
+def reference_weight_of(weights, inc: ic.Incidence) -> Fraction:
+    """The per-point definition of `SampleSpace.weight_of`: the weights of
+    the member points, each as a `Fraction`, added one at a time."""
+    members = (k for k in range(inc.width) if inc.bits >> k & 1)
+    return sum((Fraction(weights[k]) for k in members), Fraction(0))
+
+
 def random_incidence(rng: random.Random, width: int) -> ic.Incidence:
     return ic.Incidence(rng.getrandbits(width), width)
 
@@ -164,6 +171,24 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
 
 
 # hypothesis strategies
+
+@st.composite
+def written_weights(draw, max_size: int = 40):
+    """Weights summing to 1, some zero, each written as an `int` (when
+    whole), a possibly unreduced string like '2/10', or a `Fraction`."""
+    raw = draw(st.lists(st.integers(0, 9), min_size=1, max_size=max_size))
+    if not any(raw):
+        raw[0] = 1
+    total = sum(raw)
+    scale = draw(st.integers(1, 6))
+    written = []
+    for count in raw:
+        forms = [f"{count * scale}/{total * scale}", Fraction(count, total)]
+        if count in (0, total):
+            forms.append(count // total)
+        written.append(draw(st.sampled_from(forms)))
+    return written
+
 
 def incidences(width: int):
     return st.integers(min_value=0, max_value=(1 << width) - 1).map(

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from incalc import cli
 from incalc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -41,6 +42,14 @@ class TestEval:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", DATA / "no_such.kb", "-f", "a")
         assert code == 2 and err.startswith("error:")
+
+    def test_huge_width_is_a_data_error(self, capsys, tmp_path):
+        # Refused while parsing the space line, before any point exists.
+        kb = tmp_path / "huge.kb"
+        kb.write_text("space 99999999999999999999\n")
+        code, out, err = run(capsys, "eval", kb, "-f", "a")
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: size must be <=")
 
     @pytest.mark.parametrize(
         "formula, truth",
@@ -150,6 +159,11 @@ class TestSample:
         assert kb.incidences["a"].count() == 20
         assert kb.incidences["b"].count() == 16
 
+    def test_huge_size_is_a_data_error(self, capsys):
+        code, out, err = run(capsys, "sample", DATA / "ab.targets", "--size", 10**20)
+        assert code == 2 and out == ""
+        assert err.startswith("error: size must be <=")
+
     def test_infeasible_targets_exit_two(self, capsys, tmp_path):
         targets = tmp_path / "bad.targets"
         targets.write_text("prob a = 0.9\nprob b = 0.9\ncorr a b = -1\n")
@@ -175,6 +189,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_query", broken)
+        code, out, err = run(capsys, "query", DATA / "example.kb")
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
     def test_module_entry_point(self):
         import subprocess

@@ -169,6 +169,38 @@ class TestKBFragment:
         back = ic.parse_kb(ic.kb_fragment(space, env))
         assert back.space == space and back.incidences == env
 
+    @pytest.mark.parametrize(
+        "space_line, rendered",
+        [
+            ("space weights 1/2 1/2", "space 2"),
+            ("space weights 2/6 1/3 1/3", "space 3"),
+            ("space weights 1", "space 1"),
+            ("space weights 2/10 4/10 0.4", "space weights 1/5 2/5 2/5"),
+            ("space weights 0 6/8 1/4", "space weights 0 3/4 1/4"),
+            ("space weights 3/8 3/8 1/4", "space weights 3/8 3/8 1/4"),
+        ],
+    )
+    def test_space_line_round_trip(self, space_line, rendered):
+        points = len(space_line.split()) - 2
+        text = f"{space_line}\ninc a = {'1' * points}\n"
+        space = ic.parse_kb(text).space
+        fragment = ic.kb_fragment(space, {"a": space.full()})
+        assert fragment == f"{rendered}\ninc a = {'1' * points}"
+        assert ic.parse_kb(fragment).space == space
+
+    @pytest.mark.parametrize(
+        "rows, rendered",
+        [
+            ("1 0\n1 0\n0 1\n1 0\n", "space weights 3/4 1/4\ninc a = 10\ninc b = 01"),
+            ("1 0\n0 0\n1 1\n0 0\n1 0\n0 0\n",
+             "space weights 1/3 1/2 1/6\ninc a = 101\ninc b = 001"),
+            ("1 0\n0 0\n0 0\n1 0\n", "space 2\ninc a = 10\ninc b = 00"),
+        ],
+    )
+    def test_ingest_output_renders_reduced_weights(self, rows, rendered):
+        table = ic.RecordTable.from_text("a b\n" + rows)
+        assert ic.kb_fragment(*ic.incidences_from_records(table)) == rendered
+
     @given(
         st.lists(st.sampled_from(ATOMS), min_size=1, max_size=4, unique=True).flatmap(
             lambda columns: st.tuples(

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
-from helpers import incidences, random_space
+from helpers import incidences, random_space, reference_weight_of, written_weights
 
 
 class TestIncidence:
@@ -37,6 +38,7 @@ class TestIncidence:
         bits = [inc.bits >> k & 1 for k in range(inc.width)]
         assert inc.to_bitstring() == "".join(map(str, bits))
         assert inc.indices() == tuple(k for k, bit in enumerate(bits) if bit)
+        assert inc.flags() == bytes(bits)
 
     def test_wide_spaces_supported(self):
         width = 10**4
@@ -132,6 +134,42 @@ class TestSampleSpace:
             ic.SampleSpace(())
         with pytest.raises(ValueError):
             ic.SampleSpace.uniform(0)
+
+    def test_size_must_fit_an_index(self):
+        # Refused up front: nothing is allocated for the points.
+        with pytest.raises(ValueError, match="size must be <="):
+            ic.SampleSpace.uniform(sys.maxsize + 1)
+        with pytest.raises(TypeError):
+            ic.SampleSpace.uniform(2.0)
+
+    @given(written_weights(), st.data())
+    def test_weight_of_matches_the_per_point_sum(self, weights, data):
+        space = ic.SampleSpace(weights)
+        assert space.weights == tuple(F(w) for w in weights)
+        assert space.weight_of(space.full()) == 1
+        inc = data.draw(incidences(len(weights)))
+        assert space.weight_of(inc) == reference_weight_of(weights, inc)
+
+    @given(written_weights(), st.data())
+    def test_spelling_of_weights_does_not_matter(self, weights, data):
+        respelled = [data.draw(st.sampled_from([F(w), str(F(w))])) for w in weights]
+        space, again = ic.SampleSpace(weights), ic.SampleSpace(respelled)
+        assert space == again and hash(space) == hash(again)
+        assert space.is_uniform == (len(set(map(F, weights))) == 1)
+
+    def test_equal_weights_written_differently_are_equal(self):
+        pairs = [
+            (("2/4", "2/4"), (F(1, 2), F(1, 2))),
+            (("2/4", "3/12", F(1, 4)), (F(1, 2), "1/4", "0.25")),
+            ((0, "6/6"), (F(0), 1)),
+        ]
+        for left, right in pairs:
+            a, b = ic.SampleSpace(left), ic.SampleSpace(right)
+            assert a == b and hash(a) == hash(b)
+        assert ic.SampleSpace(("2/4", "2/4")) == ic.SampleSpace.uniform(2)
+        assert hash(ic.SampleSpace(("1/3",) * 3)) == hash(ic.SampleSpace.uniform(3))
+        assert ic.SampleSpace((F(1, 2), F(1, 2))) != ic.SampleSpace((F(1, 4), F(3, 4)))
+        assert ic.SampleSpace.uniform(2) != ic.SampleSpace.uniform(3)
 
     def test_weight_of_checks_width(self):
         with pytest.raises(ic.WidthMismatchError):
