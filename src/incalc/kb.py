@@ -107,13 +107,26 @@ def parse_kb(text: str) -> KnowledgeBase:
     return kb
 
 
+def _parse_weight(text: str) -> tuple[int, int]:
+    """A `space weights` entry as (numerator, denominator): `n/d` and `n`
+    in ASCII digits are read with `int`, any other spelling (a decimal, a
+    sign) with `parse_rational`, which also words every error."""
+    numerator, slash, denominator = text.partition("/")
+    if not slash:
+        denominator = "1"
+    if text.isascii() and numerator.isdigit() and denominator.isdigit() and denominator.strip("0"):
+        return int(numerator), int(denominator)
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
 def _parse_space(line: str, lineno: int) -> KnowledgeBase:
     parts = line.split()
     try:
         if len(parts) == 2 and parts[1] != "weights":
             return KnowledgeBase(SampleSpace.uniform(int(parts[1])))
         if len(parts) >= 3 and parts[1] == "weights":
-            return KnowledgeBase(SampleSpace(tuple(parse_rational(p) for p in parts[2:])))
+            return KnowledgeBase(SampleSpace(map(_parse_weight, parts[2:])))
     except (ValueError, TypeError) as exc:
         raise KBError(str(exc), lineno) from None
     raise KBError("expected `space <N>` or `space weights <w1> <w2> ...`", lineno)

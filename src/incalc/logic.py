@@ -196,32 +196,41 @@ def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -
     return operands[0]
 
 
-def format_formula(f: Formula) -> str:
-    """Render with the fewest parentheses that re-parse to the same tree.
+def format_formulas(nodes: Iterable[Formula]) -> list[str]:
+    """Render each of `nodes` with the fewest parentheses that re-parse to
+    the same tree.
 
-    Each distinct node is rendered once, children first, from its
-    children's text; a child's text is dropped after its last use, so a
-    deep chain holds no more than its own text at any time.
+    Each distinct node below them is rendered once, children first, from
+    its children's text, so a subterm shared by many of them costs one
+    rendering.  The text of a node not asked for is dropped after its last
+    use, so a deep chain holds no more than the asked-for text at any time.
     """
-    order = sorted(subformulas(f), key=_by_serial)
+    nodes = list(nodes)
+    wanted = set(nodes)
+    order = sorted(subformulas(*nodes), key=_by_serial)
     uses = Counter(a for g in order for a in g.args)
     text: dict[Formula, str] = {}
     for g in order:
         parts = []
         for a, context in zip(g.args, g.contexts):
             uses[a] -= 1
-            part = text[a] if uses[a] else text.pop(a)
+            part = text[a] if uses[a] or a in wanted else text.pop(a)
             parts.append(f"({part})" if a.prec < context else part)
         text[g] = g.symbol.join(parts) if len(parts) == 2 else g.symbol + "".join(parts)
-    return text[f]
+    return [text[f] for f in nodes]
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Each distinct node of f once, in preorder of first occurrence: f,
-    then the nodes of each child left to right, skipping nodes already
-    seen."""
+def format_formula(f: Formula) -> str:
+    """One formula's text, as `format_formulas` renders it."""
+    return format_formulas((f,))[0]
+
+
+def subformulas(*roots: Formula) -> Iterator[Formula]:
+    """Each distinct node below `roots` once, in preorder of first
+    occurrence: each root in turn, then the nodes of each child left to
+    right, skipping nodes already seen."""
     seen = set()
-    stack = [f]
+    stack = list(reversed(roots))
     while stack:
         g = stack.pop()
         if g not in seen:

@@ -17,6 +17,12 @@ on each catalog entry.  Throughout, w is the whole space, \\ is set
 difference, and the axioms fix i(~A) = w \\ i(A), i(A & B) = i(A) & i(B),
 i(A | B) = i(A) | i(B), and i(A -> B) = (w \\ i(A)) | i(B).
 
+Every connective is a set operation, so a rule is one or two int mask
+operations.  The fixpoint loop works on two lists of bitmasks indexed by
+registration position, with child and parent positions computed once per
+call; an `Incidence` is built only where a bound is read out.  `dump`
+renders all sentences from one text memo, each shared subterm once.
+
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
 `propagate(..., mode="complete")` computes that envelope directly.
@@ -37,11 +43,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (
-    InstanceTooLargeError,
-    UnknownSentenceError,
-    WidthMismatchError,
-)
+from .errors import InstanceTooLargeError, UnknownSentenceError, WidthMismatchError
 from .logic import (
     FALSE,
     TRUE,
@@ -53,8 +55,7 @@ from .logic import (
     Or,
     evaluate,
     evaluation_order,
-    format_formula,
-    incidence_of,
+    format_formulas,
     subformulas,
 )
 from .rational import format_prob
@@ -67,26 +68,29 @@ INCONSISTENT = "inconsistent"
 #: pass visits all 2^atoms valuations.
 MAX_ATOMS = 16
 
-_Bounds = tuple[Incidence, Incidence]
-
 
 class BoundAssignment:
     """Mutable map from sentences to (lower, upper) incidence bounds.
 
-    Sentences are registered in a stable order (used for reporting and
-    for dump output).  Registering a sentence registers each distinct
-    subformula once, in the first-occurrence preorder of `subformulas`:
-    unseen ones default to the vacuous bounds (empty, full), except the
-    constants, whose incidences are forced by the axioms.
-    Declaring bounds for an already-known sentence merges them: lower
-    bounds amalgamate by union, upper bounds by intersection, which can
-    leave the entry inconsistent (lower not inside upper) for
+    The bounds are two lists of int bitmasks, `_low` and `_high`, indexed
+    by registration position (the dict `_position`); `_full` is the whole
+    space, and reading a bound builds an `Incidence`.  Reports and dumps
+    follow registration order.  Registering a sentence registers each
+    distinct subformula once, in the first-occurrence preorder of
+    `subformulas`: unseen ones default to the vacuous bounds (empty,
+    full), except the constants, whose incidences are forced by the
+    axioms.  Declaring bounds for an already-known sentence merges them:
+    lower bounds amalgamate by union, upper bounds by intersection, which
+    can leave the entry inconsistent (lower not inside upper) for
     `check_consistency` or `propagate` to report.
     """
 
     def __init__(self, space: SampleSpace):
         self.space = space
-        self._entries: dict[Formula, _Bounds] = {}
+        self._full = (1 << space.size) - 1
+        self._position: dict[Formula, int] = {}
+        self._low: list[int] = []
+        self._high: list[int] = []
 
     def declare(
         self,
@@ -100,110 +104,108 @@ class BoundAssignment:
                 raise ValueError("pass either exact or lower/upper, not both")
             lower = upper = exact
         for sub in subformulas(sentence):
-            if sub not in self._entries:
-                low, high = self.space.empty(), self.space.full()
-                if sub in (TRUE, FALSE):
-                    low = high = incidence_of(sub, {}, self.space)
-                self._entries[sub] = (low, high)
+            if sub not in self._position:
+                self._position[sub] = len(self._low)
+                pinned = sub in (TRUE, FALSE)
+                self._low.append(sub.apply(self._full) if pinned else 0)
+                self._high.append(sub.apply(self._full) if pinned else self._full)
         if lower is not None:
             self.raise_lower(sentence, lower)
         if upper is not None:
             self.cut_upper(sentence, upper)
 
     def sentences(self) -> tuple[Formula, ...]:
-        return tuple(self._entries)
+        return tuple(self._position)
 
-    def bounds(self, sentence: Formula) -> _Bounds:
+    def _index(self, sentence: Formula) -> int:
         try:
-            return self._entries[sentence]
+            return self._position[sentence]
         except KeyError:
             raise UnknownSentenceError(f"no bounds registered for {sentence}") from None
 
+    def _bits(self, inc: Incidence) -> int:
+        if inc.width == self.space.size:
+            return inc.bits
+        raise WidthMismatchError(f"incidence width {inc.width} != space size {self.space.size}")
+
+    def bounds(self, sentence: Formula) -> tuple[Incidence, Incidence]:
+        i, width = self._index(sentence), self.space.size
+        return Incidence(self._low[i], width), Incidence(self._high[i], width)
+
     def lower(self, sentence: Formula) -> Incidence:
-        return self.bounds(sentence)[0]
+        return Incidence(self._low[self._index(sentence)], self.space.size)
 
     def upper(self, sentence: Formula) -> Incidence:
-        return self.bounds(sentence)[1]
+        return Incidence(self._high[self._index(sentence)], self.space.size)
 
     def raise_lower(self, sentence: Formula, inc: Incidence) -> bool:
         """Union inc into the lower bound; True if it strictly grew."""
-        self._check_width(inc)
-        low, high = self.bounds(sentence)
-        merged = low | inc
-        if merged == low:
-            return False
-        self._entries[sentence] = (merged, high)
-        return True
+        bits, i = self._bits(inc), self._index(sentence)
+        old, self._low[i] = self._low[i], self._low[i] | bits
+        return self._low[i] != old
 
     def cut_upper(self, sentence: Formula, inc: Incidence) -> bool:
         """Intersect inc into the upper bound; True if it strictly shrank."""
-        self._check_width(inc)
-        low, high = self.bounds(sentence)
-        merged = high & inc
-        if merged == high:
-            return False
-        self._entries[sentence] = (low, merged)
-        return True
+        bits, i = self._bits(inc), self._index(sentence)
+        old, self._high[i] = self._high[i], self._high[i] & bits
+        return self._high[i] != old
 
     def set_bounds(self, sentence: Formula, lower: Incidence, upper: Incidence) -> None:
         """Overwrite an entry outright (no merging)."""
-        self.bounds(sentence)
-        self._check_width(lower)
-        self._check_width(upper)
-        self._entries[sentence] = (lower, upper)
-
-    def _check_width(self, inc: Incidence) -> None:
-        if inc.width != self.space.size:
-            raise WidthMismatchError(
-                f"incidence width {inc.width} != space size {self.space.size}"
-            )
+        i = self._index(sentence)
+        self._low[i], self._high[i] = self._bits(lower), self._bits(upper)
 
     def consistent_at(self, sentence: Formula) -> bool:
-        low, high = self.bounds(sentence)
-        return low.is_subset(high)
+        i = self._index(sentence)
+        return not self._low[i] & ~self._high[i]
 
     def is_exact(self, sentence: Formula) -> bool:
-        low, high = self.bounds(sentence)
-        return low == high
+        i = self._index(sentence)
+        return self._low[i] == self._high[i]
 
     def copy(self) -> "BoundAssignment":
         dup = BoundAssignment(self.space)
-        dup._entries = dict(self._entries)
+        dup._position = dict(self._position)
+        dup._low, dup._high = self._low.copy(), self._high.copy()
         return dup
 
     def dump(self) -> str:
         """One line per sentence in registration order:
         `<formula> inf=<bits> sup=<bits> p=[low, high]`."""
+        width, weight_of = self.space.size, self.space.weight_of
+        shown: dict[int, tuple[str, str]] = {}  # mask -> (bit string, probability)
+        for mask in itertools.chain(self._low, self._high):
+            if mask not in shown:
+                inc = Incidence(mask, width)
+                shown[mask] = inc.to_bitstring(), format_prob(weight_of(inc))
         lines = []
-        for sentence, (low, high) in self._entries.items():
-            p_low = format_prob(self.space.weight_of(low))
-            p_high = format_prob(self.space.weight_of(high))
-            lines.append(
-                f"{format_formula(sentence)} inf={low.to_bitstring()}"
-                f" sup={high.to_bitstring()} p=[{p_low}, {p_high}]"
-            )
+        for text, low, high in zip(format_formulas(self._position), self._low, self._high):
+            (low_bits, low_p), (high_bits, high_p) = shown[low], shown[high]
+            lines.append(f"{text} inf={low_bits} sup={high_bits} p=[{low_p}, {high_p}]")
         return "\n".join(lines)
 
     def __contains__(self, sentence: Formula) -> bool:
-        return sentence in self._entries
+        return sentence in self._position
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._position)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._position)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoundAssignment):
             return NotImplemented
-        return self.space == other.space and self._entries == other._entries
+        mine = dict(zip(self._position, zip(self._low, self._high)))
+        theirs = dict(zip(other._position, zip(other._low, other._high)))
+        return self.space == other.space and mine == theirs
 
 
 def check_consistency(assignment: BoundAssignment) -> Formula | None:
     """First sentence (in registration order) whose lower bound is not
     inside its upper bound, or None when every entry is consistent."""
-    for sentence in assignment:
-        if not assignment.consistent_at(sentence):
+    for sentence, low, high in zip(assignment, assignment._low, assignment._high):
+        if low & ~high:
             return sentence
     return None
 
@@ -211,9 +213,12 @@ def check_consistency(assignment: BoundAssignment) -> Formula | None:
 # --- the rule catalog ----------------------------------------------------
 #
 # One Rule per direction of information flow at a connective.  `compute`
-# receives the bounds of the compound C and of its operands A (and B) and
-# returns the set to merge into the target's bound.  Rules that target an
-# operand come before rules that target the compound, so that when a
+# receives the whole-space mask and the bounds of the compound C and of
+# its operands A and B as int bitmasks, `(full, c_lo, c_hi, a_lo, a_hi,
+# b_lo, b_hi)` (for a unary C, B's bounds are A's and go unused), and
+# returns the mask to merge into the target's bound.  A complement is
+# `full ^ x`, which stays inside the space.  Rules that target an operand
+# come before rules that target the compound, so that when a
 # contradiction is detectable both ways, it surfaces on the part that was
 # registered first.
 
@@ -224,80 +229,79 @@ class Rule:
     target: str  # "left" | "right" | "self"
     action: str  # "raise" | "cut"
     note: str
-    compute: Callable[[_Bounds, _Bounds, _Bounds | None], Incidence]
-
-
-def _lo(b: _Bounds) -> Incidence:
-    return b[0]
-
-
-def _hi(b: _Bounds) -> Incidence:
-    return b[1]
+    compute: Callable[[int, int, int, int, int, int, int], int]
 
 
 RULES: tuple[Rule, ...] = (
     # C = ~A
     Rule(Not, "left", "raise", "i(C) <= sup(C), so w \\ sup(C) <= w \\ i(C) = i(A)",
-         lambda c, a, b: _hi(c).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_hi),
     Rule(Not, "left", "cut", "inf(C) <= i(C) = w \\ i(A), so i(A) <= w \\ inf(C)",
-         lambda c, a, b: _lo(c).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_lo),
     Rule(Not, "self", "raise", "i(A) <= sup(A), so w \\ sup(A) <= w \\ i(A) = i(C)",
-         lambda c, a, b: _hi(a).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ a_hi),
     Rule(Not, "self", "cut", "inf(A) <= i(A), so i(C) = w \\ i(A) <= w \\ inf(A)",
-         lambda c, a, b: _lo(a).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ a_lo),
     # C = A & B
     Rule(And, "left", "raise", "inf(C) <= i(C) = i(A) & i(B) <= i(A)",
-         lambda c, a, b: _lo(c)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo),
     Rule(And, "left", "cut",
          "a point of i(A) lies in i(A & B) or outside i(B): "
          "i(A) <= i(C) | (w \\ i(B)) <= sup(C) | (w \\ inf(B))",
-         lambda c, a, b: _hi(c) | _lo(b).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi | (full ^ b_lo)),
     Rule(And, "right", "raise", "inf(C) <= i(C) = i(A) & i(B) <= i(B)",
-         lambda c, a, b: _lo(c)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo),
     Rule(And, "right", "cut",
          "mirror image: i(B) <= i(C) | (w \\ i(A)) <= sup(C) | (w \\ inf(A))",
-         lambda c, a, b: _hi(c) | _lo(a).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi | (full ^ a_lo)),
     Rule(And, "self", "raise", "inf(A) & inf(B) <= i(A) & i(B) = i(C)",
-         lambda c, a, b: _lo(a) & _lo(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_lo & b_lo),
     Rule(And, "self", "cut", "i(C) = i(A) & i(B) <= sup(A) & sup(B)",
-         lambda c, a, b: _hi(a) & _hi(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_hi & b_hi),
     # C = A | B
     Rule(Or, "left", "raise",
          "a point of i(C) outside i(B) must lie in i(A): "
          "inf(C) & (w \\ sup(B)) <= i(C) \\ i(B) <= i(A)",
-         lambda c, a, b: _lo(c) & _hi(b).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & (full ^ b_hi)),
     Rule(Or, "left", "cut", "i(A) <= i(A) | i(B) = i(C) <= sup(C)",
-         lambda c, a, b: _hi(c)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
     Rule(Or, "right", "raise",
          "mirror image: inf(C) & (w \\ sup(A)) <= i(C) \\ i(A) <= i(B)",
-         lambda c, a, b: _lo(c) & _hi(a).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & (full ^ a_hi)),
     Rule(Or, "right", "cut", "i(B) <= i(A) | i(B) = i(C) <= sup(C)",
-         lambda c, a, b: _hi(c)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
     Rule(Or, "self", "raise", "inf(A) | inf(B) <= i(A) | i(B) = i(C)",
-         lambda c, a, b: _lo(a) | _lo(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_lo | b_lo),
     Rule(Or, "self", "cut", "i(C) = i(A) | i(B) <= sup(A) | sup(B)",
-         lambda c, a, b: _hi(a) | _hi(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_hi | b_hi),
     # C = A -> B, i.e. i(C) = (w \ i(A)) | i(B)
     Rule(Implies, "left", "raise", "w \\ i(C) = i(A) \\ i(B) <= i(A), and w \\ sup(C) <= w \\ i(C)",
-         lambda c, a, b: _hi(c).complement()),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_hi),
     Rule(Implies, "left", "cut",
          "a point of i(A) inside i(C) lies in i(B), one outside i(C) is outside inf(C): "
          "i(A) <= (w \\ inf(C)) | sup(B)",
-         lambda c, a, b: _lo(c).complement() | _hi(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ c_lo) | b_hi),
     Rule(Implies, "right", "raise",
          "detachment: a point in both i(C) and i(A) lies in i(B), so inf(C) & inf(A) <= i(B)",
-         lambda c, a, b: _lo(c) & _lo(a)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & a_lo),
     Rule(Implies, "right", "cut", "i(B) <= (w \\ i(A)) | i(B) = i(C) <= sup(C)",
-         lambda c, a, b: _hi(c)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
     Rule(Implies, "self", "raise", "(w \\ sup(A)) | inf(B) <= (w \\ i(A)) | i(B) = i(C)",
-         lambda c, a, b: _hi(a).complement() | _lo(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_hi) | b_lo),
     Rule(Implies, "self", "cut", "i(C) = (w \\ i(A)) | i(B) <= (w \\ inf(A)) | sup(B)",
-         lambda c, a, b: _lo(a).complement() | _hi(b)),
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_lo) | b_hi),
 )
 
 RULES_BY_CONNECTIVE: dict[type, tuple[Rule, ...]] = {
     kind: tuple(r for r in RULES if r.connective is kind)
     for kind in (Not, And, Or, Implies)
+}
+
+# Each connective's rules as (target: 0 self, 1 left, 2 right; raises?; compute).
+_ACTIONS = {
+    kind: [(("self", "left", "right").index(r.target), r.action == "raise", r.compute)
+           for r in rules]
+    for kind, rules in RULES_BY_CONNECTIVE.items()
 }
 
 
@@ -321,54 +325,53 @@ class PropagationOutcome:
         return self.status == FIXPOINT
 
 
-def _parent_map(assignment: BoundAssignment) -> dict[Formula, list[Formula]]:
-    parents: dict[Formula, list[Formula]] = {f: [] for f in assignment}
-    for sentence in assignment:
-        for child in dict.fromkeys(sentence.args):
-            parents[child].append(sentence)
-    return parents
-
-
-def _rule_target(sentence: Formula, rule: Rule) -> Formula:
-    if rule.target == "self":
-        return sentence
-    return sentence.args[0 if rule.target == "left" else 1]
-
-
-def _run_fixpoint(
-    assignment: BoundAssignment, rng: random.Random | None
-) -> PropagationOutcome:
-    parents = _parent_map(assignment)
-    pending = [f for f in assignment if f.args]
-    queued = set(pending)
+def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> PropagationOutcome:
+    position, low, high = assignment._position, assignment._low, assignment._high
+    full, sentences = assignment._full, list(position)
+    # Per compound node: its operands' positions (B = A when unary) and
+    # its rules as (target position, raises?, compute).  A change to a
+    # node's bounds wakes its parents in registration order, then the
+    # node itself when it is compound.
+    plans: list[tuple[int, int, list] | None] = []
+    wakes: list[list[int]] = [[] for _ in sentences]
+    for i, sentence in enumerate(sentences):
+        kids = [position[a] for a in sentence.args]
+        for k in dict.fromkeys(kids):
+            wakes[k].append(i)
+        if not kids:
+            plans.append(None)
+            continue
+        slots = (i, kids[0], kids[-1])
+        actions = [(slots[t], raises, f) for t, raises, f in _ACTIONS[type(sentence)]]
+        plans.append((kids[0], kids[-1], actions))
+    queued = bytearray(plan is not None for plan in plans)
+    pending = [i for i, q in enumerate(queued) if q]
+    for i in pending:
+        wakes[i].append(i)
     steps = 0
     while pending:
-        index = rng.randrange(len(pending)) if rng is not None else 0
-        sentence = pending.pop(index)
-        queued.discard(sentence)
-        kids = sentence.args
-        for rule in RULES_BY_CONNECTIVE[type(sentence)]:
-            c = assignment.bounds(sentence)
-            a = assignment.bounds(kids[0])
-            b = assignment.bounds(kids[1]) if len(kids) == 2 else None
-            candidate = rule.compute(c, a, b)
-            target = _rule_target(sentence, rule)
-            if rule.action == "raise":
-                changed = assignment.raise_lower(target, candidate)
+        i = pending.pop(rng.randrange(len(pending)) if rng is not None else 0)
+        queued[i] = 0
+        a, b, rules = plans[i]
+        for t, raises, compute in rules:
+            candidate = compute(full, low[i], high[i], low[a], high[a], low[b], high[b])
+            if raises:
+                merged = low[t] | candidate
+                if merged == low[t]:
+                    continue
+                low[t] = merged
             else:
-                changed = assignment.cut_upper(target, candidate)
-            if not changed:
-                continue
+                merged = high[t] & candidate
+                if merged == high[t]:
+                    continue
+                high[t] = merged
             steps += 1
-            if not assignment.consistent_at(target):
-                return PropagationOutcome(INCONSISTENT, target, assignment, steps)
-            wake = list(parents[target])
-            if target.args and target not in wake:
-                wake.append(target)
-            for f in wake:
-                if f not in queued:
-                    pending.append(f)
-                    queued.add(f)
+            if low[t] & ~high[t]:
+                return PropagationOutcome(INCONSISTENT, sentences[t], assignment, steps)
+            for p in wakes[t]:
+                if not queued[p]:
+                    queued[p] = 1
+                    pending.append(p)
     return PropagationOutcome(FIXPOINT, None, assignment, steps)
 
 
@@ -384,15 +387,14 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     sentence's value lies within its bounds.  The cost is 2^atoms times
     the number of registered nodes.
     """
-    space = assignment.space
     sentences = assignment.sentences()
     atoms = [f for f in sentences if isinstance(f, Atom)]
     if len(atoms) > MAX_ATOMS:
         raise InstanceTooLargeError(
             f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope"
         )
-    bounds = [(low.bits, high.bits) for low, high in map(assignment.bounds, sentences)]
-    full = space.full().bits
+    bounds = list(zip(assignment._low, assignment._high))
+    full = assignment._full
     lower = [full] * len(sentences)
     upper = [0] * len(sentences)
     # first_rejected[i]: points where some valuation is admitted by the
@@ -422,9 +424,7 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
         point = (uncovered & -uncovered).bit_length() - 1
         last = max(i for i, bits in enumerate(first_rejected) if bits >> point & 1)
         return PropagationOutcome(INCONSISTENT, sentences[last], assignment, 0)
-    width = space.size
-    for sentence, low, high in zip(sentences, lower, upper):
-        assignment.set_bounds(sentence, Incidence(low, width), Incidence(high, width))
+    assignment._low, assignment._high = lower, upper
     return PropagationOutcome(FIXPOINT, None, assignment, 0)
 
 

@@ -16,23 +16,40 @@ numerators, and the sum is the incidence's member count (a popcount).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import WidthMismatchError
 
 
+#: The most points a space may have.  An incidence is a bitmask with one
+#: bit per point, and its bit string and `flags()` take one byte per
+#: point: at this width a full mask is 12.5 MB and its text 100 MB.
+MAX_WIDTH = 10**8
+
 _DROP_BITS = str.maketrans("", "", "01")
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _check_size(size: int) -> None:
+    if size > MAX_WIDTH:
+        raise ValueError(f"size must be <= {MAX_WIDTH}, got {size}: its masks would not fit")
+
+
 def _as_ratio(value) -> tuple[int, int]:
-    """A weight as (numerator, denominator) in lowest terms."""
+    """A weight as (numerator, denominator) in lowest terms.  A weight is
+    an `int`, a `Fraction`, a string like '1/3', or a (numerator,
+    denominator) pair of ints."""
+    if isinstance(value, tuple):
+        numerator, denominator = value
+        if denominator < 1:
+            raise ValueError(f"weight {numerator}/{denominator} needs a positive denominator")
+        common = gcd(numerator, denominator)
+        return numerator // common, denominator // common
     if isinstance(value, float):
         raise TypeError("weights must be exact: use Fraction, int, or a string like '1/3'")
     if not isinstance(value, (int, Fraction)):
@@ -170,6 +187,7 @@ class SampleSpace:
         ratios = [_as_ratio(v) for v in weights]
         if not ratios:
             raise ValueError("a sample space needs at least one point")
+        _check_size(len(ratios))
         denominator = lcm(*(d for _, d in ratios))
         numerators = tuple(n * (denominator // d) for n, d in ratios)
         if min(numerators) < 0:
@@ -187,8 +205,7 @@ class SampleSpace:
         size = index(size)
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
-        if size > sys.maxsize:
-            raise ValueError(f"size must be <= {sys.maxsize}, got {size}")
+        _check_size(size)
         space = cls.__new__(cls)
         space._size = space._denominator = size
         space._numerators = None

@@ -168,6 +168,50 @@ def test_6_confluence_and_step_bound():
                 assert shuffled.steps <= bound
 
 
+def test_4_to_6_at_realistic_widths():
+    with criterion("criteria 4-6 at widths 200-500: hidden model inside the bounds at every point "
+                   "(holds_at), 10 worklist orders agree, steps <= 2*width*sentences, and the "
+                   "bounds contain the envelope enumerated point by point, 12 instances"):
+        rng = random.Random(4560)
+        one = ic.SampleSpace.uniform(1)
+        for trial in range(12):
+            width = rng.randint(200, 500)
+            space, assignment, env = sound_instance(
+                rng, width=width, atoms=ATOMS[: rng.randint(2, 4)], n_sentences=rng.randint(4, 12)
+            )
+            bound = 2 * width * len(assignment)
+            reference = ic.propagate(assignment)
+            assert reference.ok and reference.steps <= bound
+            for sentence in assignment:
+                low, high = reference.final.bounds(sentence)
+                for k in range(width):
+                    truth = ic.holds_at(sentence, k, env)
+                    assert truth or k not in low, (sentence, k)
+                    assert k in high or not truth, (sentence, k)
+            for seed in range(10):
+                shuffled = ic.propagate(assignment, worklist_rng=random.Random(seed))
+                assert shuffled.final == reference.final
+                assert shuffled.steps <= bound
+            if trial % 4:
+                continue
+            # Every rule acts point by point, so the envelope of the legal
+            # assignments at point k is that of the width-1 projection.
+            for k in range(width):
+                projected = ic.BoundAssignment(one)
+                for sentence in assignment:
+                    low, high = assignment.bounds(sentence)
+                    projected.declare(
+                        sentence,
+                        lower=ic.Incidence(low.bits >> k & 1, 1),
+                        upper=ic.Incidence(high.bits >> k & 1, 1),
+                    )
+                tight = tight_bounds(projected)
+                for sentence in assignment:
+                    low, high = reference.final.bounds(sentence)
+                    assert low.bits >> k & 1 <= tight.lower(sentence).bits
+                    assert tight.upper(sentence).bits <= high.bits >> k & 1
+
+
 def test_7_inconsistency_detection():
     with criterion("criterion 7: contradictory bounds exit 1 and name the culprit"):
         proc = run_cli("solve", DATA / "contradiction.kb")

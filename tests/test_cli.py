@@ -1,7 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
+import incalc as ic
 from incalc import cli
 from incalc.cli import main
 
@@ -99,6 +101,32 @@ class TestSolve:
         code, out, err = run(capsys, "solve", DATA / "chain.kb")
         assert code == 0 and err == ""
         assert out == golden("chain_solve.golden")
+
+    def test_fixpoint_scale_matches_golden(self, capsys):
+        # 303 registered sentences at width 32, shared chains included.
+        # The output and the step counts (default worklist order, then
+        # three shuffled ones) were recorded from the Incidence-based loop
+        # that the int-array core replaced.
+        code, out, err = run(capsys, "solve", DATA / "fixpoint.kb")
+        assert code == 0 and err == ""
+        assert out == golden("fixpoint_solve.golden")
+        assignment = ic.parse_kb((DATA / "fixpoint.kb").read_text()).initial_assignment()
+        assert len(assignment) == 303
+        assert ic.propagate(assignment).steps == 1183
+        shuffled = [
+            ic.propagate(assignment, worklist_rng=random.Random(seed)).steps for seed in range(3)
+        ]
+        assert shuffled == [1262, 1257, 1235]
+
+    def test_width_past_memory_is_a_data_error(self, capsys, tmp_path):
+        # Fits an index, but its first full mask would take 1.25 GB.
+        kb = tmp_path / "wide.kb"
+        kb.write_text("space 10000000000\n")
+        code, out, err = run(capsys, "solve", kb)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: line 1: size must be <= 100000000, got 10000000000: its masks would not fit\n"
+        )
 
     def test_contradiction_exits_one(self, capsys):
         code, out, err = run(capsys, "solve", DATA / "contradiction.kb")

@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc import space as space_module
 from helpers import ATOMS
 
 DATA = Path(__file__).parent / "data"
@@ -99,6 +100,56 @@ class TestParseKB:
             assert info.value.line == lineno
         if fragment is not None:
             assert fragment in str(info.value)
+
+    @pytest.mark.parametrize(
+        "weights, error, space",
+        [
+            ("1/0 1", "line 1: not a rational number: '1/0'", None),
+            ("0/0 1", "line 1: not a rational number: '0/0'", None),
+            ("1/0_0 1", "line 1: not a rational number: '1/0_0'", None),
+            ("-1/2 3/2", "line 1: weights must be non-negative", None),
+            ("3/2 -1/2", "line 1: weights must be non-negative", None),
+            ("x 1", "line 1: not a rational number: 'x'", None),
+            ("0x1 0", "line 1: not a rational number: '0x1'", None),
+            ("1/ 1", "line 1: not a rational number: '1/'", None),
+            ("/2 1/2", "line 1: not a rational number: '/2'", None),
+            ("1 / 2", "line 1: not a rational number: '/'", None),
+            ("1/-2 1/2", "line 1: not a rational number: '1/-2'", None),
+            ("1/2 1/+2", "line 1: not a rational number: '1/+2'", None),
+            ("1/2/3 1", "line 1: not a rational number: '1/2/3'", None),
+            ("1.5/3 1/2", "line 1: not a rational number: '1.5/3'", None),
+            ("\u00b2/4 1/2", "line 1: not a rational number: '\u00b2/4'", None),
+            ("1/3 1/3 1/4", "line 1: weights must sum to 1, got 11/12", None),
+            ("0 0", "line 1: weights must sum to 1, got 0", None),
+            ("1/2 1/2", None, "SampleSpace.uniform(2)"),
+            ("2/4 2/4", None, "SampleSpace.uniform(2)"),
+            ("1/02 1/2", None, "SampleSpace.uniform(2)"),
+            ("0.5 0.5", None, "SampleSpace.uniform(2)"),
+            ("+1/2 1/2", None, "SampleSpace.uniform(2)"),
+            ("1_0/20 1/2", None, "SampleSpace.uniform(2)"),
+            ("\u0663/6 1/2", None, "SampleSpace.uniform(2)"),
+            ("1e-1 9/10", None, "SampleSpace((Fraction(1, 10), Fraction(9, 10)))"),
+            ("1 0", None, "SampleSpace((Fraction(1, 1), Fraction(0, 1)))"),
+            ("00/1 1/1", None, "SampleSpace((Fraction(0, 1), Fraction(1, 1)))"),
+            ("-0 1", None, "SampleSpace((Fraction(0, 1), Fraction(1, 1)))"),
+        ],
+    )
+    def test_space_weights_spellings(self, weights, error, space):
+        # Results recorded from the regex-parsed `Fraction` reading of
+        # each entry; the int fast path must not change any of them.
+        if error is None:
+            assert repr(ic.parse_kb(f"space weights {weights}\n").space) == space
+        else:
+            with pytest.raises(ic.KBError) as info:
+                ic.parse_kb(f"space weights {weights}\n")
+            assert str(info.value) == error
+
+    def test_width_limit_names_the_line(self, monkeypatch):
+        with pytest.raises(ic.KBError, match="line 2: size must be <= 100000000, got 10000000000"):
+            ic.parse_kb("# a space that fits an index but not memory\nspace 10000000000\n")
+        monkeypatch.setattr(space_module, "MAX_WIDTH", 2)
+        with pytest.raises(ic.KBError, match="line 1: size must be <= 2, got 3"):
+            ic.parse_kb("space weights 1/3 1/3 1/3\n")
 
     def test_parenthesised_bounds_target(self):
         kb = ic.parse_kb("space 2\nbounds (a & b) inf {} sup {0}\n")

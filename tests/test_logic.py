@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc.logic import format_formulas
 from helpers import ATOMS, formulas_st, random_env, random_formula, random_space
 
 A, B, C = ic.Atom("a"), ic.Atom("b"), ic.Atom("c")
@@ -193,6 +194,16 @@ class TestPrinter:
     def test_round_trip(self, f):
         assert ic.parse_formula(ic.format_formula(f)) == f
 
+    @given(st.lists(formulas_st, min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_many_nodes_render_as_each_alone(self, roots, rng):
+        # Subterms shared between the requested nodes, requested nodes
+        # that sit below other requested nodes, and repeats.
+        nodes = [g for f in roots for g in ic.subformulas(f) if rng.random() < 0.5] + roots
+        rng.shuffle(nodes)
+        texts = format_formulas(nodes)
+        assert texts == [ic.format_formula(f) for f in nodes]
+        assert all(ic.parse_formula(text) is f for text, f in zip(texts, nodes))
+
 
 @pytest.fixture
 def ten_point():
@@ -276,6 +287,10 @@ class TestHelpers:
     def test_subformulas_preorder(self):
         f = ic.parse_formula("a & ~b")
         assert list(ic.subformulas(f)) == [f, A, ic.Not(B), B]
+
+    def test_subformulas_of_several_roots(self):
+        f, g = ic.parse_formula("a & ~b"), ic.parse_formula("~b | c")
+        assert list(ic.subformulas(f, g)) == [f, A, ic.Not(B), B, g, ic.Atom("c")]
 
     def test_random_formula_generator_is_valid(self):
         rng = random.Random(5)

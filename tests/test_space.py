@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc.space import MAX_WIDTH
 from helpers import incidences, random_space, reference_weight_of, written_weights
 
 
@@ -141,6 +142,22 @@ class TestSampleSpace:
             ic.SampleSpace.uniform(sys.maxsize + 1)
         with pytest.raises(TypeError):
             ic.SampleSpace.uniform(2.0)
+
+    def test_width_is_limited_to_what_the_masks_fit(self):
+        # A uniform space keeps nothing per point, so the limit itself is
+        # cheap to reach; past it nothing is built.  The weighted path is
+        # checked through `parse_kb` in test_kb.py.
+        assert ic.SampleSpace.uniform(MAX_WIDTH).size == MAX_WIDTH
+        with pytest.raises(ValueError, match=f"size must be <= {MAX_WIDTH}, got 10000000000"):
+            ic.SampleSpace.uniform(10**10)
+
+    def test_weights_as_integer_pairs(self):
+        assert ic.SampleSpace([(2, 4), (1, 2)]) == ic.SampleSpace.uniform(2)
+        assert ic.SampleSpace([(0, 7), (3, 3)]) == ic.SampleSpace([0, 1])
+        with pytest.raises(ValueError, match="positive denominator"):
+            ic.SampleSpace([(1, 0), (1, 1)])
+        with pytest.raises(ValueError, match="non-negative"):
+            ic.SampleSpace([(-1, 2), (3, 2)])
 
     @given(written_weights(), st.data())
     def test_weight_of_matches_the_per_point_sum(self, weights, data):
