@@ -9,8 +9,29 @@ Usage: python3 scripts/storage_table.py [--max-atoms N] [--digits M ...]
 """
 
 import argparse
+from typing import NamedTuple
 
-from incalc import storage_costs
+
+class StorageCost(NamedTuple):
+    numeric_bits: int
+    incidence_bits: int
+
+
+def storage_costs(propositions: int, digits: int) -> StorageCost:
+    """Bits needed to represent a joint distribution over `propositions`
+    atoms to `digits` decimal places, two ways.
+
+    Storing one probability per conjunction of literals takes 10*digits
+    bits for each of the 2**propositions conjunctions; storing one
+    incidence bit vector per atom over a 10**digits-point space takes
+    propositions * 10**digits bits and the rest is recomputed by set
+    operations.
+    """
+    if propositions < 1:
+        raise ValueError("need at least one proposition")
+    if digits < 1:
+        raise ValueError("need at least one digit of precision")
+    return StorageCost(10 * digits * 2**propositions, propositions * 10**digits)
 
 
 def main(argv=None):

@@ -18,7 +18,6 @@ from .errors import (
     DegenerateMarginalError,
     FormulaSyntaxError,
     IncalcError,
-    InconsistentBoundsError,
     InfeasibleTargetError,
     InstanceTooLargeError,
     KBError,
@@ -42,18 +41,15 @@ from .logic import (
     Top,
     atom_names,
     format_formula,
-    holds_at,
     incidence_of,
     parse_formula,
     subformulas,
 )
 from .probability import (
     Correlation,
-    ProbabilityInterval,
     cond_prob,
     correlation,
     prob,
-    prob_interval,
 )
 from .propagation import (
     FIXPOINT,
@@ -66,9 +62,7 @@ from .propagation import (
 from .space import (
     Incidence,
     SampleSpace,
-    StorageCost,
     parse_incidence_text,
-    storage_costs,
 )
 
 __version__ = "0.1.0"
@@ -88,20 +82,17 @@ __all__ = [
     "INCONSISTENT",
     "IncalcError",
     "Incidence",
-    "InconsistentBoundsError",
     "InfeasibleTargetError",
     "InstanceTooLargeError",
     "KBError",
     "KnowledgeBase",
     "Not",
     "Or",
-    "ProbabilityInterval",
     "PropagationOutcome",
     "Query",
     "RecordTable",
     "RecordTableError",
     "SampleSpace",
-    "StorageCost",
     "TRUE",
     "TargetSpec",
     "Top",
@@ -114,7 +105,6 @@ __all__ = [
     "cond_prob",
     "correlation",
     "format_formula",
-    "holds_at",
     "incidence_of",
     "incidences_from_probabilities",
     "incidences_from_records",
@@ -124,8 +114,6 @@ __all__ = [
     "parse_kb",
     "parse_targets",
     "prob",
-    "prob_interval",
     "propagate",
-    "storage_costs",
     "subformulas",
 ]

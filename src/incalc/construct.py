@@ -204,8 +204,7 @@ def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, 
     for row in table.rows:
         groups[row] = groups.get(row, 0) + 1
     total = len(table.rows)
-    weights = tuple(Fraction(count, total) for count in groups.values())
-    space = SampleSpace(weights)
+    space = SampleSpace((count, total) for count in groups.values())
     env = {}
     distinct = list(groups)
     for column, name in enumerate(table.columns):

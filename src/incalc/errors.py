@@ -29,10 +29,6 @@ class DegenerateMarginalError(IncalcError):
     """Correlation is undefined when either marginal is 0 or 1."""
 
 
-class InconsistentBoundsError(IncalcError):
-    """A lower bound is not contained in the matching upper bound."""
-
-
 class UnknownSentenceError(IncalcError):
     """The sentence asked about has no entry in the bound assignment."""
 

@@ -274,39 +274,3 @@ def incidence_of(f: Formula, env: Environment, space: SampleSpace) -> Incidence:
             value[g] = inc.bits
     evaluate(evaluation_order(nodes), value, space.full().bits)
     return Incidence(value[f], space.size)
-
-
-def holds_at(f: Formula, point: int, env: Environment) -> bool:
-    """Pointwise truth of f at one sample-space point.
-
-    Evaluating every point and collecting the true ones must agree with
-    incidence_of; the point index is checked against the width of every
-    incidence in the environment.
-    """
-    if point < 0:
-        raise ValueError(f"point index must be >= 0, got {point}")
-    for inc in env.values():
-        if point >= inc.width:
-            raise ValueError(f"point index {point} out of range for width {inc.width}")
-    return _holds(f, point, env)
-
-
-def _holds(f: Formula, point: int, env: Environment) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        inc = env.get(f.name)
-        if inc is None:
-            raise UnboundAtomError(f"atom {f.name!r} has no incidence")
-        return point in inc
-    if isinstance(f, Not):
-        return not _holds(f.args[0], point, env)
-    if isinstance(f, And):
-        return _holds(f.args[0], point, env) and _holds(f.args[1], point, env)
-    if isinstance(f, Or):
-        return _holds(f.args[0], point, env) or _holds(f.args[1], point, env)
-    if isinstance(f, Implies):
-        return not _holds(f.args[0], point, env) or _holds(f.args[1], point, env)
-    raise TypeError(f"not a formula: {f!r}")

@@ -8,18 +8,15 @@ hold as exact equalities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     DegenerateMarginalError,
-    InconsistentBoundsError,
-    UnknownSentenceError,
     ZeroProbabilityError,
 )
 from .logic import Environment, Formula, incidence_of
-from .rational import format_prob, sqrt_decimal_str
+from .rational import sqrt_decimal_str
 from .space import SampleSpace
 
 
@@ -30,10 +27,11 @@ def prob(f: Formula, env: Environment, space: SampleSpace) -> Fraction:
 
 def cond_prob(f: Formula, given: Formula, env: Environment, space: SampleSpace) -> Fraction:
     """p(f | given) = weight(i(f) & i(given)) / weight(i(given))."""
-    base = space.weight_of(incidence_of(given, env, space))
+    condition = incidence_of(given, env, space)
+    base = space.weight_of(condition)
     if base == 0:
         raise ZeroProbabilityError(f"cannot condition on {given}: probability is zero")
-    joint = space.weight_of(incidence_of(f, env, space) & incidence_of(given, env, space))
+    joint = space.weight_of(incidence_of(f, env, space) & condition)
     return joint / base
 
 
@@ -63,10 +61,6 @@ class Correlation:
         text = sqrt_decimal_str(self.c_squared, digits)
         return text if self.sign > 0 else "-" + text
 
-    @property
-    def value(self) -> float:
-        return self.sign * math.sqrt(self.c_squared)
-
     def __str__(self) -> str:
         return f"{self.decimal()} (c^2 = {self.c_squared})"
 
@@ -92,33 +86,3 @@ def correlation(a: Formula, b: Formula, env: Environment, space: SampleSpace) ->
     denom = pa * (1 - pa) * pb * (1 - pb)
     sign = (numer > 0) - (numer < 0)
     return Correlation(c_squared=numer * numer / denom, sign=sign)
-
-
-@dataclass(frozen=True)
-class ProbabilityInterval:
-    """Lower and upper probability derived from incidence bounds."""
-
-    low: Fraction
-    high: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.low <= self.high <= 1:
-            raise ValueError(f"bad interval [{self.low}, {self.high}]")
-
-    def __contains__(self, p: Fraction) -> bool:
-        return self.low <= p <= self.high
-
-    def __str__(self) -> str:
-        return f"[{format_prob(self.low)}, {format_prob(self.high)}]"
-
-
-def prob_interval(sentence: Formula, assignment) -> ProbabilityInterval:
-    """Interval probability of a sentence under a bound assignment: the
-    weights of its lower and upper incidence bounds."""
-    if sentence not in assignment:
-        raise UnknownSentenceError(f"no bounds registered for {sentence}")
-    low, high = assignment.bounds(sentence)
-    if not low.is_subset(high):
-        raise InconsistentBoundsError(f"bounds for {sentence} have crossed")
-    space = assignment.space
-    return ProbabilityInterval(space.weight_of(low), space.weight_of(high))

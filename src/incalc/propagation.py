@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .errors import InstanceTooLargeError, UnknownSentenceError, WidthMismatchError
@@ -150,19 +151,6 @@ class BoundAssignment:
         old, self._high[i] = self._high[i], self._high[i] & bits
         return self._high[i] != old
 
-    def set_bounds(self, sentence: Formula, lower: Incidence, upper: Incidence) -> None:
-        """Overwrite an entry outright (no merging)."""
-        i = self._index(sentence)
-        self._low[i], self._high[i] = self._bits(lower), self._bits(upper)
-
-    def consistent_at(self, sentence: Formula) -> bool:
-        i = self._index(sentence)
-        return not self._low[i] & ~self._high[i]
-
-    def is_exact(self, sentence: Formula) -> bool:
-        i = self._index(sentence)
-        return self._low[i] == self._high[i]
-
     def copy(self) -> "BoundAssignment":
         dup = BoundAssignment(self.space)
         dup._position = dict(self._position)
@@ -173,11 +161,16 @@ class BoundAssignment:
         """One line per sentence in registration order:
         `<formula> inf=<bits> sup=<bits> p=[low, high]`."""
         width, weight_of = self.space.size, self.space.weight_of
+        probs: dict[Fraction, str] = {}  # weight -> its rendering
         shown: dict[int, tuple[str, str]] = {}  # mask -> (bit string, probability)
         for mask in itertools.chain(self._low, self._high):
             if mask not in shown:
                 inc = Incidence(mask, width)
-                shown[mask] = inc.to_bitstring(), format_prob(weight_of(inc))
+                p = weight_of(inc)
+                text = probs.get(p)
+                if text is None:
+                    text = probs[p] = format_prob(p)
+                shown[mask] = inc.to_bitstring(), text
         lines = []
         for text, low, high in zip(format_formulas(self._position), self._low, self._high):
             (low_bits, low_p), (high_bits, high_p) = shown[low], shown[high]

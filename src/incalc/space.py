@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import index
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import WidthMismatchError
 
@@ -33,6 +33,7 @@ MAX_WIDTH = 10**8
 
 _DROP_BITS = str.maketrans("", "", "01")
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_size(size: int) -> None:
@@ -80,12 +81,15 @@ class Incidence:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], width: int) -> "Incidence":
-        bits = 0
+        """The set of the given points, in any order, repeats allowed: one
+        byte per point is set, then read back as bits, the inverse of
+        `flags()`, so the cost is linear in the width."""
+        flags = bytearray(max(width, 0))
         for k in indices:
             if not 0 <= k < width:
                 raise ValueError(f"point index {k} out of range for width {width}")
-            bits |= 1 << k
-        return cls(bits, width)
+            flags[k] = 1
+        return cls(int(flags.translate(_FLAG_CHARS)[::-1] or b"0", 2), width)
 
     @classmethod
     def from_bitstring(cls, text: str, width: int) -> "Incidence":
@@ -261,25 +265,3 @@ class SampleSpace:
         if self._numerators is None:
             return Fraction(inc.count(), self._size)
         return Fraction(sum(compress(self._numerators, inc.flags())), self._denominator)
-
-
-class StorageCost(NamedTuple):
-    numeric_bits: int
-    incidence_bits: int
-
-
-def storage_costs(propositions: int, digits: int) -> StorageCost:
-    """Bits needed to represent a joint distribution over `propositions`
-    atoms to `digits` decimal places, two ways.
-
-    Storing one probability per conjunction of literals takes 10*digits
-    bits for each of the 2**propositions conjunctions; storing one
-    incidence bit vector per atom over a 10**digits-point space takes
-    propositions * 10**digits bits and the rest is recomputed by set
-    operations.
-    """
-    if propositions < 1:
-        raise ValueError("need at least one proposition")
-    if digits < 1:
-        raise ValueError("need at least one digit of precision")
-    return StorageCost(10 * digits * 2**propositions, propositions * 10**digits)

@@ -1,10 +1,13 @@
-"""Shared random generators and hypothesis strategies for the test suite."""
+"""Shared random generators, independent oracles and hypothesis
+strategies for the test suite."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -14,6 +17,16 @@ ATOMS = ("a", "b", "c", "d", "e", "f")
 
 #: The brute-force oracle refuses instances where width * atoms exceeds this.
 ORACLE_GUARD_BITS = 24
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """Import `scripts/<name>.py` as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_weights(rng: random.Random, size: int) -> tuple[Fraction, ...]:
@@ -107,6 +120,43 @@ def truth_of(assignment: ic.BoundAssignment, env, f: ic.Formula) -> ic.Incidence
     return ic.incidence_of(f, env, assignment.space)
 
 
+def holds_at(f: ic.Formula, point: int, env) -> bool:
+    """Pointwise truth of f at one sample-space point, by the truth table
+    of each connective, recursing on the formula's tree.
+
+    Evaluating every point and collecting the true ones must agree with
+    `incidence_of`; the point index is checked against the width of every
+    incidence in the environment.
+    """
+    if point < 0:
+        raise ValueError(f"point index must be >= 0, got {point}")
+    for inc in env.values():
+        if point >= inc.width:
+            raise ValueError(f"point index {point} out of range for width {inc.width}")
+    return _holds(f, point, env)
+
+
+def _holds(f: ic.Formula, point: int, env) -> bool:
+    if isinstance(f, ic.Top):
+        return True
+    if isinstance(f, ic.Bottom):
+        return False
+    if isinstance(f, ic.Atom):
+        inc = env.get(f.name)
+        if inc is None:
+            raise ic.UnboundAtomError(f"atom {f.name!r} has no incidence")
+        return point in inc
+    if isinstance(f, ic.Not):
+        return not _holds(f.args[0], point, env)
+    if isinstance(f, ic.And):
+        return _holds(f.args[0], point, env) and _holds(f.args[1], point, env)
+    if isinstance(f, ic.Or):
+        return _holds(f.args[0], point, env) or _holds(f.args[1], point, env)
+    if isinstance(f, ic.Implies):
+        return not _holds(f.args[0], point, env) or _holds(f.args[1], point, env)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def enumerate_legal(initial: ic.BoundAssignment) -> list[dict[str, ic.Incidence]]:
     """Brute-force oracle: every exact assignment of incidences to atoms
     whose induced sentence incidences respect all registered bounds.
@@ -158,7 +208,7 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
     if not legal:
         return None
     space = initial.space
-    result = initial.copy()
+    result = ic.BoundAssignment(space)
     for sentence in initial:
         values = [ic.incidence_of(sentence, env, space) for env in legal]
         low = values[0]
@@ -166,7 +216,7 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
         for value in values[1:]:
             low = low & value
             high = high | value
-        result.set_bounds(sentence, low, high)
+        result.declare(sentence, lower=low, upper=high)
     return result
 
 

@@ -68,7 +68,7 @@ class TestSynthesis:
         # kx*ky/n + c*sqrt(kx(n-kx)ky(n-ky))/n = 2000 + 0.8165*2449.49.. = 4000.0
         assert overlap.count() == 4000
         achieved = ic.correlation(ic.Atom("a"), ic.Atom("b"), env, space)
-        assert abs(achieved.value - 0.8165) < 0.01
+        assert abs(float(achieved.decimal()) - 0.8165) < 0.01
 
     def test_full_positive_correlation_aligns_equal_marginals(self):
         spec = ic.TargetSpec({"a": HALF, "b": HALF}, 40, {("a", "b"): 1}, seed=11)

@@ -173,7 +173,8 @@ class TestKnowledgeBase:
         kb = ic.parse_kb((DATA / "example.kb").read_text())
         assignment = kb.initial_assignment()
         a, b = ic.Atom("a"), ic.Atom("b")
-        assert assignment.is_exact(a) and assignment.is_exact(b)
+        for atom in (a, b):
+            assert assignment.bounds(atom) == (kb.incidences[atom.name],) * 2
         conj = ic.parse_formula("a & b")
         assert assignment.lower(conj) == kb.space.incidence([3])
         claim = kb.formulas["claim"]

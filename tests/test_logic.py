@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.logic import format_formulas
-from helpers import ATOMS, formulas_st, random_env, random_formula, random_space
+from helpers import ATOMS, formulas_st, holds_at, random_env, random_formula, random_space
 
 A, B, C = ic.Atom("a"), ic.Atom("b"), ic.Atom("c")
 
@@ -250,22 +250,22 @@ class TestHoldsAt:
     def test_pointwise_worked_example(self, ten_point):
         _, env = ten_point
         f = ic.parse_formula("a & b")
-        assert ic.holds_at(f, 3, env) is True
-        assert ic.holds_at(f, 0, env) is False
+        assert holds_at(f, 3, env) is True
+        assert holds_at(f, 0, env) is False
 
     def test_constant_holds_everywhere(self, ten_point):
         _, env = ten_point
-        assert all(ic.holds_at(ic.TRUE, j, env) for j in range(10))
+        assert all(holds_at(ic.TRUE, j, env) for j in range(10))
 
     def test_point_range_checked(self, ten_point):
         _, env = ten_point
         with pytest.raises(ValueError, match="out of range"):
-            ic.holds_at(A, 10, env)
+            holds_at(A, 10, env)
         with pytest.raises(ValueError):
-            ic.holds_at(A, -1, env)
+            holds_at(A, -1, env)
         narrow = {"a": ic.Incidence.empty(5), "b": ic.Incidence.empty(1)}
         with pytest.raises(ValueError, match="out of range"):
-            ic.holds_at(B, 4, narrow)
+            holds_at(B, 4, narrow)
 
     @settings(max_examples=80)
     @given(formulas_st, st.integers(0, 2**32))
@@ -275,7 +275,7 @@ class TestHoldsAt:
         space = random_space(rng, width)
         env = random_env(rng, ATOMS, width)
         expected = space.incidence(
-            j for j in range(width) if ic.holds_at(f, j, env)
+            j for j in range(width) if holds_at(f, j, env)
         )
         assert ic.incidence_of(f, env, space) == expected
 

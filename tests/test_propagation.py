@@ -166,7 +166,7 @@ class TestBoundAssignment:
         space = u(3)
         assignment = ic.BoundAssignment(space)
         assignment.declare(A, exact=space.incidence([1]))
-        assert assignment.is_exact(A)
+        assert assignment.bounds(A) == (space.incidence([1]),) * 2
         with pytest.raises(ValueError):
             assignment.declare(B, exact=space.empty(), lower=space.empty())
 

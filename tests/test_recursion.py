@@ -1,6 +1,6 @@
 """No function of the package calls itself, directly or through other
-functions of its module, except the pointwise oracle `logic._holds`:
-however deep the input, nothing else can reach the recursion limit."""
+functions of its module: however deep the input, nothing can reach the
+recursion limit."""
 
 import ast
 from pathlib import Path
@@ -48,13 +48,13 @@ def on_cycles(graph: dict[str, set[str]]) -> set[str]:
     return found
 
 
-def test_only_the_pointwise_oracle_recurses():
+def test_no_package_function_recurses():
     recursive = {
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
         for name in on_cycles(call_graph(ast.parse(path.read_text())))
     }
-    assert recursive == {"logic._holds"}
+    assert recursive == set()
 
 
 def test_cycles_through_methods_and_other_functions_are_found():
