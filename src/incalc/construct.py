@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
+from .kb import directive_lines
 from .logic import IDENT_RE
 from .rational import parse_rational, round_half_up, sqrt_fraction
 from .space import Incidence, SampleSpace
@@ -168,31 +169,27 @@ class RecordTable:
     def from_text(cls, text: str) -> "RecordTable":
         """Parse a whitespace/comma separated table: a header line of
         column names, then one line per record with values in
-        {0, 1, t, f, true, false} (case-insensitive).  '#' starts a
-        comment."""
+        {0, 1, t, f, true, false} (case-insensitive).  Lines are read by
+        `kb.directive_lines`: '#' starts a comment, blank lines are
+        skipped, and a bad row's error names its 1-based line."""
         header: tuple[str, ...] | None = None
         rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p for p in re.split(r"[,\s]+", line) if p]
+        for lineno, line in directive_lines(text):
             if header is None:
-                header = tuple(parts)
+                header = tuple(line.replace(",", " ").split())
                 continue
-            values = []
-            for part in parts:
-                flag = _TRUTHY.get(part.lower())
-                if flag is None:
-                    raise RecordTableError(f"line {lineno}: bad value {part!r}")
-                values.append(flag)
-            rows.append(tuple(values))
+            row = tuple(map(_TRUTHY.get, line.lower().replace(",", " ").split()))
+            if None in row:
+                problem = f"bad value {line.replace(',', ' ').split()[row.index(None)]!r}"
+            elif len(row) != len(header):
+                problem = f"row has {len(row)} values, expected {len(header)}"
+            else:
+                rows.append(row)
+                continue
+            raise RecordTableError(f"line {lineno}: {problem}")
         if header is None:
             raise RecordTableError("table has no header line")
-        try:
-            return cls(header, tuple(rows))
-        except RecordTableError as exc:
-            raise RecordTableError(str(exc)) from None
+        return cls(header, tuple(rows))
 
 
 def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, Incidence]]:
@@ -217,29 +214,28 @@ def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, 
 def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str], Fraction]]:
     """Parse a targets file into (marginals, correlations).
 
-    Grammar, one directive per line, '#' comments:
+    Grammar, one directive per line, read by `kb.directive_lines` ('#'
+    comments, blank lines skipped); every error names its 1-based line:
         prob <atom> = <rational-or-decimal>
         corr <atom> <atom> = <rational-or-decimal>
+    Values are read by `rational.parse_rational`.
     """
     marginals: dict[str, Fraction] = {}
     correlations: dict[tuple[str, str], Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _PROB_RE.fullmatch(line)
-        if m:
-            name, value = m.group(1), m.group(2)
-            if name in marginals:
-                raise ValueError(f"line {lineno}: duplicate marginal for {name!r}")
-            marginals[name] = parse_rational(value)
-            continue
-        m = _CORR_RE.fullmatch(line)
-        if m:
-            pair = tuple(sorted((m.group(1), m.group(2))))
-            if pair in correlations:
-                raise ValueError(f"line {lineno}: duplicate correlation for {pair}")
-            correlations[pair] = parse_rational(m.group(3))
-            continue
-        raise ValueError(f"line {lineno}: unrecognised directive: {line!r}")
+    for lineno, line in directive_lines(text):
+        try:
+            if m := _PROB_RE.fullmatch(line):
+                name = m.group(1)
+                if name in marginals:
+                    raise ValueError(f"duplicate marginal for {name!r}")
+                marginals[name] = Fraction(*parse_rational(m.group(2)))
+            elif m := _CORR_RE.fullmatch(line):
+                pair = tuple(sorted((m.group(1), m.group(2))))
+                if pair in correlations:
+                    raise ValueError(f"duplicate correlation for {pair}")
+                correlations[pair] = Fraction(*parse_rational(m.group(3)))
+            else:
+                raise ValueError(f"unrecognised directive: {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return marginals, correlations

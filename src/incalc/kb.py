@@ -18,14 +18,18 @@ An <incidence> is a bit string (character k is point k) or a point-set
 literal like {0,2,5}.  A bounds <target> is an atom name or a
 parenthesised formula.  A name defined by `formula` may be used inside
 later formulas and stands for its definition, shared rather than copied.
+A weight is read by `rational.parse_rational`.  `directive_lines` is the
+line scanner that the KB, targets and records formats share; `parse_kb`
+attaches the line number to every directive's error in one place.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import FormulaSyntaxError, KBError
+from .errors import IncalcError, KBError
 from .logic import IDENT_RE, Atom, Formula, atom_names, parse_formula
 from .propagation import BoundAssignment
 from .rational import parse_rational
@@ -77,134 +81,111 @@ class KnowledgeBase:
         return assignment
 
 
+def directive_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The lines of `text` that have content once their '#' comment is
+    cut, as (1-based line number, stripped text).  Every line-oriented
+    input (KB, targets, records) is read through this one scanner."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse KB text; raises KBError with a 1-based line number."""
     kb: KnowledgeBase | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in directive_lines(text):
         word = line.split(None, 1)[0]
-        if word == "space":
-            if kb is not None:
-                raise KBError("duplicate space declaration", lineno)
-            kb = _parse_space(line, lineno)
-            continue
-        if kb is None:
-            raise KBError("the space must be declared before anything else", lineno)
-        if word == "inc":
-            _parse_inc(kb, line, lineno)
-        elif word == "bounds":
-            _parse_bounds(kb, line, lineno)
-        elif word == "formula":
-            _parse_formula_def(kb, line, lineno)
-        elif word == "query":
-            _parse_query(kb, line, lineno)
-        else:
-            raise KBError(f"unknown directive {word!r}", lineno)
+        try:
+            if word == "space":
+                if kb is not None:
+                    raise KBError("duplicate space declaration")
+                kb = _parse_space(line)
+            elif kb is None:
+                raise KBError("the space must be declared before anything else")
+            elif word == "inc":
+                _parse_inc(kb, line)
+            elif word == "bounds":
+                _parse_bounds(kb, line)
+            elif word == "formula":
+                _parse_formula_def(kb, line)
+            elif word == "query":
+                _parse_query(kb, line)
+            else:
+                raise KBError(f"unknown directive {word!r}")
+        except (IncalcError, ValueError, TypeError) as exc:
+            raise KBError(str(exc), lineno) from None
     if kb is None:
         raise KBError("no space declaration found")
     return kb
 
 
-def _parse_weight(text: str) -> tuple[int, int]:
-    """A `space weights` entry as (numerator, denominator): `n/d` and `n`
-    in ASCII digits are read with `int`, any other spelling (a decimal, a
-    sign) with `parse_rational`, which also words every error."""
-    numerator, slash, denominator = text.partition("/")
-    if not slash:
-        denominator = "1"
-    if text.isascii() and numerator.isdigit() and denominator.isdigit() and denominator.strip("0"):
-        return int(numerator), int(denominator)
-    value = parse_rational(text)
-    return value.numerator, value.denominator
-
-
-def _parse_space(line: str, lineno: int) -> KnowledgeBase:
+def _parse_space(line: str) -> KnowledgeBase:
     parts = line.split()
-    try:
-        if len(parts) == 2 and parts[1] != "weights":
-            return KnowledgeBase(SampleSpace.uniform(int(parts[1])))
-        if len(parts) >= 3 and parts[1] == "weights":
-            return KnowledgeBase(SampleSpace(map(_parse_weight, parts[2:])))
-    except (ValueError, TypeError) as exc:
-        raise KBError(str(exc), lineno) from None
-    raise KBError("expected `space <N>` or `space weights <w1> <w2> ...`", lineno)
+    if len(parts) == 2 and parts[1] != "weights":
+        return KnowledgeBase(SampleSpace.uniform(int(parts[1])))
+    if len(parts) >= 3 and parts[1] == "weights":
+        return KnowledgeBase(SampleSpace(map(parse_rational, parts[2:])))
+    raise KBError("expected `space <N>` or `space weights <w1> <w2> ...`")
 
 
-def _parse_inc(kb: KnowledgeBase, line: str, lineno: int) -> None:
+def _parse_inc(kb: KnowledgeBase, line: str) -> None:
     m = _INC_RE.fullmatch(line)
     if not m:
-        raise KBError("expected `inc <name> = <bitstring or point set>`", lineno)
+        raise KBError("expected `inc <name> = <bitstring or point set>`")
     name, value = m.group(1), m.group(2)
     if name in kb.incidences:
-        raise KBError(f"duplicate incidence for {name!r}", lineno)
+        raise KBError(f"duplicate incidence for {name!r}")
     if name in kb.formulas:
-        raise KBError(f"{name!r} already names a formula", lineno)
-    try:
-        kb.incidences[name] = parse_incidence_text(value, kb.space.size)
-    except ValueError as exc:
-        raise KBError(str(exc), lineno) from None
+        raise KBError(f"{name!r} already names a formula")
+    kb.incidences[name] = parse_incidence_text(value, kb.space.size)
 
 
-def _parse_bounds(kb: KnowledgeBase, line: str, lineno: int) -> None:
+def _parse_bounds(kb: KnowledgeBase, line: str) -> None:
     m = _BOUNDS_RE.fullmatch(line)
     if not m:
-        raise KBError(
-            "expected `bounds <name or (formula)> inf <incidence> sup <incidence>`", lineno
-        )
-    try:
-        target = kb.resolve(m.group("target"))
-        low = parse_incidence_text(m.group("low"), kb.space.size)
-        high = parse_incidence_text(m.group("high"), kb.space.size)
-    except (FormulaSyntaxError, ValueError) as exc:
-        raise KBError(str(exc), lineno) from None
+        raise KBError("expected `bounds <name or (formula)> inf <incidence> sup <incidence>`")
+    target = kb.resolve(m.group("target"))
+    low = parse_incidence_text(m.group("low"), kb.space.size)
+    high = parse_incidence_text(m.group("high"), kb.space.size)
     kb.bounds.append((target, low, high))
 
 
-def _parse_formula_def(kb: KnowledgeBase, line: str, lineno: int) -> None:
+def _parse_formula_def(kb: KnowledgeBase, line: str) -> None:
     m = _FORMULA_RE.fullmatch(line)
     if not m:
-        raise KBError("expected `formula <name> = <formula>`", lineno)
+        raise KBError("expected `formula <name> = <formula>`")
     name = m.group(1)
     if name in kb.formulas:
-        raise KBError(f"duplicate formula name {name!r}", lineno)
+        raise KBError(f"duplicate formula name {name!r}")
     if name in kb.incidences:
-        raise KBError(f"{name!r} already names an incidence", lineno)
-    try:
-        sentence = kb.resolve(m.group(2))
-    except FormulaSyntaxError as exc:
-        raise KBError(str(exc), lineno) from None
+        raise KBError(f"{name!r} already names an incidence")
+    sentence = kb.resolve(m.group(2))
     if name in atom_names(sentence):
-        raise KBError(f"formula {name!r} refers to itself", lineno)
+        raise KBError(f"formula {name!r} refers to itself")
     kb.formulas[name] = sentence
 
 
-def _parse_query(kb: KnowledgeBase, line: str, lineno: int) -> None:
+def _parse_query(kb: KnowledgeBase, line: str) -> None:
     body = line.split(None, 1)[1] if len(line.split(None, 1)) == 2 else ""
-    try:
-        if body.startswith("prob "):
-            kb.queries.append(Query("prob", kb.resolve(body[5:])))
-            return
-        if body.startswith("cond "):
-            rest = body[5:]
-            m = re.search(r"\bgiven\b", rest)
-            if not m:
-                raise KBError("expected `query cond <formula> given <formula>`", lineno)
-            kb.queries.append(
-                Query("cond", kb.resolve(rest[: m.start()]), kb.resolve(rest[m.end() :]))
-            )
-            return
-        if body.startswith("corr "):
-            rest = body[5:]
-            if "," not in rest:
-                raise KBError("expected `query corr <formula> , <formula>`", lineno)
-            left, right = rest.split(",", 1)
-            kb.queries.append(Query("corr", kb.resolve(left), kb.resolve(right)))
-            return
-    except FormulaSyntaxError as exc:
-        raise KBError(str(exc), lineno) from None
-    raise KBError("expected `query prob|cond|corr ...`", lineno)
+    if body.startswith("prob "):
+        kb.queries.append(Query("prob", kb.resolve(body[5:])))
+    elif body.startswith("cond "):
+        rest = body[5:]
+        m = re.search(r"\bgiven\b", rest)
+        if not m:
+            raise KBError("expected `query cond <formula> given <formula>`")
+        kb.queries.append(
+            Query("cond", kb.resolve(rest[: m.start()]), kb.resolve(rest[m.end() :]))
+        )
+    elif body.startswith("corr "):
+        rest = body[5:]
+        if "," not in rest:
+            raise KBError("expected `query corr <formula> , <formula>`")
+        left, right = rest.split(",", 1)
+        kb.queries.append(Query("corr", kb.resolve(left), kb.resolve(right)))
+    else:
+        raise KBError("expected `query prob|cond|corr ...`")
 
 
 def kb_fragment(space: SampleSpace, env: dict[str, Incidence]) -> str:

@@ -6,16 +6,37 @@ deterministic across platforms and test runs.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse '2/5', '0.4', or '3' into an exact Fraction."""
+def parse_rational(text: str) -> tuple[int, int]:
+    """Parse '2/5', '0.4', '1e-3' or '3' into an exact (numerator,
+    denominator) pair, the denominator positive but the pair not always
+    in lowest terms.  `n/d` and `n` in ASCII digits are read with `int`,
+    so wide inputs build no `Fraction`; every other spelling (a sign, a
+    decimal point, an exponent, `_` between digits) with `Fraction`.
+
+    An exponent larger in magnitude than `sys.get_int_max_str_digits()`,
+    the limit Python already puts on an integer's digits, is refused:
+    `Fraction` would compute 10**exponent, which for '1e-999999999'
+    does not finish.
+    """
+    numerator, slash, denominator = text.partition("/")
+    if not slash:
+        denominator = "1"
+    if text.isascii() and numerator.isdigit() and denominator.isdigit() and denominator.strip("0"):
+        return int(numerator), int(denominator)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
-        return Fraction(text.strip())
+        # Text after an 'e' that is no integer is no exponent: the text is no rational.
+        if abs(int(text.lower().partition("e")[2] or 0)) <= limit:
+            value = Fraction(text.strip())
+            return value.numerator, value.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+    raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
 
 
 def round_half_up(q: Fraction) -> int:

@@ -159,6 +159,11 @@ class TestRecordTable:
         with pytest.raises(ic.RecordTableError, match="line 3"):
             ic.RecordTable.from_text("a\n1\nmaybe\n")
 
+    def test_short_row_reports_line_number(self):
+        with pytest.raises(ic.RecordTableError) as info:
+            ic.RecordTable.from_text("a b\n1 0\n1\n")
+        assert str(info.value) == "line 3: row has 1 values, expected 2"
+
 
 class TestParseTargets:
     def test_worked_example(self):
@@ -190,6 +195,11 @@ class TestParseTargets:
     def test_non_ascii_atom_names_rejected_with_line(self, text):
         with pytest.raises(ValueError, match="line 2: unrecognised directive"):
             ic.parse_targets(text)
+
+    def test_bad_value_reports_line_number(self):
+        with pytest.raises(ValueError) as info:
+            ic.parse_targets("prob a = 0.5\nprob b = x\n")
+        assert str(info.value) == "line 2: not a rational number: 'x'"
 
     def test_feeds_target_spec(self):
         marginals, correlations = ic.parse_targets("prob a = 3/4\n")
