@@ -25,9 +25,9 @@ def slack(assignment, reference):
     """Total undetermined points beyond the reference, over all sentences."""
     total = 0
     for sentence in assignment:
-        gap_low = reference.lower(sentence).bits & ~assignment.lower(sentence).bits
-        gap_high = assignment.upper(sentence).bits & ~reference.upper(sentence).bits
-        total += gap_low.bit_count() + gap_high.bit_count()
+        low, high = assignment.bounds(sentence)
+        tight_low, tight_high = reference.bounds(sentence)
+        total += (tight_low.bits & ~low.bits).bit_count() + (high.bits & ~tight_high.bits).bit_count()
     return total
 
 

@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
 from .logic import IDENT_RE
-from .rational import parse_rational, round_half_up, sqrt_fraction
+from .rational import as_ratio, round_half_up, sqrt_fraction
 from .space import Incidence, SampleSpace
 
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
@@ -35,17 +35,12 @@ _CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\
 _TRUTHY = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
 
 
-def _as_exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("targets must be exact: use Fraction or a string like '0.4'")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """Targets for synthesis: marginal probabilities per atom, optional
     pairwise correlations (keyed by unordered atom pair), a space size,
-    and the seed that makes placement reproducible."""
+    and the seed that makes placement reproducible.  Each target is read
+    by `rational.as_ratio` (no float) and kept a `Fraction`."""
 
     marginals: Mapping[str, Fraction]
     size: int
@@ -59,7 +54,7 @@ class TargetSpec:
         for name, p in self.marginals.items():
             if not IDENT_RE.fullmatch(name):
                 raise ValueError(f"bad atom name: {name!r}")
-            p = _as_exact(p)
+            p = Fraction(*as_ratio(p))
             if not 0 <= p <= 1:
                 raise ValueError(f"marginal for {name!r} out of [0, 1]: {p}")
             marginals[name] = p
@@ -76,7 +71,7 @@ class TargetSpec:
                     raise ValueError(
                         f"correlated atom {name!r} needs a marginal strictly inside (0, 1)"
                     )
-            c = _as_exact(c)
+            c = Fraction(*as_ratio(c))
             if not -1 <= c <= 1:
                 raise ValueError(f"correlation for {pair} out of [-1, 1]: {c}")
             if (x, y) in correlations:
@@ -218,7 +213,7 @@ def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str],
     comments, blank lines skipped); every error names its 1-based line:
         prob <atom> = <rational-or-decimal>
         corr <atom> <atom> = <rational-or-decimal>
-    Values are read by `rational.parse_rational`.
+    Values are read by `rational.as_ratio`, as `TargetSpec` reads its own.
     """
     marginals: dict[str, Fraction] = {}
     correlations: dict[tuple[str, str], Fraction] = {}
@@ -228,12 +223,12 @@ def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str],
                 name = m.group(1)
                 if name in marginals:
                     raise ValueError(f"duplicate marginal for {name!r}")
-                marginals[name] = Fraction(*parse_rational(m.group(2)))
+                marginals[name] = Fraction(*as_ratio(m.group(2)))
             elif m := _CORR_RE.fullmatch(line):
                 pair = tuple(sorted((m.group(1), m.group(2))))
                 if pair in correlations:
                     raise ValueError(f"duplicate correlation for {pair}")
-                correlations[pair] = Fraction(*parse_rational(m.group(3)))
+                correlations[pair] = Fraction(*as_ratio(m.group(3)))
             else:
                 raise ValueError(f"unrecognised directive: {line!r}")
         except ValueError as exc:

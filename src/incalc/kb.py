@@ -18,7 +18,7 @@ An <incidence> is a bit string (character k is point k) or a point-set
 literal like {0,2,5}.  A bounds <target> is an atom name or a
 parenthesised formula.  A name defined by `formula` may be used inside
 later formulas and stands for its definition, shared rather than copied.
-A weight is read by `rational.parse_rational`.  `directive_lines` is the
+A weight and N are read by the `rational` module.  `directive_lines` is the
 line scanner that the KB, targets and records formats share; `parse_kb`
 attaches the line number to every directive's error in one place.
 """
@@ -32,7 +32,7 @@ from typing import Iterator
 from .errors import IncalcError, KBError
 from .logic import IDENT_RE, Atom, Formula, atom_names, parse_formula
 from .propagation import BoundAssignment
-from .rational import parse_rational
+from .rational import as_ratio, parse_rational
 from .space import Incidence, SampleSpace, parse_incidence_text
 
 _INC_RE = re.compile(rf"inc\s+({IDENT_RE.pattern})\s*=\s*(.+)")
@@ -123,7 +123,10 @@ def parse_kb(text: str) -> KnowledgeBase:
 def _parse_space(line: str) -> KnowledgeBase:
     parts = line.split()
     if len(parts) == 2 and parts[1] != "weights":
-        return KnowledgeBase(SampleSpace.uniform(int(parts[1])))
+        size, denominator = as_ratio(parts[1])
+        if denominator != 1:
+            raise KBError(f"space size must be a whole number, got {parts[1]!r}")
+        return KnowledgeBase(SampleSpace.uniform(size))
     if len(parts) >= 3 and parts[1] == "weights":
         return KnowledgeBase(SampleSpace(map(parse_rational, parts[2:])))
     raise KBError("expected `space <N>` or `space weights <w1> <w2> ...`")

@@ -133,12 +133,6 @@ class BoundAssignment:
         i, width = self._index(sentence), self.space.size
         return Incidence(self._low[i], width), Incidence(self._high[i], width)
 
-    def lower(self, sentence: Formula) -> Incidence:
-        return Incidence(self._low[self._index(sentence)], self.space.size)
-
-    def upper(self, sentence: Formula) -> Incidence:
-        return Incidence(self._high[self._index(sentence)], self.space.size)
-
     def raise_lower(self, sentence: Formula, inc: Incidence) -> bool:
         """Union inc into the lower bound; True if it strictly grew."""
         bits, i = self._bits(inc), self._index(sentence)

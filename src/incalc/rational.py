@@ -1,4 +1,5 @@
-"""Exact rational helpers: parsing, decimal rendering, integer square roots.
+"""Exact rational helpers: `as_ratio`, the one reader of a user's exact
+values, decimal rendering and integer square roots.
 
 Everything here stays in integer arithmetic so that rendered output is
 deterministic across platforms and test runs.
@@ -8,35 +9,56 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+
+
+def as_ratio(value) -> tuple[int, int]:
+    """An exact value as (numerator, denominator) in lowest terms, the
+    denominator positive: a pair of ints, text read by `parse_rational`,
+    an `int` or a `Fraction`.  Anything else (a float, a `Decimal`) is
+    refused."""
+    if isinstance(value, tuple):
+        numerator, denominator = value
+    elif isinstance(value, str):
+        numerator, denominator = parse_rational(value)
+    elif isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    else:
+        raise TypeError("values must be exact: use Fraction, int, or a string like '1/3'")
+    if denominator < 1:
+        raise ValueError(f"{numerator}/{denominator} needs a positive denominator")
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 def parse_rational(text: str) -> tuple[int, int]:
     """Parse '2/5', '0.4', '1e-3' or '3' into an exact (numerator,
-    denominator) pair, the denominator positive but the pair not always
-    in lowest terms.  `n/d` and `n` in ASCII digits are read with `int`,
-    so wide inputs build no `Fraction`; every other spelling (a sign, a
-    decimal point, an exponent, `_` between digits) with `Fraction`.
+    denominator) pair, the denominator positive.  `n/d` and `n` in ASCII
+    digits are read with `int`, so wide inputs build no `Fraction`; every
+    other spelling (a sign, a decimal point, an exponent, `_` between
+    digits) with `Fraction`.
 
-    An exponent larger in magnitude than `sys.get_int_max_str_digits()`,
-    the limit Python already puts on an integer's digits, is refused:
-    `Fraction` would compute 10**exponent, which for '1e-999999999'
-    does not finish.
+    Python's limit on an integer's digits, `sys.get_int_max_str_digits()`
+    (4300 by default, kept when the limit is off), bounds both the
+    exponent's magnitude, as `Fraction` would compute 10**exponent, and
+    the text's length, whose digits `int` would refuse in its own words.
     """
-    numerator, slash, denominator = text.partition("/")
-    if not slash:
-        denominator = "1"
-    if text.isascii() and numerator.isdigit() and denominator.isdigit() and denominator.strip("0"):
-        return int(numerator), int(denominator)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    numerator, slash, denominator = text.partition("/")
+    digits = numerator.isdigit() and (not slash or denominator.isdigit() and denominator.strip("0"))
+    if digits and text.isascii() and len(text) <= limit:
+        return int(numerator), int(denominator or 1)
     try:
         # Text after an 'e' that is no integer is no exponent: the text is no rational.
-        if abs(int(text.lower().partition("e")[2] or 0)) <= limit:
+        exponent = abs(int(text.lower().partition("e")[2] or 0))
+        if exponent <= limit and len(text) <= limit:
             value = Fraction(text.strip())
             return value.numerator, value.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-    raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
+    if exponent > limit:
+        raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
+    raise ValueError(f"number {text[:12]}... is longer than {limit} characters")
 
 
 def round_half_up(q: Fraction) -> int:

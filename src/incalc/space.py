@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 from operator import index
 from typing import Iterable
 
 from .errors import WidthMismatchError
+from .rational import as_ratio
 
 
 #: The most points a space may have.  An incidence is a bitmask with one
@@ -39,23 +40,6 @@ _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 def _check_size(size: int) -> None:
     if size > MAX_WIDTH:
         raise ValueError(f"size must be <= {MAX_WIDTH}, got {size}: its masks would not fit")
-
-
-def _as_ratio(value) -> tuple[int, int]:
-    """A weight as (numerator, denominator) in lowest terms.  A weight is
-    an `int`, a `Fraction`, a string like '1/3', or a (numerator,
-    denominator) pair of ints."""
-    if isinstance(value, tuple):
-        numerator, denominator = value
-        if denominator < 1:
-            raise ValueError(f"weight {numerator}/{denominator} needs a positive denominator")
-        common = gcd(numerator, denominator)
-        return numerator // common, denominator // common
-    if isinstance(value, float):
-        raise TypeError("weights must be exact: use Fraction, int, or a string like '1/3'")
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -179,16 +163,16 @@ class SampleSpace:
     """A finite set of points, each carrying a non-negative rational weight.
 
     Weights must sum to exactly 1; individual points may have weight zero.
-    They are kept as integer numerators over one common denominator, the
-    lcm of the reduced weight denominators, so equal weights give equal
-    (and equally hashing) spaces however they were written.  A uniform
-    space keeps no per-point numerators at all: every one of them is 1.
+    They are read by `rational.as_ratio` and kept as integer numerators
+    over one common denominator, the lcm of the reduced denominators, so
+    equal weights give equal (and equally hashing) spaces however they
+    were written.  A uniform space keeps no numerators: each would be 1.
     """
 
     __slots__ = ("_size", "_denominator", "_numerators")
 
     def __init__(self, weights: Iterable):
-        ratios = [_as_ratio(v) for v in weights]
+        ratios = [as_ratio(v) for v in weights]
         if not ratios:
             raise ValueError("a sample space needs at least one point")
         _check_size(len(ratios))
@@ -225,10 +209,11 @@ class SampleSpace:
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        """Each point's weight, point 0 first, built afresh on each read."""
+        """Each point's weight, point 0 first, one `Fraction` per distinct weight."""
         if self._numerators is None:
             return (Fraction(1, self._size),) * self._size
-        return tuple(Fraction(n, self._denominator) for n in self._numerators)
+        distinct = {n: Fraction(n, self._denominator) for n in set(self._numerators)}
+        return tuple(map(distinct.__getitem__, self._numerators))
 
     def _key(self) -> tuple:
         return self._size, self._denominator, self._numerators

@@ -148,8 +148,8 @@ def test_5_tightness_against_enumeration():
             if plain.final != tight:
                 gaps += 1
             for sentence in assignment:
-                assert plain.final.lower(sentence).is_subset(tight.lower(sentence))
-                assert tight.upper(sentence).is_subset(plain.final.upper(sentence))
+                assert plain.final.bounds(sentence)[0].is_subset(tight.bounds(sentence)[0])
+                assert tight.bounds(sentence)[1].is_subset(plain.final.bounds(sentence)[1])
         print(f"[INFO] plain-mode gap rate: {gaps}/{total} satisfiable instances")
 
 
@@ -210,8 +210,8 @@ def test_4_to_6_at_realistic_widths():
                 tight = tight_bounds(projected)
                 for sentence in assignment:
                     low, high = reference.final.bounds(sentence)
-                    assert low.bits >> k & 1 <= tight.lower(sentence).bits
-                    assert tight.upper(sentence).bits <= high.bits >> k & 1
+                    assert low.bits >> k & 1 <= tight.bounds(sentence)[0].bits
+                    assert tight.bounds(sentence)[1].bits <= high.bits >> k & 1
 
 
 def test_7_inconsistency_detection():

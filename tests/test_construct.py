@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,7 @@ class TestTargetSpec:
             ({"a": HALF, "b": F(1)}, 10, {("a", "b"): HALF}),  # degenerate b
             ({"a": HALF, "b": HALF}, 10, {("a", "b"): F(2)}),
             ({"a": HALF, "b": HALF}, 10, {("a", "b"): 0.5}),  # float correlation
+            ({"a": Decimal("0.5")}, 10, {}),  # Decimal marginal
         ],
     )
     def test_rejected(self, marginals, size, correlations):

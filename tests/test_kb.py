@@ -87,6 +87,8 @@ class TestParseKB:
             ("space 2\nquery corr a b\n", 2, ","),
             ("space 2\nquery guess a\n", 2, "prob|cond|corr"),
             ("space x\n", 1, None),
+            ("space 1/2\n", 1, "space size must be a whole number, got '1/2'"),
+            ("space 2.5\n", 1, "space size must be a whole number, got '2.5'"),
             # Atom names are ASCII: [A-Za-z][A-Za-z0-9_]*.
             ("space 4\ninc a\u00e9 = 0101\n", 2, "expected `inc"),
             ("space 4\ninc a = 0101\nformula c\u00e9 = a\n", 3, "expected `formula"),
@@ -136,13 +138,22 @@ class TestParseKB:
     )
     def test_space_weights_spellings(self, weights, error, space):
         # Results recorded from the regex-parsed `Fraction` reading of
-        # each entry; the int fast path must not change any of them.
+        # each entry; the int fast path must not change any of them, and
+        # the library constructor must read every spelling as the KB does.
         if error is None:
             assert repr(ic.parse_kb(f"space weights {weights}\n").space) == space
+            assert repr(ic.SampleSpace(weights.split())) == space
         else:
             with pytest.raises(ic.KBError) as info:
                 ic.parse_kb(f"space weights {weights}\n")
             assert str(info.value) == error
+            with pytest.raises(ValueError) as info:
+                ic.SampleSpace(weights.split())
+            assert f"line 1: {info.value}" == error
+
+    def test_space_size_is_read_like_any_number(self):
+        for text in ("12", "1_2", "12/1", "24/2", "1.2e1", "+12"):
+            assert ic.parse_kb(f"space {text}\n").space == ic.SampleSpace.uniform(12)
 
     def test_width_limit_names_the_line(self, monkeypatch):
         with pytest.raises(ic.KBError, match="line 2: size must be <= 100000000, got 10000000000"):
@@ -176,7 +187,7 @@ class TestKnowledgeBase:
         for atom in (a, b):
             assert assignment.bounds(atom) == (kb.incidences[atom.name],) * 2
         conj = ic.parse_formula("a & b")
-        assert assignment.lower(conj) == kb.space.incidence([3])
+        assert assignment.bounds(conj)[0] == kb.space.incidence([3])
         claim = kb.formulas["claim"]
         assert assignment.bounds(claim) == (kb.space.empty(), kb.space.full())
 
@@ -203,7 +214,7 @@ class TestKnowledgeBase:
         for mode in ("fixpoint", "complete"):
             outcome = ic.propagate(assignment, mode)
             assert outcome.ok
-            assert 3 not in outcome.final.upper(kb.formulas["d0"])
+            assert 3 not in outcome.final.bounds(kb.formulas["d0"])[1]
 
 
 class TestKBFragment:

@@ -77,7 +77,7 @@ class TestWorkedExamples:
         assignment.declare(B, lower=space.incidence(range(8)), upper=space.full())
         outcome = ic.propagate(assignment)
         assert outcome.ok
-        assert outcome.final.upper(A) == space.incidence([0, 1, 2, 8, 9])
+        assert outcome.final.bounds(A)[1] == space.incidence([0, 1, 2, 8, 9])
 
     def test_negation_bound_transfer(self):
         space = u(2)
@@ -86,7 +86,7 @@ class TestWorkedExamples:
         assignment.declare(ic.Not(A), lower=space.incidence([0]))
         outcome = ic.propagate(assignment)
         assert outcome.ok
-        assert outcome.final.upper(A) == space.incidence([1])
+        assert outcome.final.bounds(A)[1] == space.incidence([1])
         legal = enumerate_legal(assignment)
         assert sorted(env["a"].indices() for env in legal) == [(), (1,)]
 
@@ -98,7 +98,7 @@ class TestWorkedExamples:
         outcome = ic.propagate(assignment)
         assert outcome.status == ic.INCONSISTENT
         assert outcome.culprit == A
-        assert outcome.final.upper(A) == space.incidence([1])
+        assert outcome.final.bounds(A)[1] == space.incidence([1])
 
     def test_complete_mode_culprit_on_unsatisfiable_bounds(self):
         # No valuation is admitted at point 0 (a and ~a must both hold)
@@ -126,7 +126,7 @@ class TestWorkedExamples:
         assignment.declare(A, lower=space.incidence([0, 1]))
         outcome = ic.propagate(assignment)
         assert outcome.ok
-        assert space.incidence([0, 1]).is_subset(outcome.final.lower(B))
+        assert space.incidence([0, 1]).is_subset(outcome.final.bounds(B)[0])
 
 
 class TestBoundAssignment:
@@ -149,8 +149,7 @@ class TestBoundAssignment:
         assignment = ic.BoundAssignment(space)
         assignment.declare(A, lower=space.incidence([0]), upper=space.incidence([0, 1, 2]))
         assignment.declare(A, lower=space.incidence([1]), upper=space.incidence([0, 1, 3]))
-        assert assignment.lower(A) == space.incidence([0, 1])
-        assert assignment.upper(A) == space.incidence([0, 1])
+        assert assignment.bounds(A) == (space.incidence([0, 1]),) * 2
 
     def test_union_of_sound_lower_bounds_is_sound(self):
         rng = random.Random(3)
@@ -160,7 +159,7 @@ class TestBoundAssignment:
             assignment = ic.BoundAssignment(u(width))
             for _ in range(3):
                 assignment.declare(A, lower=ic.Incidence(truth & rng.getrandbits(width), width))
-            assert assignment.lower(A).bits & ~truth == 0
+            assert assignment.bounds(A)[0].bits & ~truth == 0
 
     def test_exact_shorthand(self):
         space = u(3)
@@ -291,8 +290,8 @@ class TestOracle:
             outcome = ic.propagate(assignment)
             assert outcome.ok
             for sentence in assignment:
-                assert outcome.final.lower(sentence).is_subset(tight.lower(sentence))
-                assert tight.upper(sentence).is_subset(outcome.final.upper(sentence))
+                assert outcome.final.bounds(sentence)[0].is_subset(tight.bounds(sentence)[0])
+                assert tight.bounds(sentence)[1].is_subset(outcome.final.bounds(sentence)[1])
 
     def test_complete_mode_matches_oracle_exactly(self):
         rng = random.Random(71)
@@ -325,7 +324,7 @@ class TestOracle:
         assignment.declare(ic.parse_formula("a & b"), lower=wide.incidence([7, 4095]))
         outcome = ic.propagate(assignment, "complete")
         assert outcome.ok
-        assert outcome.final.lower(ic.parse_formula("c | d")) == wide.incidence([7])
+        assert outcome.final.bounds(ic.parse_formula("c | d"))[0] == wide.incidence([7])
 
         too_many = " & ".join(f"x{j}" for j in range(MAX_ATOMS + 1))
         assignment = ic.BoundAssignment(u(1))
@@ -353,8 +352,8 @@ class TestOracle:
                 truth = ic.incidence_of(sentence, env, space)
                 low, high = complete.final.bounds(sentence)
                 assert low.is_subset(truth) and truth.is_subset(high)
-                assert plain.final.lower(sentence).is_subset(low)
-                assert high.is_subset(plain.final.upper(sentence))
+                assert plain.final.bounds(sentence)[0].is_subset(low)
+                assert high.is_subset(plain.final.bounds(sentence)[1])
             for k in range(space.size):
                 projected = ic.BoundAssignment(one)
                 for sentence in assignment:
@@ -367,5 +366,5 @@ class TestOracle:
                 tight = tight_bounds(projected)
                 for sentence in assignment:
                     low, high = complete.final.bounds(sentence)
-                    assert tight.lower(sentence).bits == low.bits >> k & 1
-                    assert tight.upper(sentence).bits == high.bits >> k & 1
+                    assert tight.bounds(sentence)[0].bits == low.bits >> k & 1
+                    assert tight.bounds(sentence)[1].bits == high.bits >> k & 1

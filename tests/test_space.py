@@ -1,5 +1,6 @@
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -131,6 +132,9 @@ class TestSampleSpace:
     def test_float_weights_rejected(self):
         with pytest.raises(TypeError, match="exact"):
             ic.SampleSpace((0.5, 0.5))
+        # `Fraction` would expand a Decimal; the reader refuses it like a float.
+        with pytest.raises(TypeError, match="exact"):
+            ic.SampleSpace((Decimal("0.5"), Decimal("0.5")))
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):

@@ -94,21 +94,47 @@ class TestFuzz:
     [
         (["sample", "--size", "4"], "prob a = 1e-999999999\n"),
         (["solve"], "space weights 1e-999999999 1\n"),
+        # The library constructors read text through the same reader.
+        (["-c", "import incalc; incalc.SampleSpace(['1e-999999999', '1'])"], None),
+        (["-c", "import incalc; incalc.TargetSpec({'a': '1e-999999999'}, 10)"], None),
     ],
 )
 def test_hostile_exponent_fails_within_a_second(tmp_path, command, text):
-    path = tmp_path / "input"
-    path.write_text(text)
-    # Run from src/ so that `-m incalc` imports this checkout, installed or not.
+    argv = command
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = ["-m", "incalc", command[0], str(path), *command[1:]]
+    # Run from src/ so that `incalc` imports this checkout, installed or not.
     proc = subprocess.run(
-        [sys.executable, "-m", "incalc", command[0], str(path), *command[1:]],
-        capture_output=True,
-        text=True,
-        cwd=SRC,
-        timeout=1,
+        [sys.executable, *argv], capture_output=True, text=True, cwd=SRC, timeout=1
     )
-    assert proc.returncode == 2
-    assert proc.stderr == "error: line 1: exponent of '1e-999999999' exceeds 4300 in magnitude\n"
+    error = "exponent of '1e-999999999' exceeds 4300 in magnitude\n"
+    if text is None:
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"\nValueError: {error}")
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: line 1: {error}"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["sample", "--size", "4"], "prob a = {}\n"),
+        (["sample", "--size", "4"], "prob a = 0.{}\n"),
+        (["solve"], "space weights {} 1\n"),
+        (["solve"], "space weights 1/{} 1\n"),
+        (["solve"], "space {}\n"),
+    ],
+)
+def test_numbers_beyond_the_digit_limit_are_refused_in_our_words(command, text):
+    digits = "1" * 4400
+    code, err = run_on(text.format(digits), *command)
+    assert code == 2
+    assert "set_int_max_str_digits" not in err
+    assert err.startswith("error: line 1: number ")
+    assert err.endswith("... is longer than 4300 characters\n")
 
 
 def test_exponent_limit_follows_the_integer_digit_limit(monkeypatch):
