@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -26,7 +27,7 @@ from typing import Mapping
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
 from .logic import IDENT_RE
-from .rational import as_ratio, round_half_up, sqrt_fraction
+from .rational import as_ratio, exact_str, round_half_up, sqrt_fraction
 from .space import Incidence, SampleSpace
 
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
@@ -56,7 +57,7 @@ class TargetSpec:
                 raise ValueError(f"bad atom name: {name!r}")
             p = Fraction(*as_ratio(p))
             if not 0 <= p <= 1:
-                raise ValueError(f"marginal for {name!r} out of [0, 1]: {p}")
+                raise ValueError(f"marginal for {name!r} out of [0, 1]: {exact_str(p)}")
             marginals[name] = p
         object.__setattr__(self, "marginals", marginals)
         correlations = {}
@@ -73,7 +74,7 @@ class TargetSpec:
                     )
             c = Fraction(*as_ratio(c))
             if not -1 <= c <= 1:
-                raise ValueError(f"correlation for {pair} out of [-1, 1]: {c}")
+                raise ValueError(f"correlation for {pair} out of [-1, 1]: {exact_str(c)}")
             if (x, y) in correlations:
                 raise ValueError(f"duplicate correlation for pair ({x}, {y})")
             correlations[(x, y)] = c
@@ -192,18 +193,11 @@ def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, 
     each weighted by its relative frequency; an atom's incidence is the
     set of points whose row has its column true.  Probabilities computed
     downstream are then exactly the observed frequencies."""
-    groups: dict[tuple[bool, ...], int] = {}
-    for row in table.rows:
-        groups[row] = groups.get(row, 0) + 1
+    groups = Counter(table.rows)
     total = len(table.rows)
     space = SampleSpace((count, total) for count in groups.values())
-    env = {}
-    distinct = list(groups)
-    for column, name in enumerate(table.columns):
-        env[name] = space.incidence(
-            k for k, row in enumerate(distinct) if row[column]
-        )
-    return space, env
+    columns = map(bytes, zip(*groups))
+    return space, dict(zip(table.columns, map(Incidence.from_flags, columns)))
 
 
 def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str], Fraction]]:

@@ -32,7 +32,7 @@ from typing import Iterator
 from .errors import IncalcError, KBError
 from .logic import IDENT_RE, Atom, Formula, atom_names, parse_formula
 from .propagation import BoundAssignment
-from .rational import as_ratio, parse_rational
+from .rational import as_ratio
 from .space import Incidence, SampleSpace, parse_incidence_text
 
 _INC_RE = re.compile(rf"inc\s+({IDENT_RE.pattern})\s*=\s*(.+)")
@@ -128,7 +128,7 @@ def _parse_space(line: str) -> KnowledgeBase:
             raise KBError(f"space size must be a whole number, got {parts[1]!r}")
         return KnowledgeBase(SampleSpace.uniform(size))
     if len(parts) >= 3 and parts[1] == "weights":
-        return KnowledgeBase(SampleSpace(map(parse_rational, parts[2:])))
+        return KnowledgeBase(SampleSpace(parts[2:]))
     raise KBError("expected `space <N>` or `space weights <w1> <w2> ...`")
 
 
@@ -197,7 +197,7 @@ def kb_fragment(space: SampleSpace, env: dict[str, Incidence]) -> str:
     if space.is_uniform:
         lines = [f"space {space.size}"]
     else:
-        lines = ["space weights " + " ".join(str(w) for w in space.weights)]
+        lines = ["space weights " + " ".join(space.map_weights(str))]
     for name, inc in env.items():
         lines.append(f"inc {name} = {inc.to_bitstring()}")
     return "\n".join(lines)

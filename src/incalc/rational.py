@@ -61,6 +61,25 @@ def parse_rational(text: str) -> tuple[int, int]:
     raise ValueError(f"number {text[:12]}... is longer than {limit} characters")
 
 
+def exact_str(value: int | Fraction) -> str:
+    """`str(value)` for a message, with each part that `str` refuses for
+    passing Python's limit on an int's digits shown by its digit count:
+    '<4301 digits>', '1/<4301 digits>'."""
+    if value.denominator == 1:
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        digits = (abs(n).bit_length() - 1) * 10**9 // 3_321_928_095  # <= log10(|n|)
+        while 10**digits <= abs(n):
+            digits += 1
+        return f"{'-' * (n < 0)}<{digits} digits>"
+
+
 def round_half_up(q: Fraction) -> int:
     """Nearest integer to q, ties toward +infinity."""
     return (2 * q.numerator + q.denominator) // (2 * q.denominator)

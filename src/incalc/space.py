@@ -12,19 +12,21 @@ equalities rather than to within a tolerance.  A space keeps its weights
 as integer numerators over one common denominator, so that sum is one
 integer sum turned into a `Fraction` once; a uniform space keeps no
 numerators, and the sum is the incidence's member count (a popcount).
+Each distinct weight is read, scaled and rendered once; the per-point work
+is C-level `map` and `sum` over the numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import index
 from typing import Iterable
 
 from .errors import WidthMismatchError
-from .rational import as_ratio
+from .rational import as_ratio, exact_str
 
 
 #: The most points a space may have.  An incidence is a bitmask with one
@@ -39,7 +41,9 @@ _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 def _check_size(size: int) -> None:
     if size > MAX_WIDTH:
-        raise ValueError(f"size must be <= {MAX_WIDTH}, got {size}: its masks would not fit")
+        raise ValueError(
+            f"size must be <= {MAX_WIDTH}, got {exact_str(size)}: its masks would not fit"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,20 @@ class Incidence:
         """The set of the given points, in any order, repeats allowed: one
         byte per point is set, then read back as bits, the inverse of
         `flags()`, so the cost is linear in the width."""
-        flags = bytearray(max(width, 0))
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        flags = bytearray(width)
         for k in indices:
             if not 0 <= k < width:
                 raise ValueError(f"point index {k} out of range for width {width}")
             flags[k] = 1
-        return cls(int(flags.translate(_FLAG_CHARS)[::-1] or b"0", 2), width)
+        return cls.from_flags(flags)
+
+    @classmethod
+    def from_flags(cls, flags: bytes | bytearray) -> "Incidence":
+        """The inverse of `flags()`: one byte per point, point 0 first, 1
+        for a member and 0 otherwise."""
+        return cls(int(flags.translate(_FLAG_CHARS)[::-1] or b"0", 2), len(flags))
 
     @classmethod
     def from_bitstring(cls, text: str, width: int) -> "Incidence":
@@ -159,6 +171,24 @@ def parse_incidence_text(text: str, width: int) -> Incidence:
     return Incidence.from_bitstring(t, width)
 
 
+def _memo_keys(weights: list) -> list:
+    """One key per weight, equal for two weights exactly when `as_ratio`
+    reads them alike, so that each distinct weight is read once.  Equal
+    values of different types hash alike (0.5 and Fraction(1, 2), (1.0, 2)
+    and (1, 2)), yet the reader refuses one of them; so a list that mixes
+    types keys each value with its type, and a pair with its parts' types
+    too.  A list of one type, with pairs of one part type, the case of every
+    file and table read, is its own key list."""
+    kinds = set(map(type, weights))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if not issubclass(kind, tuple) or len(set(map(type, chain.from_iterable(weights)))) < 2:
+            return weights
+    return [
+        (type(v), *map(type, v), v) if isinstance(v, tuple) else (type(v), v) for v in weights
+    ]
+
+
 class SampleSpace:
     """A finite set of points, each carrying a non-negative rational weight.
 
@@ -167,22 +197,35 @@ class SampleSpace:
     over one common denominator, the lcm of the reduced denominators, so
     equal weights give equal (and equally hashing) spaces however they
     were written.  A uniform space keeps no numerators: each would be 1.
+    Each distinct weight is read by `as_ratio` and scaled once, and
+    `map_weights` renders it once; the checks still see every point.
     """
 
     __slots__ = ("_size", "_denominator", "_numerators")
 
     def __init__(self, weights: Iterable):
-        ratios = [as_ratio(v) for v in weights]
+        weights = list(weights)
+        keys = _memo_keys(weights)
+        try:
+            distinct = dict(zip(keys, weights))
+        except TypeError:
+            # An unhashable value is no exact value either: the reader says so.
+            for value in weights:
+                as_ratio(value)
+            raise
+        ratios = {key: as_ratio(value) for key, value in distinct.items()}
         if not ratios:
             raise ValueError("a sample space needs at least one point")
-        _check_size(len(ratios))
-        denominator = lcm(*(d for _, d in ratios))
-        numerators = tuple(n * (denominator // d) for n, d in ratios)
+        _check_size(len(weights))
+        denominator = lcm(*(d for _, d in ratios.values()))
+        scaled = {key: n * (denominator // d) for key, (n, d) in ratios.items()}
+        numerators = tuple(map(scaled.__getitem__, keys))
         if min(numerators) < 0:
             raise ValueError("weights must be non-negative")
         total = sum(numerators)
         if total != denominator:
-            raise ValueError(f"weights must sum to 1, got {Fraction(total, denominator)}")
+            shown = exact_str(Fraction(total, denominator))
+            raise ValueError(f"weights must sum to 1, got {shown}")
         self._size = len(numerators)
         self._denominator = denominator
         uniform = numerators.count(1) == len(numerators)
@@ -210,9 +253,14 @@ class SampleSpace:
     @property
     def weights(self) -> tuple[Fraction, ...]:
         """Each point's weight, point 0 first, one `Fraction` per distinct weight."""
+        return self.map_weights(Fraction)
+
+    def map_weights(self, fn) -> tuple:
+        """`fn` of each point's weight, point 0 first; `fn` is called once
+        per distinct weight, on a `Fraction`."""
         if self._numerators is None:
-            return (Fraction(1, self._size),) * self._size
-        distinct = {n: Fraction(n, self._denominator) for n in set(self._numerators)}
+            return (fn(Fraction(1, self._size)),) * self._size
+        distinct = {n: fn(Fraction(n, self._denominator)) for n in set(self._numerators)}
         return tuple(map(distinct.__getitem__, self._numerators))
 
     def _key(self) -> tuple:

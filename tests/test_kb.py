@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc import rational
 from incalc import space as space_module
 from helpers import ATOMS
 
@@ -150,6 +151,25 @@ class TestParseKB:
             with pytest.raises(ValueError) as info:
                 ic.SampleSpace(weights.split())
             assert f"line 1: {info.value}" == error
+
+    def test_first_bad_weight_names_the_error(self):
+        with pytest.raises(ic.KBError, match="^line 1: not a rational number: 'x'$"):
+            ic.parse_kb("space weights 1/2 x y\n")
+
+    def test_each_distinct_weight_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = rational.parse_rational
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(rational, "parse_rational", counted)
+        # 5000/20000 + 2500/10000 + 2500/5000 = 1 over 10^4 points.
+        weights = ["1/20000", "1/10000", "1/20000", "1/5000"] * 2500
+        kb = ic.parse_kb(f"space weights {' '.join(weights)}\n")
+        assert kb.space.size == 10**4 and len(set(kb.space.weights)) == 3
+        assert len(calls) <= 3
 
     def test_space_size_is_read_like_any_number(self):
         for text in ("12", "1_2", "12/1", "24/2", "1.2e1", "+12"):

@@ -2,6 +2,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,46 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.space import MAX_WIDTH
+from incalc.rational import as_ratio
 from helpers import incidences, load_script, random_space, reference_weight_of, written_weights
+
+
+@st.composite
+def repeated_weights(draw):
+    """Weights summing to 1 with few distinct values, most repeated, each
+    point written in one of a drawn set of spellings: 'n/d', unreduced
+    '2n/2d', a decimal like '0.25', a `Fraction`, a pair, an `int`.  A
+    spelling that cannot write a value ('0.25' for 1/3, `int` for 1/2)
+    falls back to a `Fraction`."""
+    counts = draw(st.lists(st.sampled_from([0, 1, 2, 4]), min_size=1, max_size=40))
+    if not any(counts):
+        counts[0] = 1
+    total = sum(counts)
+    spellings = draw(st.lists(st.sampled_from(sorted(SPELLINGS)), min_size=1, unique=True))
+    written = []
+    for count in counts:
+        value = F(count, total)
+        forms = [form for form in map(SPELLINGS.get, spellings) if form(value) is not None]
+        form = draw(st.sampled_from(forms)) if forms else F
+        written.append(form(value))
+    return written
+
+
+def decimal_text(q):
+    """'0.25' for 1/4; None when q has no short terminating decimal."""
+    if (q * 10**6).denominator != 1:
+        return None
+    return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+SPELLINGS = {
+    "n/d": lambda q: f"{q.numerator}/{q.denominator}",
+    "2n/2d": lambda q: f"{2 * q.numerator}/{2 * q.denominator}",
+    "decimal": decimal_text,
+    "Fraction": F,
+    "pair": lambda q: (3 * q.numerator, 3 * q.denominator),
+    "int": lambda q: int(q) if q.denominator == 1 else None,
+}
 
 
 class TestIncidence:
@@ -43,6 +83,7 @@ class TestIncidence:
         assert inc.flags() == bytes(bits)
         members = list(inc.indices())
         assert ic.Incidence.from_indices(members[::-1] + members[::2], inc.width) == inc
+        assert ic.Incidence.from_flags(bytes(bits)) == inc
 
     def test_wide_spaces_supported(self):
         width = 10**4
@@ -197,6 +238,57 @@ class TestSampleSpace:
     def test_weight_of_checks_width(self):
         with pytest.raises(ic.WidthMismatchError):
             ic.SampleSpace.uniform(3).weight_of(ic.Incidence.empty(4))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [F(1, 2), 0.5],
+            [F(1, 2), Decimal("0.5")],
+            [1, 0.0, 0],
+            [(1, 2), (1.0, 2)],
+            [(1, 2), (F(1), 2)],
+            [(1, 2), (1, Decimal(2))],
+        ],
+    )
+    def test_inexact_value_equal_to_an_exact_one_is_refused(self, weights):
+        # The last two hash and compare equal, so only the value's type (or
+        # its parts' types) keeps one from sharing the other's reading.
+        assert weights[-2] == weights[-1] and hash(weights[-2]) == hash(weights[-1])
+        for ordered in (weights, weights[::-1]):
+            with pytest.raises(TypeError):
+                ic.SampleSpace(ordered)
+
+    def test_unhashable_weight_is_refused_as_inexact(self):
+        for weights in ([[1], 1], [1, [1]], [F(1, 2), {0.5}]):
+            with pytest.raises(TypeError, match="values must be exact: use Fraction, int"):
+                ic.SampleSpace(weights)
+
+    def test_bool_is_read_beside_an_equal_int(self):
+        with pytest.raises(ValueError, match="^weights must sum to 1, got 2$"):
+            ic.SampleSpace([True, 1])
+        assert ic.SampleSpace([True, 0]) == ic.SampleSpace([1, False])
+
+    def test_first_bad_weight_is_named(self):
+        with pytest.raises(ValueError, match="^not a rational number: 'x'$"):
+            ic.SampleSpace(["1/2", "x", "y", "x"])
+        with pytest.raises(ValueError, match="^not a rational number: 'y'$"):
+            ic.SampleSpace([F(1, 2), "1/2", "y", 0.5])
+
+    @given(repeated_weights())
+    def test_distinct_reading_matches_the_per_point_fold(self, written):
+        ratios = [as_ratio(w) for w in written]
+        denominator = lcm(*(d for _, d in ratios))
+        numerators = tuple(n * (denominator // d) for n, d in ratios)
+        weights = tuple(F(n, d) for n, d in ratios)
+        space = ic.SampleSpace(written)
+        assert space == ic.SampleSpace(weights) and space.weights == weights
+        if set(numerators) == {1}:
+            assert hash(space) == hash((len(weights), denominator, None))
+            assert repr(space) == f"SampleSpace.uniform({len(weights)})"
+        else:
+            assert hash(space) == hash((len(weights), denominator, numerators))
+            assert repr(space) == f"SampleSpace({weights!r})"
+        assert space.map_weights(str) == tuple(map(str, weights))
 
     @settings(max_examples=60)
     @given(st.data())

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import incalc as ic
 from incalc.cli import main
 from incalc.kb import directive_lines
+from incalc.rational import exact_str
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -135,6 +136,38 @@ def test_numbers_beyond_the_digit_limit_are_refused_in_our_words(command, text):
     assert "set_int_max_str_digits" not in err
     assert err.startswith("error: line 1: number ")
     assert err.endswith("... is longer than 4300 characters\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        (["solve"], "space weights 1e4300 1", "line 1: weights must sum to 1, got <4301 digits>"),
+        (["solve"], "space 1e4300", "line 1: size must be <= 100000000, got <4301 digits>"),
+        (["sample", "--size", "4"], "prob a = 2e4300",
+         "marginal for 'a' out of [0, 1]: <4301 digits>"),
+        (
+            ["sample", "--size", "4"],
+            "prob a = 1/2\nprob b = 1/2\ncorr a b = -3e4300",
+            "correlation for ('a', 'b') out of [-1, 1]: -<4301 digits>",
+        ),
+    ],
+    ids=["weights", "space", "marginal", "correlation"],
+)
+def test_values_beyond_the_digit_limit_are_shown_by_their_digit_count(command, text, error):
+    code, err = run_on(text + "\n", *command)
+    assert code == 2
+    assert err.startswith(f"error: {error}")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_exact_str_counts_the_digits_that_str_refuses():
+    for digits in (4301, 4302, 9999, 12345):
+        assert exact_str(10 ** (digits - 1)) == f"<{digits} digits>"
+        assert exact_str(1 - 10**digits) == f"-<{digits} digits>"
+    assert exact_str(10**4300 - 1) == "9" * 4300
+    assert exact_str(Fraction(1, 10**4300)) == "1/<4301 digits>"
+    assert exact_str(Fraction(10**4300, 3)) == "<4301 digits>/3"
+    assert exact_str(Fraction(-3, 4)) == "-3/4" and exact_str(Fraction(6, 3)) == "2"
 
 
 def test_exponent_limit_follows_the_integer_digit_limit(monkeypatch):
