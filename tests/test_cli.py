@@ -1,11 +1,21 @@
+import argparse
+import contextlib
+import io
 import random
+import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incalc as ic
 from incalc import cli
 from incalc.cli import main
+from incalc.construct import _overlap_count
+from incalc.rational import round_half_up
 
 DATA = Path(__file__).parent / "data"
 
@@ -192,6 +202,53 @@ class TestSample:
         assert code == 2 and out == ""
         assert err.startswith("error: size must be <=")
 
+    def test_pair_undone_by_a_later_pair_exits_two(self, capsys, tmp_path):
+        # (b, c) moves c after (a, c) has placed it, so a & c would miss.
+        targets = tmp_path / "shared.targets"
+        targets.write_text(
+            "prob a = 1/2\nprob b = 1/2\nprob c = 1/2\ncorr a c = 0.8\ncorr b c = -0.5\n"
+        )
+        code, out, err = run(capsys, "sample", targets, "--size", 100)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: correlation for pair (a, c) not realised: overlap 36, implied 45;"
+            " a later pair moved c again\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_pair_is_realised_or_the_exit_is_two(self, data):
+        names = [f"a{i}" for i in range(data.draw(st.integers(3, 6), label="atoms"))]
+        pairs = data.draw(
+            st.lists(
+                st.sampled_from([(x, y) for x in names for y in names if x < y]),
+                min_size=1,
+                unique=True,
+            ),
+            label="pairs",
+        )
+        size = data.draw(st.integers(4, 60), label="size")
+        marginals = {name: Fraction(data.draw(st.integers(1, 9)), 10) for name in names}
+        correlations = {pair: Fraction(data.draw(st.integers(-10, 10)), 10) for pair in pairs}
+        text = "".join(f"prob {name} = {p}\n" for name, p in marginals.items()) + "".join(
+            f"corr {x} {y} = {c}\n" for (x, y), c in correlations.items()
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "random.targets"
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["sample", str(path), "--size", str(size)])
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+            return
+        assert code == 0, err.getvalue()
+        kb = ic.parse_kb(out.getvalue())
+        counts = {name: round_half_up(p * size) for name, p in marginals.items()}
+        for (x, y), c in correlations.items():
+            overlap = (kb.incidences[x] & kb.incidences[y]).count()
+            assert overlap == _overlap_count(counts[x], counts[y], size, c), (x, y)
+
     def test_infeasible_targets_exit_two(self, capsys, tmp_path):
         targets = tmp_path / "bad.targets"
         targets.write_text("prob a = 0.9\nprob b = 0.9\ncorr a b = -1\n")
@@ -210,6 +267,82 @@ class TestIngest:
         records.write_text("a b\n1 maybe\n")
         code, _, err = run(capsys, "ingest", records)
         assert code == 2 and "maybe" in err
+
+
+@pytest.fixture(scope="module")
+def tiny_weight_kb(tmp_path_factory):
+    """A 4301-point KB whose point 0 weighs 1e-4300: the common
+    denominator has 4301 digits, past what `str` writes by default."""
+    weights = " ".join(["1e-4300"] + [f"9e-{k}" for k in range(1, 4301)])
+    path = tmp_path_factory.mktemp("wide") / "tiny_weight.kb"
+    path.write_text(f"space weights {weights}\ninc a = 1{'0' * 4300}\nquery prob a\n")
+    return path
+
+
+class TestDigitsPastTheLimit:
+    def test_query_prints_every_digit(self, capsys, tiny_weight_kb):
+        code, out, err = run(capsys, "query", tiny_weight_kb)
+        assert (code, err) == (0, "")
+        assert out == f"prob a = 1/1{'0' * 4300} (= 0)\n"
+
+    def test_solve_prints_every_digit(self, capsys, tiny_weight_kb):
+        code, out, err = run(capsys, "solve", tiny_weight_kb)
+        assert (code, err) == (0, "")
+        prob = f"1/1{'0' * 4300} (= 0)"
+        mask = f"1{'0' * 4300}"
+        assert out == f"a inf={mask} sup={mask} p=[{prob}, {prob}]\nCONSISTENT\n"
+
+
+# Each argv once through the per-command parser and once through the
+# parser of all five commands; the exit code and both streams must agree.
+USAGE_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["sol"], ["--x"], ["-h", "solve"], ["solve"],
+    ["solve", "-h"], ["solve", "x", "--bogus"], ["solve", "a", "b"], ["solve", "--comp", "x"],
+    ["solve", "--complete"], ["eval", "-h"], ["eval", "x"], ["query", "-h"], ["sample", "-h"],
+    ["sample", "t", "--size", "x"], ["ingest", "-h"],
+]
+
+
+def outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+    def test_text_matches_the_full_parser(self, argv, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # 'x', 'a' and 't' name no file
+        own = outcome(argv)
+        build_all = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build_all())
+        assert own == outcome(argv)
+        assert own[0] in (0, 2)
+
+    @pytest.mark.parametrize("argv, built", [(["solve", str(DATA / "example.kb")], 1), (["-h"], 5)])
+    def test_builds_only_the_named_subcommand(self, argv, built, monkeypatch):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        outcome(argv)
+        assert len(calls) == built
+
+    def test_reads_sys_argv_when_given_none(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["incalc", "solve", str(DATA / "example.kb")])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == golden("example_solve.golden")
 
 
 class TestUsage:

@@ -166,6 +166,18 @@ class TestRecordTable:
             ic.RecordTable.from_text("a b\n1 0\n1\n")
         assert str(info.value) == "line 3: row has 1 values, expected 2"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((True, False), (True,), (True, True, True)), "row has 1 values, expected 2"),
+            (((True, False), (True, True, True)), "row has 3 values, expected 2"),
+        ],
+    )
+    def test_direct_rows_name_the_first_bad_length(self, rows, message):
+        with pytest.raises(ic.RecordTableError) as info:
+            ic.RecordTable(("a", "b"), rows)
+        assert str(info.value) == message
+
 
 class TestParseTargets:
     def test_worked_example(self):
