@@ -8,14 +8,17 @@ given target marginals and pairwise correlations it synthesises a uniform
 space and atom incidences realising them as closely as integer point
 counts allow.
 
-Synthesis is deterministic for a fixed seed.  Marginals are met exactly
-at the quota round(p * size); pairwise overlaps are adjusted by seeded
-swaps toward the count implied by the target correlation, processing
-pairs in lexical order and moving only the second atom of each pair; a
-pair that a later move undoes is refused, never returned unrealised.
-Three-way and higher dependencies are not controlled.
+Synthesis is deterministic for a fixed seed and works on int bitmasks
+throughout: every draw is one `_random_subset` of a mask, a uniformly
+random subset of a given size built from a few random words and fixed up
+by O(sqrt(points)) single points.  Marginals are met exactly at the quota
+round(p * size).  The correlation pairs must form a forest: each tree is
+oriented from its lexically smallest atom, breadth first, and every other
+atom is moved once against its parent, by seeded swaps that set the pair's
+overlap to the count the target correlation implies.  A pair that closes
+a cycle of pairs is refused.  Three-way and higher dependencies are not
+controlled.
 """
-
 from __future__ import annotations
 
 import random
@@ -101,53 +104,131 @@ def _overlap_count(kx: int, ky: int, size: int, c: Fraction) -> int:
     return count
 
 
+def _random_subset(rng: random.Random, mask: int, count: int, size: int) -> int:
+    """A uniformly random `count`-subset of `mask`'s points, as a mask.
+
+    Each point is first kept with probability share/2^digits, at most
+    count/|mask| and within 2^-digits of it: `digits` random words of `size` bits are combined by the
+    binary digits of `share`, least significant first, AND on a 0 and OR
+    on a 1.  The result is clipped to `mask`, and the |have - count| points
+    missing or extra are drawn by `rng.sample`.  With 2^digits at least
+    sqrt(|mask|) that fix-up is O(sqrt(|mask|)) points.  No step depends on
+    which points `mask` holds, so every `count`-subset is equally likely.
+    """
+    points = mask.bit_count()
+    if not 0 <= count <= points:
+        raise ValueError(f"cannot draw {count} of {points} points")
+    if count in (0, points):
+        return mask if count else 0
+    digits = (points.bit_length() + 1) // 2
+    share = (count << digits) // points
+    drawn = 0
+    for _ in range(digits):
+        word = rng.getrandbits(size)
+        drawn = drawn | word if share & 1 else drawn & word
+        share >>= 1
+    drawn &= mask
+    have = drawn.bit_count()
+    if have == count:
+        return drawn
+    # The fix-up points come from outside `drawn` or from inside it, so a
+    # XOR adds or removes them.
+    pool = Incidence(mask & ~drawn if have < count else drawn, size).indices()
+    return drawn ^ Incidence.from_indices(rng.sample(pool, abs(have - count)), size).bits
+
+
+def _placement_order(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """(parent, child) for every atom that moves, parents first.
+
+    Each tree of the pair graph is oriented from its lexically smallest
+    atom, breadth first with lexical ties, so each atom moves once,
+    against its parent.  A pair outside those trees closes a cycle and is
+    refused."""
+    neighbours: dict[str, list[str]] = {}
+    for x, y in pairs:
+        neighbours.setdefault(x, []).append(y)
+        neighbours.setdefault(y, []).append(x)
+    order: list[tuple[str, str]] = []
+    placed: set[str] = set()
+    for root in sorted(neighbours):
+        if root in placed:
+            continue
+        placed.add(root)
+        queue = [root]
+        for parent in queue:
+            for child in sorted(neighbours[parent]):
+                if child not in placed:
+                    placed.add(child)
+                    order.append((parent, child))
+                    queue.append(child)
+    tree = {tuple(sorted(edge)) for edge in order}
+    for x, y in pairs:
+        if (x, y) not in tree:
+            raise InfeasibleTargetError(
+                f"correlation for pair ({x}, {y}) closes a cycle of pairs;"
+                " only pairs that form a forest can be placed"
+            )
+    return order
+
+
 def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[str, Incidence]]:
     """Synthesise a uniform space and one incidence per atom.
 
-    Achieved marginals equal their quotas exactly, so they sit within
-    1/(2 * size) of the targets; achieved pairwise conjunction
-    probabilities sit within 1/size of the value the target correlation
-    implies.  Raises `InfeasibleTargetError` naming the pair when a later
-    pair moved its second atom again.  Deterministic for a fixed seed.
+    Every member set is an int bitmask.  Each atom starts as a uniformly
+    random subset of its quota's size; then each tree of the pair graph is
+    placed from its lexically smallest atom, breadth first, and each other
+    atom is moved once against its parent: the missing or extra overlap is
+    drawn from the points on one side of the pair only, or on neither or
+    both sides, so the moved atom keeps its count.  Achieved marginals
+    equal their quotas exactly, so they sit within 1/(2 * size) of the
+    targets; achieved pairwise conjunction probabilities sit within 1/size
+    of the value the target correlation implies.  Raises
+    `InfeasibleTargetError` naming a pair that closes a cycle of pairs.
+    Deterministic for a fixed seed.
     """
     size = spec.size
     space = SampleSpace.uniform(size)
     rng = random.Random(spec.seed)
     names = sorted(spec.marginals)
     counts = {name: round_half_up(spec.marginals[name] * size) for name in names}
-    for pair in spec.correlations:
+    pairs = sorted(spec.correlations)
+    for pair in pairs:
         for name in pair:
             if counts[name] in (0, size):
                 raise InfeasibleTargetError(
                     f"quantised marginal for {name!r} is degenerate at size {size};"
                     " no correlation can be realised"
                 )
-    members = {name: set(rng.sample(range(size), counts[name])) for name in names}
-    targets = {}
-    for x, y in sorted(spec.correlations):
-        target = targets[x, y] = _overlap_count(
-            counts[x], counts[y], size, spec.correlations[(x, y)]
-        )
-        first, second = members[x], members[y]
-        gap = target - len(first & second)
+    order = _placement_order(pairs)
+    targets = {
+        (x, y): _overlap_count(counts[x], counts[y], size, spec.correlations[(x, y)])
+        for x, y in pairs
+    }
+    full = (1 << size) - 1
+    members = {name: _random_subset(rng, full, counts[name], size) for name in names}
+    for parent, child in order:
+        first, second = members[parent], members[child]
+        gap = targets[min(parent, child), max(parent, child)] - (first & second).bit_count()
         if gap > 0:
-            arrivals = rng.sample(sorted(first - second), gap)
-            departures = rng.sample(sorted(second - first), gap)
+            arrivals = _random_subset(rng, first & ~second, gap, size)
+            departures = _random_subset(rng, second & ~first, gap, size)
         elif gap < 0:
-            arrivals = rng.sample(sorted(set(range(size)) - first - second), -gap)
-            departures = rng.sample(sorted(first & second), -gap)
+            arrivals = _random_subset(rng, full & ~(first | second), -gap, size)
+            departures = _random_subset(rng, first & second, -gap, size)
         else:
             continue
-        members[y] = second - set(departures) | set(arrivals)
-    # Moving an atom for a later pair can undo an earlier pair it is in.
+        members[child] = second ^ departures ^ arrivals
+    # Each atom moves only to place its pair with its parent, before any
+    # pair with its children, so no placed pair is disturbed: this check
+    # guards the orientation rather than the draws.
     for (x, y), target in targets.items():
-        overlap = len(members[x] & members[y])
+        overlap = (members[x] & members[y]).bit_count()
         if overlap != target:
             raise InfeasibleTargetError(
                 f"correlation for pair ({x}, {y}) not realised: overlap {overlap},"
-                f" implied {target}; a later pair moved {y} again"
+                f" implied {target}"
             )
-    env = {name: space.incidence(members[name]) for name in names}
+    env = {name: Incidence(members[name], size) for name in names}
     return space, env
 
 

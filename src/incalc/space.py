@@ -39,6 +39,15 @@ _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _lcm_tree(values: list[int]) -> int:
+    """The lcm of `values`, taken pairwise in a balanced tree: a flat
+    `lcm(*values)` multiplies a huge running result by each next value,
+    quadratic in the digits when there are many long denominators."""
+    while len(values) > 1:
+        values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
+
+
 def _check_size(size: int) -> None:
     if size > MAX_WIDTH:
         raise ValueError(
@@ -217,7 +226,7 @@ class SampleSpace:
         if not ratios:
             raise ValueError("a sample space needs at least one point")
         _check_size(len(weights))
-        denominator = lcm(*(d for _, d in ratios.values()))
+        denominator = _lcm_tree([d for _, d in ratios.values()])
         scaled = {key: n * (denominator // d) for key, (n, d) in ratios.items()}
         numerators = tuple(map(scaled.__getitem__, keys))
         if min(numerators) < 0:
@@ -284,9 +293,6 @@ class SampleSpace:
 
     def full(self) -> Incidence:
         return Incidence.full(self._size)
-
-    def incidence(self, indices: Iterable[int]) -> Incidence:
-        return Incidence.from_indices(indices, self._size)
 
     def weight_of(self, inc: Incidence) -> Fraction:
         """Total weight of the incidence's members; the whole space has

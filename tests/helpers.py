@@ -50,6 +50,11 @@ def reference_weight_of(weights, inc: ic.Incidence) -> Fraction:
     return sum((Fraction(weights[k]) for k in members), Fraction(0))
 
 
+def points(space: ic.SampleSpace, indices) -> ic.Incidence:
+    """The incidence holding the given points of `space`."""
+    return ic.Incidence.from_indices(indices, space.size)
+
+
 def random_incidence(rng: random.Random, width: int) -> ic.Incidence:
     return ic.Incidence(rng.getrandbits(width), width)
 

@@ -16,6 +16,7 @@ from helpers import (
     ATOMS,
     holds_at,
     load_script,
+    points,
     random_env,
     random_formula,
     random_space,
@@ -100,7 +101,7 @@ def test_3_correlation_reconstructs_joint():
             assert abs(rebuilt - actual) < 1e-6
             done += 1
         space = ic.SampleSpace.uniform(10)
-        env = {"a": space.incidence(range(5)), "b": space.incidence(range(4))}
+        env = {"a": points(space, range(5)), "b": points(space, range(4))}
         worked = ic.correlation(a, b, env, space)
         assert worked.c_squared == F(2, 3) and worked.sign > 0
         assert worked.decimal(5) == "0.8165"

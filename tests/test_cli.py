@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import random
+import shlex
 import sys
 import tempfile
 from fractions import Fraction
@@ -18,6 +19,7 @@ from incalc.construct import _overlap_count
 from incalc.rational import round_half_up
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 
 def run(capsys, *argv):
@@ -28,6 +30,21 @@ def run(capsys, *argv):
 
 def golden(name):
     return (DATA / name).read_text()
+
+
+def readme_examples():
+    """Each `$ incalc ...` example in README.md with the indented output
+    lines that follow it."""
+    examples, lines = [], (ROOT / "README.md").read_text().splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith("    $ incalc "):
+            shown = []
+            for after in lines[k + 1 :]:
+                if not after.startswith("    "):
+                    break
+                shown.append(after[4:])
+            examples.append(pytest.param(shlex.split(line[13:]), shown, id=line[13:]))
+    return examples
 
 
 class TestEval:
@@ -176,6 +193,21 @@ class TestSolve:
         assert out.rstrip().splitlines()[-1].startswith("INCONSISTENT:")
 
 
+@pytest.mark.parametrize("argv, shown", readme_examples())
+def test_readme_example_matches_the_program(capsys, monkeypatch, argv, shown):
+    # A "..." line stands for output left out of the README.
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    printed = out.splitlines()
+    if "..." in shown:
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1 :]
+        assert printed[: len(head)] == head and printed[len(printed) - len(tail) :] == tail
+    else:
+        assert printed == shown
+
+
 class TestSample:
     def test_deterministic_and_seed_sensitive(self, capsys):
         code, first, err = run(capsys, "sample", DATA / "ab.targets", "--size", 50)
@@ -202,18 +234,49 @@ class TestSample:
         assert code == 2 and out == ""
         assert err.startswith("error: size must be <=")
 
-    def test_pair_undone_by_a_later_pair_exits_two(self, capsys, tmp_path):
-        # (b, c) moves c after (a, c) has placed it, so a & c would miss.
-        targets = tmp_path / "shared.targets"
+    def test_path_of_pairs_is_realised(self, capsys, tmp_path):
+        # c is the second atom of both pairs: it moves against a, then b
+        # moves against c, so both overlaps are met exactly.
+        targets = tmp_path / "path.targets"
         targets.write_text(
             "prob a = 1/2\nprob b = 1/2\nprob c = 1/2\ncorr a c = 0.8\ncorr b c = -0.5\n"
         )
         code, out, err = run(capsys, "sample", targets, "--size", 100)
+        assert (code, err) == (0, "")
+        kb = ic.parse_kb(out)
+        assert (kb.incidences["a"] & kb.incidences["c"]).count() == _overlap_count(
+            50, 50, 100, Fraction(4, 5)
+        )
+        assert (kb.incidences["b"] & kb.incidences["c"]).count() == _overlap_count(
+            50, 50, 100, Fraction(-1, 2)
+        )
+        corr = ic.correlation(ic.Atom("a"), ic.Atom("c"), kb.environment(), kb.space)
+        assert (corr.sign, corr.c_squared) == (1, Fraction(16, 25))
+
+    def test_triangle_exits_two_naming_its_closing_pair(self, capsys, tmp_path):
+        targets = tmp_path / "triangle.targets"
+        targets.write_text(
+            "prob a = 1/2\nprob b = 1/2\nprob c = 1/2\n"
+            "corr a b = 0.2\ncorr a c = 0.2\ncorr b c = 0.2\n"
+        )
+        code, out, err = run(capsys, "sample", targets, "--size", 100)
         assert (code, out) == (2, "")
         assert err == (
-            "error: correlation for pair (a, c) not realised: overlap 36, implied 45;"
-            " a later pair moved c again\n"
+            "error: correlation for pair (b, c) closes a cycle of pairs;"
+            " only pairs that form a forest can be placed\n"
         )
+
+    def test_a_million_points_meet_every_count_and_the_pair(self, capsys, tmp_path):
+        targets = tmp_path / "wide.targets"
+        targets.write_text("prob a = 0.3\nprob b = 0.55\nprob c = 0.7\ncorr a c = -0.25\n")
+        size = 10**6
+        code, out, err = run(capsys, "sample", targets, "--size", size, "--seed", 4)
+        assert (code, err) == (0, "")
+        kb = ic.parse_kb(out)
+        counts = {"a": 300000, "b": 550000, "c": 700000}
+        assert {name: inc.count() for name, inc in kb.incidences.items()} == counts
+        overlap = (kb.incidences["a"] & kb.incidences["c"]).count()
+        assert overlap == _overlap_count(counts["a"], counts["c"], size, Fraction(-1, 4))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -239,10 +302,19 @@ class TestSample:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["sample", str(path), "--size", str(size)])
+        # A forest of pairs is placed unless a pair is infeasible on its own.
+        component = {name: {name} for name in names}
+        forest = True
+        for x, y in pairs:
+            forest &= component[x] is not component[y]
+            joined = component[x] | component[y]
+            component.update(dict.fromkeys(joined, joined))
         if code == 2:
             assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+            if forest:
+                assert "feasible range" in err.getvalue() or "degenerate" in err.getvalue()
             return
-        assert code == 0, err.getvalue()
+        assert code == 0 and forest, err.getvalue()
         kb = ic.parse_kb(out.getvalue())
         counts = {name: round_half_up(p * size) for name, p in marginals.items()}
         for (x, y), c in correlations.items():

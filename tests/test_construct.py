@@ -1,10 +1,18 @@
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incalc as ic
+from incalc.construct import _random_subset
 from incalc.rational import sqrt_fraction
+
+from helpers import points
 
 HALF, TWO_FIFTHS = F(1, 2), F(2, 5)
 
@@ -109,6 +117,35 @@ class TestSynthesis:
             assert abs(joint - implied) <= F(1, 400)
 
 
+class TestRandomSubset:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_count_inside_the_mask_and_seeded(self, data):
+        size = data.draw(st.integers(1, 300), label="size")
+        mask = data.draw(st.integers(0, (1 << size) - 1), label="mask")
+        count = data.draw(st.integers(0, mask.bit_count()), label="count")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        drawn = _random_subset(random.Random(seed), mask, count, size)
+        assert drawn & ~mask == 0
+        assert drawn.bit_count() == count
+        assert _random_subset(random.Random(seed), mask, count, size) == drawn
+
+    def test_more_points_than_the_mask_holds_is_refused(self):
+        with pytest.raises(ValueError):
+            _random_subset(random.Random(0), 0b101, 3, 3)
+
+    def test_every_subset_equally_likely(self):
+        # 3 of the 5 points {0, 1, 3, 4, 6} of a 7-point space: 10 subsets.
+        mask, seeds = 0b1011011, 30000
+        drawn = Counter(_random_subset(random.Random(seed), mask, 3, 7) for seed in range(seeds))
+        points = [k for k in range(7) if mask >> k & 1]
+        assert set(drawn) == {sum(1 << k for k in c) for c in combinations(points, 3)}
+        expected = seeds / 10
+        chi_square = sum((n - expected) ** 2 / expected for n in drawn.values())
+        # 27.88 is the 0.999 quantile of chi-square with 9 degrees of freedom.
+        assert chi_square < 27.88
+
+
 class TestRecordTable:
     def test_worked_example(self):
         table = ic.RecordTable(
@@ -117,8 +154,8 @@ class TestRecordTable:
         )
         space, env = ic.incidences_from_records(table)
         assert space.weights == (F(2, 5), F(1, 5), F(2, 5))
-        assert env["rain"] == space.incidence([0, 1])
-        assert env["wet"] == space.incidence([0])
+        assert env["rain"] == points(space, [0, 1])
+        assert env["wet"] == points(space, [0])
         assert ic.prob(ic.Atom("rain"), env, space) == F(3, 5)
         assert ic.cond_prob(ic.Atom("wet"), ic.Atom("rain"), env, space) == F(2, 3)
 
@@ -129,7 +166,7 @@ class TestRecordTable:
         space, env = ic.incidences_from_records(table)
         # Distinct rows in order of first appearance: (False,), (True,).
         assert space.weights == (F(2, 5), F(3, 5))
-        assert env["x"] == space.incidence([1])
+        assert env["x"] == points(space, [1])
 
     def test_from_text(self):
         table = ic.RecordTable.from_text(

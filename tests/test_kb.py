@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import incalc as ic
 from incalc import rational
 from incalc import space as space_module
-from helpers import ATOMS
+from helpers import ATOMS, points
 
 DATA = Path(__file__).parent / "data"
 
@@ -17,12 +17,12 @@ class TestParseKB:
     def test_example_file(self):
         kb = ic.parse_kb((DATA / "example.kb").read_text())
         assert kb.space == ic.SampleSpace.uniform(10)
-        assert kb.incidences["a"] == kb.space.incidence([0, 1, 2, 3, 4])
-        assert kb.incidences["b"] == kb.space.incidence([3, 4, 5, 6])
+        assert kb.incidences["a"] == points(kb.space, [0, 1, 2, 3, 4])
+        assert kb.incidences["b"] == points(kb.space, [3, 4, 5, 6])
         [(target, low, high)] = kb.bounds
         assert target == ic.parse_formula("a & b")
-        assert low == kb.space.incidence([3])
-        assert high == kb.space.incidence([0, 1, 2, 3, 4, 5, 6])
+        assert low == points(kb.space, [3])
+        assert high == points(kb.space, [0, 1, 2, 3, 4, 5, 6])
         assert kb.formulas["claim"] == ic.parse_formula("a -> b")
         assert [q.kind for q in kb.queries] == ["prob", "cond", "corr"]
 
@@ -207,7 +207,7 @@ class TestKnowledgeBase:
         for atom in (a, b):
             assert assignment.bounds(atom) == (kb.incidences[atom.name],) * 2
         conj = ic.parse_formula("a & b")
-        assert assignment.bounds(conj)[0] == kb.space.incidence([3])
+        assert assignment.bounds(conj)[0] == points(kb.space, [3])
         claim = kb.formulas["claim"]
         assert assignment.bounds(claim) == (kb.space.empty(), kb.space.full())
 
@@ -240,7 +240,7 @@ class TestKnowledgeBase:
 class TestKBFragment:
     def test_uniform_round_trip(self):
         space = ic.SampleSpace.uniform(3)
-        env = {"a": space.incidence([0, 2])}
+        env = {"a": points(space, [0, 2])}
         text = ic.kb_fragment(space, env)
         assert text == "space 3\ninc a = 101"
         back = ic.parse_kb(text)
@@ -248,7 +248,7 @@ class TestKBFragment:
 
     def test_weighted_round_trip(self):
         space = ic.SampleSpace((F(2, 5), F(1, 5), F(2, 5)))
-        env = {"rain": space.incidence([0, 1]), "wet": space.incidence([0])}
+        env = {"rain": points(space, [0, 1]), "wet": points(space, [0])}
         back = ic.parse_kb(ic.kb_fragment(space, env))
         assert back.space == space and back.incidences == env
 

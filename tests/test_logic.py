@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.logic import format_formulas
-from helpers import ATOMS, formulas_st, holds_at, random_env, random_formula, random_space
+from helpers import (
+    ATOMS,
+    formulas_st,
+    holds_at,
+    points,
+    random_env,
+    random_formula,
+    random_space,
+)
 
 A, B, C = ic.Atom("a"), ic.Atom("b"), ic.Atom("c")
 
@@ -152,10 +160,10 @@ class TestInterning:
         for _ in range(10**4):
             f = ic.Not(ic.And(f, B))
         space = ic.SampleSpace.uniform(3)
-        env = {"a": space.incidence([0, 1]), "b": space.incidence([1, 2])}
+        env = {"a": points(space, [0, 1]), "b": points(space, [1, 2])}
         # ~(x & b) is true where b is false and ~x where b holds, so the
         # 10^4 negations leave f true at point 0 and equal to a elsewhere.
-        truth = space.incidence([0, 1])
+        truth = points(space, [0, 1])
         assert ic.incidence_of(f, env, space) == truth
         assert ic.format_formula(f) == "~(" * 10**4 + "a & b" + ") & b" * (10**4 - 1) + ")"
         assert ic.parse_formula(ic.format_formula(f)) is f
@@ -208,7 +216,7 @@ class TestPrinter:
 @pytest.fixture
 def ten_point():
     space = ic.SampleSpace.uniform(10)
-    env = {"a": space.incidence(range(5)), "b": space.incidence(range(3, 7))}
+    env = {"a": points(space, range(5)), "b": points(space, range(3, 7))}
     return space, env
 
 
@@ -216,18 +224,18 @@ class TestIncidenceOf:
     def test_conjunction_worked_example(self, ten_point):
         space, env = ten_point
         inc = ic.incidence_of(ic.parse_formula("a & b"), env, space)
-        assert inc == space.incidence([3, 4])
+        assert inc == points(space, [3, 4])
 
     def test_negation_worked_example(self, ten_point):
         space, env = ten_point
         inc = ic.incidence_of(ic.parse_formula("~a"), env, space)
-        assert inc == space.incidence(range(5, 10))
+        assert inc == points(space, range(5, 10))
 
     def test_disjunction_and_implication(self, ten_point):
         space, env = ten_point
-        assert ic.incidence_of(ic.parse_formula("a | b"), env, space) == space.incidence(range(7))
-        assert ic.incidence_of(ic.parse_formula("a -> b"), env, space) == space.incidence(
-            range(3, 10)
+        assert ic.incidence_of(ic.parse_formula("a | b"), env, space) == points(space, range(7))
+        assert ic.incidence_of(ic.parse_formula("a -> b"), env, space) == points(
+            space, range(3, 10)
         )
 
     def test_constants(self, ten_point):
@@ -274,9 +282,7 @@ class TestHoldsAt:
         width = rng.randint(1, 16)
         space = random_space(rng, width)
         env = random_env(rng, ATOMS, width)
-        expected = space.incidence(
-            j for j in range(width) if holds_at(f, j, env)
-        )
+        expected = points(space, [j for j in range(width) if holds_at(f, j, env)])
         assert ic.incidence_of(f, env, space) == expected
 
 

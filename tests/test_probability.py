@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import incalc as ic
-from helpers import ATOMS, random_env, random_formula, random_space
+from helpers import ATOMS, points, random_env, random_formula, random_space
 
 A, B = ic.Atom("a"), ic.Atom("b")
 
@@ -13,7 +13,7 @@ A, B = ic.Atom("a"), ic.Atom("b")
 @pytest.fixture
 def ten_point():
     space = ic.SampleSpace.uniform(10)
-    env = {"a": space.incidence(range(5)), "b": space.incidence(range(3, 7))}
+    env = {"a": points(space, range(5)), "b": points(space, range(3, 7))}
     return space, env
 
 
@@ -71,7 +71,7 @@ class TestCorrelation:
 
     def test_worked_example_exact_square(self):
         space = ic.SampleSpace.uniform(10)
-        env = {"a": space.incidence(range(5)), "b": space.incidence(range(4))}
+        env = {"a": points(space, range(5)), "b": points(space, range(4))}
         c = ic.correlation(A, B, env, space)
         assert c.c_squared == F(2, 3)
         assert c.sign == 1
@@ -80,7 +80,7 @@ class TestCorrelation:
 
     def test_negative_correlation(self):
         space = ic.SampleSpace.uniform(4)
-        env = {"a": space.incidence([0, 1]), "b": space.incidence([2, 3])}
+        env = {"a": points(space, [0, 1]), "b": points(space, [2, 3])}
         c = ic.correlation(A, B, env, space)
         assert c.sign == -1
         assert c.c_squared == 1

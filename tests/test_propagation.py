@@ -5,7 +5,7 @@ import pytest
 import incalc as ic
 from incalc.cli import main
 from incalc.propagation import MAX_ATOMS, RULES, RULES_BY_CONNECTIVE
-from helpers import arbitrary_instance, enumerate_legal, sound_instance, tight_bounds
+from helpers import arbitrary_instance, enumerate_legal, points, sound_instance, tight_bounds
 
 A, B = ic.Atom("a"), ic.Atom("b")
 
@@ -72,33 +72,33 @@ class TestWorkedExamples:
         space = u(10)
         assignment = ic.BoundAssignment(space)
         assignment.declare(
-            ic.parse_formula("a & b"), lower=space.empty(), upper=space.incidence([0, 1, 2])
+            ic.parse_formula("a & b"), lower=space.empty(), upper=points(space, [0, 1, 2])
         )
-        assignment.declare(B, lower=space.incidence(range(8)), upper=space.full())
+        assignment.declare(B, lower=points(space, range(8)), upper=space.full())
         outcome = ic.propagate(assignment)
         assert outcome.ok
-        assert outcome.final.bounds(A)[1] == space.incidence([0, 1, 2, 8, 9])
+        assert outcome.final.bounds(A)[1] == points(space, [0, 1, 2, 8, 9])
 
     def test_negation_bound_transfer(self):
         space = u(2)
         assignment = ic.BoundAssignment(space)
         assignment.declare(A)
-        assignment.declare(ic.Not(A), lower=space.incidence([0]))
+        assignment.declare(ic.Not(A), lower=points(space, [0]))
         outcome = ic.propagate(assignment)
         assert outcome.ok
-        assert outcome.final.bounds(A)[1] == space.incidence([1])
+        assert outcome.final.bounds(A)[1] == points(space, [1])
         legal = enumerate_legal(assignment)
         assert sorted(env["a"].indices() for env in legal) == [(), (1,)]
 
     def test_contradictory_lower_bounds(self):
         space = u(2)
         assignment = ic.BoundAssignment(space)
-        assignment.declare(A, lower=space.incidence([0]))
-        assignment.declare(ic.Not(A), lower=space.incidence([0]))
+        assignment.declare(A, lower=points(space, [0]))
+        assignment.declare(ic.Not(A), lower=points(space, [0]))
         outcome = ic.propagate(assignment)
         assert outcome.status == ic.INCONSISTENT
         assert outcome.culprit == A
-        assert outcome.final.bounds(A)[1] == space.incidence([1])
+        assert outcome.final.bounds(A)[1] == points(space, [1])
 
     def test_complete_mode_culprit_on_unsatisfiable_bounds(self):
         # No valuation is admitted at point 0 (a and ~a must both hold)
@@ -107,11 +107,11 @@ class TestWorkedExamples:
         # by then is every valuation rejected.
         space = u(2)
         assignment = ic.BoundAssignment(space)
-        assignment.declare(A, lower=space.incidence([0]))
-        assignment.declare(ic.Not(A), lower=space.incidence([0]))
-        assignment.declare(ic.parse_formula("b | c"), lower=space.incidence([1]))
-        assignment.declare(B, upper=space.incidence([0]))
-        assignment.declare(ic.Atom("c"), upper=space.incidence([0]))
+        assignment.declare(A, lower=points(space, [0]))
+        assignment.declare(ic.Not(A), lower=points(space, [0]))
+        assignment.declare(ic.parse_formula("b | c"), lower=points(space, [1]))
+        assignment.declare(B, upper=points(space, [0]))
+        assignment.declare(ic.Atom("c"), upper=points(space, [0]))
         outcome = ic.propagate(assignment, "complete")
         assert outcome.status == ic.INCONSISTENT
         assert outcome.culprit == ic.Not(A)
@@ -123,10 +123,10 @@ class TestWorkedExamples:
         space = u(4)
         assignment = ic.BoundAssignment(space)
         assignment.declare(ic.parse_formula("a -> b"), lower=space.full())
-        assignment.declare(A, lower=space.incidence([0, 1]))
+        assignment.declare(A, lower=points(space, [0, 1]))
         outcome = ic.propagate(assignment)
         assert outcome.ok
-        assert space.incidence([0, 1]).is_subset(outcome.final.bounds(B)[0])
+        assert points(space, [0, 1]).is_subset(outcome.final.bounds(B)[0])
 
 
 class TestBoundAssignment:
@@ -147,9 +147,9 @@ class TestBoundAssignment:
     def test_duplicate_declarations_amalgamate(self):
         space = u(4)
         assignment = ic.BoundAssignment(space)
-        assignment.declare(A, lower=space.incidence([0]), upper=space.incidence([0, 1, 2]))
-        assignment.declare(A, lower=space.incidence([1]), upper=space.incidence([0, 1, 3]))
-        assert assignment.bounds(A) == (space.incidence([0, 1]),) * 2
+        assignment.declare(A, lower=points(space, [0]), upper=points(space, [0, 1, 2]))
+        assignment.declare(A, lower=points(space, [1]), upper=points(space, [0, 1, 3]))
+        assert assignment.bounds(A) == (points(space, [0, 1]),) * 2
 
     def test_union_of_sound_lower_bounds_is_sound(self):
         rng = random.Random(3)
@@ -164,15 +164,15 @@ class TestBoundAssignment:
     def test_exact_shorthand(self):
         space = u(3)
         assignment = ic.BoundAssignment(space)
-        assignment.declare(A, exact=space.incidence([1]))
-        assert assignment.bounds(A) == (space.incidence([1]),) * 2
+        assignment.declare(A, exact=points(space, [1]))
+        assert assignment.bounds(A) == (points(space, [1]),) * 2
         with pytest.raises(ValueError):
             assignment.declare(B, exact=space.empty(), lower=space.empty())
 
     def test_dump_format(self):
         space = u(4)
         assignment = ic.BoundAssignment(space)
-        assignment.declare(A, lower=space.incidence([0]), upper=space.incidence([0, 1]))
+        assignment.declare(A, lower=points(space, [0]), upper=points(space, [0, 1]))
         assert assignment.dump() == "a inf=1000 sup=1100 p=[1/4 (= 0.25), 1/2 (= 0.5)]"
 
     def test_unknown_sentence(self):
@@ -188,8 +188,8 @@ class TestBoundAssignment:
     def test_check_consistency_reports_first_registered(self):
         space = u(2)
         assignment = ic.BoundAssignment(space)
-        assignment.declare(B, lower=space.incidence([0]), upper=space.incidence([1]))
-        assignment.declare(A, lower=space.incidence([0]), upper=space.incidence([1]))
+        assignment.declare(B, lower=points(space, [0]), upper=points(space, [1]))
+        assignment.declare(A, lower=points(space, [0]), upper=points(space, [1]))
         assert ic.check_consistency(assignment) == B
         outcome = ic.propagate(assignment)
         assert outcome.status == ic.INCONSISTENT and outcome.culprit == B
@@ -198,7 +198,7 @@ class TestBoundAssignment:
         space = u(2)
         assignment = ic.BoundAssignment(space)
         assignment.declare(A)
-        assignment.declare(ic.Not(A), lower=space.incidence([0]))
+        assignment.declare(ic.Not(A), lower=points(space, [0]))
         before = assignment.copy()
         ic.propagate(assignment)
         assert assignment == before
@@ -320,11 +320,11 @@ class TestOracle:
 
         wide = u(4096)
         assignment = ic.BoundAssignment(wide)
-        assignment.declare(ic.parse_formula("a & b -> c | d"), lower=wide.incidence([7]))
-        assignment.declare(ic.parse_formula("a & b"), lower=wide.incidence([7, 4095]))
+        assignment.declare(ic.parse_formula("a & b -> c | d"), lower=points(wide, [7]))
+        assignment.declare(ic.parse_formula("a & b"), lower=points(wide, [7, 4095]))
         outcome = ic.propagate(assignment, "complete")
         assert outcome.ok
-        assert outcome.final.bounds(ic.parse_formula("c | d"))[0] == wide.incidence([7])
+        assert outcome.final.bounds(ic.parse_formula("c | d"))[0] == points(wide, [7])
 
         too_many = " & ".join(f"x{j}" for j in range(MAX_ATOMS + 1))
         assignment = ic.BoundAssignment(u(1))

@@ -151,7 +151,7 @@ class TestParseIncidenceText:
 class TestSampleSpace:
     def test_weight_of_worked_example(self):
         space = ic.SampleSpace((F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
-        assert space.weight_of(space.incidence([1, 2])) == F(3, 8)
+        assert space.weight_of(ic.Incidence.from_indices([1, 2], 4)) == F(3, 8)
 
     def test_whole_space_has_weight_one(self):
         space = ic.SampleSpace.uniform(7)
@@ -160,7 +160,7 @@ class TestSampleSpace:
 
     def test_zero_weight_points_allowed(self):
         space = ic.SampleSpace((F(1, 2), F(0), F(1, 2)))
-        assert space.weight_of(space.incidence([1])) == 0
+        assert space.weight_of(ic.Incidence.from_indices([1], 3)) == 0
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
