@@ -30,7 +30,7 @@ from typing import Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
-from .logic import IDENT_RE
+from .logic import IDENT_RE, is_name
 from .rational import as_ratio, exact_str, round_half_up, sqrt_fraction
 from .space import Incidence, SampleSpace
 
@@ -57,7 +57,7 @@ class TargetSpec:
             raise ValueError(f"size must be >= 1, got {self.size}")
         marginals = {}
         for name, p in self.marginals.items():
-            if not IDENT_RE.fullmatch(name):
+            if not is_name(name):
                 raise ValueError(f"bad atom name: {name!r}")
             p = Fraction(*as_ratio(p))
             if not 0 <= p <= 1:
@@ -243,7 +243,7 @@ class RecordTable:
         if not self.columns:
             raise RecordTableError("table has no columns")
         for name in self.columns:
-            if not IDENT_RE.fullmatch(name):
+            if not is_name(name):
                 raise RecordTableError(f"bad column name: {name!r}")
         if len(set(self.columns)) != len(self.columns):
             raise RecordTableError("duplicate column names")
@@ -260,12 +260,16 @@ class RecordTable:
         column names, then one line per record with values in
         {0, 1, t, f, true, false} (case-insensitive).  Lines are read by
         `kb.directive_lines`: '#' starts a comment, blank lines are
-        skipped, and a bad row's error names its 1-based line."""
+        skipped, and an error in the header or a row names its 1-based
+        line."""
         header: tuple[str, ...] | None = None
         rows = []
         for lineno, line in directive_lines(text):
             if header is None:
                 header = tuple(line.replace(",", " ").split())
+                bad = [name for name in header if not is_name(name)]
+                if bad:
+                    raise RecordTableError(f"line {lineno}: bad column name: {bad[0]!r}")
                 continue
             row = tuple(map(_TRUTHY.get, line.lower().replace(",", " ").split()))
             if None in row:
@@ -293,6 +297,12 @@ def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, 
     return space, dict(zip(table.columns, map(Incidence.from_flags, columns)))
 
 
+def _target_name(name: str) -> str:
+    if not is_name(name):
+        raise ValueError(f"bad atom name: {name!r}")
+    return name
+
+
 def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str], Fraction]]:
     """Parse a targets file into (marginals, correlations).
 
@@ -307,12 +317,12 @@ def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str],
     for lineno, line in directive_lines(text):
         try:
             if m := _PROB_RE.fullmatch(line):
-                name = m.group(1)
+                name = _target_name(m.group(1))
                 if name in marginals:
                     raise ValueError(f"duplicate marginal for {name!r}")
                 marginals[name] = Fraction(*as_ratio(m.group(2)))
             elif m := _CORR_RE.fullmatch(line):
-                pair = tuple(sorted((m.group(1), m.group(2))))
+                pair = tuple(sorted(map(_target_name, (m.group(1), m.group(2)))))
                 if pair in correlations:
                     raise ValueError(f"duplicate correlation for {pair}")
                 correlations[pair] = Fraction(*as_ratio(m.group(3)))

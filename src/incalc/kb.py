@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import IncalcError, KBError
-from .logic import IDENT_RE, Atom, Formula, atom_names, parse_formula
+from .logic import IDENT_RE, Atom, Formula, atom_names, is_name, parse_formula
 from .propagation import BoundAssignment
 from .rational import as_ratio
 from .space import Incidence, SampleSpace, parse_incidence_text
@@ -137,6 +137,8 @@ def _parse_inc(kb: KnowledgeBase, line: str) -> None:
     if not m:
         raise KBError("expected `inc <name> = <bitstring or point set>`")
     name, value = m.group(1), m.group(2)
+    if not is_name(name):
+        raise KBError(f"{name!r} is a constant and cannot name an incidence")
     if name in kb.incidences:
         raise KBError(f"duplicate incidence for {name!r}")
     if name in kb.formulas:
@@ -159,6 +161,8 @@ def _parse_formula_def(kb: KnowledgeBase, line: str) -> None:
     if not m:
         raise KBError("expected `formula <name> = <formula>`")
     name = m.group(1)
+    if not is_name(name):
+        raise KBError(f"{name!r} is a constant and cannot name a formula")
     if name in kb.formulas:
         raise KBError(f"duplicate formula name {name!r}")
     if name in kb.incidences:

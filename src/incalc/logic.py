@@ -16,7 +16,8 @@ node once and never recurse, so cost follows the number of distinct nodes
 and depth is unbounded.  Nothing here normalises or simplifies.
 
 Concrete syntax: identifiers are atoms ([A-Za-z][A-Za-z0-9_]*), `true` and
-`false` are constants, `~` binds tighter than `&`, which binds tighter
+`false` are constants (so they name no atom, incidence, formula, column
+or target; see `is_name`), `~` binds tighter than `&`, which binds tighter
 than `|`, which binds tighter than `->`; `&` and `|` associate left, `->`
 associates right, and parentheses group.  Each connective class is the
 single definition of its syntax (`symbol`, `prec`, `contexts`), which
@@ -97,7 +98,7 @@ class Atom(Formula):
     symbol = property(attrgetter("name"))
 
     def _init(self, name: str) -> None:
-        if not IDENT_RE.fullmatch(name):
+        if not is_name(name):
             raise ValueError(f"bad atom name: {name!r}")
         self.name, self.args = name, ()
 
@@ -135,6 +136,12 @@ _CONSTANTS = {c.symbol: c for c in (TRUE, FALSE)}
 _BINARY = {cls.symbol.strip(): cls for cls in (And, Or, Implies)}
 _SYMBOLS = "|".join(map(re.escape, [*_BINARY, Not.symbol, "(", ")"]))
 _TOKEN_RE = re.compile(rf"\s*(?:({IDENT_RE.pattern}|{_SYMBOLS})|(\S))")
+
+
+def is_name(text: str) -> bool:
+    """True when `text` can name an atom: an identifier other than `true`
+    and `false`, which always parse as the constants."""
+    return IDENT_RE.fullmatch(text) is not None and text not in _CONSTANTS
 
 
 def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -> Formula:

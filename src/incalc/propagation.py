@@ -27,10 +27,15 @@ The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
 `propagate(..., mode="complete")` computes that envelope directly.
 Because every connective is pointwise, the legal assignments factor point
-by point: one pass over the 2^atoms valuations, each evaluated at all
-points at once, finds the valuations admitted at every point.  Each
-valuation costs one set operation per distinct registered node, so the
-cost is 2^atoms times that node count, and never grows with the width.
+by point, and the envelope is read off one matrix: point columns x
+2^atoms valuations, each cell saying whether the valuation is admitted
+at the point.  Points with equal (lower bit, upper bit) columns form one
+class.  While the classes number at most 2^atoms, every node is
+evaluated once on 2^atoms-bit truth tables and each class is checked
+against them; otherwise each valuation is evaluated at all points at
+once.  Either way the cost is min(classes, 2^atoms) times the number of
+distinct registered nodes, and the truth tables take 2^atoms bits per
+node (128 KB at the limit of MAX_ATOMS = 20 atoms).
 
 Sentences are interned (see `incalc.logic`), so a subterm shared by many
 sentences, or used twice in one, is one entry with one pair of bounds.
@@ -65,9 +70,10 @@ from .space import Incidence, SampleSpace
 FIXPOINT = "fixpoint"
 INCONSISTENT = "inconsistent"
 
-#: Complete mode refuses instances with more atoms than this: its one
-#: pass visits all 2^atoms valuations.
-MAX_ATOMS = 16
+#: Complete mode refuses instances with more atoms than this: it may
+#: hold one 2^atoms-bit truth table per registered node, 128 KB each at
+#: 20 atoms, and may visit all 2^atoms valuations.
+MAX_ATOMS = 20
 
 
 class BoundAssignment:
@@ -363,12 +369,120 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
 
 
 def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
-    """Exact envelope of the legal assignments in one pass over valuations.
+    """Exact envelope of the legal assignments, read off the matrix of
+    point columns x 2^atoms valuations from its shorter side.
 
     Every connective acts point by point, so an assignment is legal
     exactly when its valuation at each point is admitted there, and the
     legal assignments are all ways of picking one admitted valuation per
-    point.  A valuation has the same truth value at every point, so it is
+    point.  Points whose (lower bit, upper bit) columns are equal admit
+    the same valuations, so when the classes of equal columns number at
+    most 2^atoms, `_envelope_by_classes` treats one class at a time;
+    otherwise `_envelope_by_valuations` treats one valuation at a time.
+    """
+    atoms = [f for f in assignment if isinstance(f, Atom)]
+    if len(atoms) > MAX_ATOMS:
+        raise InstanceTooLargeError(
+            f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope,"
+            f" whose truth tables take 2^atoms bits per registered sentence"
+            f" ({(1 << MAX_ATOMS) // 8192} KB at {MAX_ATOMS} atoms)"
+        )
+    outcome = _envelope_by_classes(assignment, 1 << len(atoms))
+    return outcome if outcome is not None else _envelope_by_valuations(assignment)
+
+
+def _column_classes(full: int, constrained: list[tuple[int, int, int]], limit: float):
+    """The points split into masks of equal (lower bit, upper bit)
+    columns, or None as soon as there are more than `limit` of them.
+    Each constraining (position, lower, upper) splits a class into its
+    part inside the lower bound, its part outside the upper bound, and
+    the rest."""
+    classes = [full]
+    for _, low, high in constrained:
+        split = []
+        for points in classes:
+            inside, outside = points & low, points & ~high
+            rest = points ^ inside ^ outside
+            if inside:
+                split.append(inside)
+            if outside:
+                split.append(outside)
+            if rest:
+                split.append(rest)
+        if len(split) > limit:
+            return None
+        classes = split
+    return classes
+
+
+def _envelope_by_classes(assignment: BoundAssignment, limit: float) -> PropagationOutcome | None:
+    """The envelope at a cost of (column classes) x (registered nodes)
+    operations on 2^atoms-bit truth tables, or None when the classes
+    number more than `limit`.
+
+    Bit v of a node's truth table is its value under valuation v; atom
+    k's table repeats 2^k zeros then 2^k ones, and every other node is
+    evaluated once on its children's tables.  A class admits the
+    valuations A in which each sentence whose bounds constrain the class
+    takes the value they force there; a sentence's lower bound gets the
+    class iff A lies inside its table, and its upper bound iff A meets
+    it.  Classes are visited lowest point first, so the first class with
+    no admitted valuation holds the lowest point without one, and the
+    sentence that empties A there is the culprit.
+    """
+    full = assignment._full
+    constrained = [
+        (i, low, high)
+        for i, (low, high) in enumerate(zip(assignment._low, assignment._high))
+        if low or high != full
+    ]
+    classes = _column_classes(full, constrained, limit)
+    if classes is None:
+        return None
+    sentences = assignment.sentences()
+    atoms = [f for f in sentences if isinstance(f, Atom)]
+    valuations = 1 << len(atoms)
+    every = (1 << valuations) - 1
+    tables = {}
+    for k, atom in enumerate(atoms):
+        half = 1 << k
+        table, span = ((1 << half) - 1) << half, 2 * half  # one period
+        while span < valuations:
+            table, span = table | table << span, 2 * span
+        tables[atom] = table
+    evaluate(evaluation_order(sentences), tables, every)
+    truths = [tables[f] for f in sentences]
+    admitted = []  # (points, admitted valuations) per class
+    for points in sorted(classes, key=lambda points: points & -points):
+        point = (points & -points).bit_length() - 1
+        valid = every
+        for i, low, high in constrained:
+            if low >> point & 1:
+                valid &= truths[i]
+            elif not high >> point & 1:
+                valid &= ~truths[i]
+            if not valid:
+                return PropagationOutcome(INCONSISTENT, sentences[i], assignment, 0)
+        admitted.append((points, valid))
+    lower, upper = [], []
+    for truth in truths:
+        low = high = 0
+        for points, valid in admitted:
+            hit = valid & truth
+            if hit:
+                high |= points
+                if hit == valid:
+                    low |= points
+        lower.append(low)
+        upper.append(high)
+    assignment._low, assignment._high = lower, upper
+    return PropagationOutcome(FIXPOINT, None, assignment, 0)
+
+
+def _envelope_by_valuations(assignment: BoundAssignment) -> PropagationOutcome:
+    """The envelope in one pass over the 2^atoms valuations.
+
+    A valuation has the same truth value at every point, so it is
     evaluated once, on one-bit masks, with one set operation per
     registered node; the points it is admitted at are those where every
     sentence's value lies within its bounds.  The cost is 2^atoms times
@@ -376,10 +490,6 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     """
     sentences = assignment.sentences()
     atoms = [f for f in sentences if isinstance(f, Atom)]
-    if len(atoms) > MAX_ATOMS:
-        raise InstanceTooLargeError(
-            f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope"
-        )
     bounds = list(zip(assignment._low, assignment._high))
     full = assignment._full
     lower = [full] * len(sentences)
@@ -427,10 +537,12 @@ def propagate(
     copy.  With mode="fixpoint" the rules run to their (order-independent)
     fixed point; `worklist_rng` only varies the order in which that fixed
     point is reached.  With mode="complete" the bounds become exactly the
-    envelope of the legal assignments, computed in one pass over the
-    2^atoms valuations at a cost of 2^atoms times the registered nodes;
-    instances with more than MAX_ATOMS atoms raise InstanceTooLargeError,
-    whatever their width.
+    envelope of the legal assignments, computed over the classes of
+    points with equal bound columns or over the 2^atoms valuations,
+    whichever are fewer, at a cost of min(classes, 2^atoms) times the
+    registered nodes; instances with more than MAX_ATOMS (20) atoms raise
+    InstanceTooLargeError, whatever their width, since one 2^atoms-bit
+    truth table per registered node (128 KB at 20 atoms) may be needed.
 
     A lower bound escaping its upper bound, before or during the rules,
     is reported eagerly via the outcome's culprit, and propagation stops

@@ -328,6 +328,24 @@ class TestSample:
         assert code == 2 and "feasible range" in err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("solve", "space 2\ninc true = 00\n", "line 2: 'true' is a constant"),
+        ("solve", "space 2\nformula false = ~false\n", "line 2: 'false' is a constant"),
+        ("sample", "prob a = 1/2\nprob true = 1/2\n", "line 2: bad atom name: 'true'"),
+        ("ingest", "true wet\n1 0\n", "line 1: bad column name: 'true'"),
+    ],
+)
+def test_constant_as_a_name_exits_two_naming_its_line(capsys, tmp_path, command, text, message):
+    source = tmp_path / "input"
+    source.write_text(text)
+    extra = ["--size", 4] if command == "sample" else []
+    code, out, err = run(capsys, command, source, *extra)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 class TestIngest:
     def test_matches_golden(self, capsys):
         code, out, err = run(capsys, "ingest", DATA / "rain_wet.records")

@@ -34,6 +34,7 @@ class TestTargetSpec:
             ({"a": F(3, 2)}, 10, {}),
             ({"a": F(-1, 2)}, 10, {}),
             ({"1a": HALF}, 10, {}),
+            ({"true": HALF}, 10, {}),
             ({"a": HALF, "b": HALF}, 10, {("a", "a"): HALF}),
             ({"a": HALF}, 10, {("a", "b"): HALF}),  # b has no marginal
             ({"a": HALF, "b": F(1)}, 10, {("a", "b"): HALF}),  # degenerate b
@@ -188,11 +189,16 @@ class TestRecordTable:
             ("a b\n1 2\n", "bad value '2'"),
             ("a a\n1 1\n", "duplicate column"),
             ("a 2b\n1 1\n", "bad column name"),
+            ("# header next\na, true\n1 1\n", "line 2: bad column name: 'true'"),
         ],
     )
     def test_rejected(self, text, fragment):
         with pytest.raises(ic.RecordTableError, match=fragment):
             ic.RecordTable.from_text(text)
+
+    def test_constant_column_rejected_directly(self):
+        with pytest.raises(ic.RecordTableError, match="bad column name: 'false'"):
+            ic.RecordTable(("a", "false"), ((True, False),))
 
     def test_bad_value_reports_line_number(self):
         with pytest.raises(ic.RecordTableError, match="line 3"):
@@ -246,6 +252,15 @@ class TestParseTargets:
     def test_non_ascii_atom_names_rejected_with_line(self, text):
         with pytest.raises(ValueError, match="line 2: unrecognised directive"):
             ic.parse_targets(text)
+
+    @pytest.mark.parametrize(
+        "text, name", [("prob true = 1/2\n", "true"), ("prob a = 1/2\ncorr a false = 0\n", "false")]
+    )
+    def test_constants_rejected_with_line(self, text, name):
+        with pytest.raises(ValueError) as info:
+            ic.parse_targets("# targets\n" + text)
+        lineno = text.count("\n") + 1
+        assert str(info.value) == f"line {lineno}: bad atom name: {name!r}"
 
     def test_bad_value_reports_line_number(self):
         with pytest.raises(ValueError) as info:

@@ -94,6 +94,9 @@ class TestParseKB:
             ("space 4\ninc a\u00e9 = 0101\n", 2, "expected `inc"),
             ("space 4\ninc a = 0101\nformula c\u00e9 = a\n", 3, "expected `formula"),
             ("space 4\nbounds a\u00e9 inf {} sup {0}\n", 2, "unexpected character"),
+            # The constants name nothing: no formula could reach the name.
+            ("space 2\ninc true = 00\n", 2, "'true' is a constant"),
+            ("space 2\ninc a = 10\nformula false = ~false\n", 3, "'false' is a constant"),
         ],
     )
     def test_rejected(self, text, lineno, fragment):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.logic import format_formulas
+from incalc.logic import format_formulas, is_name
 from helpers import (
     ATOMS,
     formulas_st,
@@ -154,6 +154,13 @@ class TestInterning:
     def test_atom_names_still_checked(self):
         with pytest.raises(ValueError):
             ic.Atom("1x")
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    def test_constants_name_no_atom(self, name):
+        # Atom("true") would render as `true`, which parses as the constant.
+        with pytest.raises(ValueError, match="bad atom name"):
+            ic.Atom(name)
+        assert not is_name(name) and is_name(name + "_") and not is_name("1" + name)
 
     def test_deep_formula_needs_no_recursion(self):
         f = A

@@ -1,11 +1,30 @@
+import math
 import random
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import incalc as ic
 from incalc.cli import main
-from incalc.propagation import MAX_ATOMS, RULES, RULES_BY_CONNECTIVE
-from helpers import arbitrary_instance, enumerate_legal, points, sound_instance, tight_bounds
+from incalc.propagation import (
+    MAX_ATOMS,
+    RULES,
+    RULES_BY_CONNECTIVE,
+    _column_classes,
+    _envelope_by_classes,
+    _envelope_by_valuations,
+)
+from helpers import (
+    ATOMS,
+    arbitrary_instance,
+    enumerate_legal,
+    points,
+    random_formula,
+    sound_instance,
+    tight_bounds,
+)
 
 A, B = ic.Atom("a"), ic.Atom("b")
 
@@ -309,7 +328,8 @@ class TestOracle:
 
     def test_guard_refuses_large_instances(self, tmp_path, capsys):
         # The brute-force oracle guards width * atoms; complete mode
-        # guards the atom count alone.
+        # guards the atom count alone: MAX_ATOMS (20) atoms pass at any
+        # width, one more is refused at width 1.
         space = u(10)
         assignment = ic.BoundAssignment(space)
         assignment.declare(ic.parse_formula("a & b & c"))
@@ -326,6 +346,14 @@ class TestOracle:
         assert outcome.ok
         assert outcome.final.bounds(ic.parse_formula("c | d"))[0] == points(wide, [7])
 
+        assert MAX_ATOMS == 20
+        at_limit = ic.parse_formula(" | ".join(f"x{j}" for j in range(MAX_ATOMS)))
+        for space in (u(1), wide):
+            assignment = ic.BoundAssignment(space)
+            assignment.declare(at_limit, lower=points(space, [0]))
+            outcome = ic.propagate(assignment, "complete")
+            assert outcome.ok and outcome.final.bounds(at_limit)[0] == points(space, [0])
+
         too_many = " & ".join(f"x{j}" for j in range(MAX_ATOMS + 1))
         assignment = ic.BoundAssignment(u(1))
         assignment.declare(ic.parse_formula(too_many))
@@ -335,6 +363,38 @@ class TestOracle:
         kb.write_text(f"space 1\nbounds ({too_many}) inf {{}} sup {{0}}\n")
         assert main(["solve", str(kb), "--complete"]) == 2
         assert "atoms" in capsys.readouterr().err
+
+    def test_readme_states_the_atom_limit(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        stated = re.findall(r"more than (\d+) atoms\s+are refused", readme)
+        assert stated == [str(MAX_ATOMS)]
+
+    def test_complete_mode_matches_oracle_past_the_old_atom_limit(self):
+        # Width-1 instances with 17-20 atoms, all but six of them pinned
+        # to a random exact value, so the oracle enumerates 2^6 cases.
+        rng = random.Random(83)
+        one = u(1)
+        statuses = Counter()
+        for n_atoms in (17, 18, 19, 20):
+            for _ in range(3):
+                names = [f"x{j}" for j in range(n_atoms)]
+                assignment = ic.BoundAssignment(one)
+                for name in names[6:]:
+                    assignment.declare(ic.Atom(name), exact=ic.Incidence(rng.getrandbits(1), 1))
+                for _ in range(8):
+                    f = random_formula(rng, names, 3)
+                    low, high = sorted((rng.getrandbits(1), rng.getrandbits(1)))
+                    assignment.declare(f, lower=ic.Incidence(low, 1), upper=ic.Incidence(high, 1))
+                for name in names:
+                    assignment.declare(ic.Atom(name))
+                tight = tight_bounds(assignment)
+                outcome = ic.propagate(assignment, "complete")
+                statuses[outcome.status] += 1
+                if tight is None:
+                    assert outcome.status == ic.INCONSISTENT
+                else:
+                    assert outcome.ok and outcome.final == tight
+        assert statuses[ic.INCONSISTENT] and statuses[ic.FIXPOINT]
 
     def test_complete_mode_matches_oracle_at_each_point_of_a_wide_space(self):
         # Complete mode treats the points together; the oracle sees one
@@ -368,3 +428,85 @@ class TestOracle:
                     low, high = complete.final.bounds(sentence)
                     assert tight.bounds(sentence)[0].bits == low.bits >> k & 1
                     assert tight.bounds(sentence)[1].bits == high.bits >> k & 1
+
+
+class TestEnvelopeLoops:
+    """The class loop and the valuation loop read the same matrix, so
+    they must give the same bounds and the same culprit, on either side
+    of the switch at 2^atoms classes."""
+
+    def _agree(self, assignment):
+        by_classes = _envelope_by_classes(assignment.copy(), math.inf)
+        by_valuations = _envelope_by_valuations(assignment.copy())
+        assert by_classes.status == by_valuations.status
+        assert by_classes.culprit == by_valuations.culprit
+        assert by_classes.final == by_valuations.final
+        return by_classes
+
+    @staticmethod
+    def _classes(assignment):
+        full = (1 << assignment.space.size) - 1
+        constrained = [
+            (i, assignment._low[i], assignment._high[i])
+            for i in range(len(assignment))
+            if assignment._low[i] or assignment._high[i] != full
+        ]
+        return len(_column_classes(full, constrained, math.inf))
+
+    def test_loops_agree_on_random_instances(self):
+        rng = random.Random(89)
+        seen = Counter()
+        while min(seen[ok, side] for ok in (True, False) for side in (-1, 0, 1)) < 5:
+            atoms = ATOMS[: rng.randint(1, 3)]
+            width = rng.randint(1, 12)
+            if rng.random() < 0.5:
+                _, assignment, _ = sound_instance(
+                    rng, width=width, atoms=atoms, n_sentences=rng.randint(1, 5)
+                )
+            else:
+                _, assignment = arbitrary_instance(
+                    rng, width=width, atoms=atoms, n_sentences=rng.randint(1, 5)
+                )
+            if ic.check_consistency(assignment) is not None:
+                continue
+            outcome = self._agree(assignment)
+            valuations = 1 << sum(isinstance(f, ic.Atom) for f in assignment)
+            classes = self._classes(assignment)
+            # -1: the class loop runs; 0: just past the switch (2^atoms + 1
+            # classes); 1: further past it.
+            side = -1 if classes <= valuations else int(classes > valuations + 1)
+            assert (_envelope_by_classes(assignment.copy(), valuations) is None) == (side >= 0)
+            seen[outcome.ok, side] += 1
+
+    def test_just_past_the_switch(self, monkeypatch):
+        # Five points, two atoms: the bounds of a and b put every point
+        # in its own class, one more than the four valuations, so
+        # complete mode walks the valuations.  Four points make four
+        # classes, and the class loop runs.
+        walks = []
+
+        def by_valuations(assignment):
+            walks.append(assignment.space.size)
+            return _envelope_by_valuations(assignment)
+
+        monkeypatch.setattr(ic.propagation, "_envelope_by_valuations", by_valuations)
+        for width in (4, 5):
+            space = u(width)
+            assignment = ic.BoundAssignment(space)
+            assignment.declare(A, lower=points(space, [0]), upper=points(space, [0, 1, 2]))
+            assignment.declare(B, lower=points(space, [1]), upper=points(space, [0, 1, 3]))
+            assignment.declare(ic.parse_formula("a -> b"))
+            assert self._classes(assignment) == width
+            assert ic.propagate(assignment, "complete").final == self._agree(assignment).final
+        assert walks == [5]
+        assert _envelope_by_classes(assignment.copy(), 4) is None
+        outcome = self._agree(assignment)
+        assert outcome.ok
+        # a -> b must hold where b must (1) or a cannot (3, 4).
+        assert outcome.final.bounds(ic.parse_formula("a -> b"))[0] == points(space, [1, 3, 4])
+
+        assignment.declare(ic.Not(B), lower=points(space, [1]))
+        assert self._classes(assignment) == 5
+        outcome = self._agree(assignment)
+        assert outcome.status == ic.INCONSISTENT and outcome.culprit == ic.Not(B)
+        assert ic.propagate(assignment, "complete").culprit == ic.Not(B)
