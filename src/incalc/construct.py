@@ -266,10 +266,7 @@ class RecordTable:
         rows = []
         for lineno, line in directive_lines(text):
             if header is None:
-                header = tuple(line.replace(",", " ").split())
-                bad = [name for name in header if not is_name(name)]
-                if bad:
-                    raise RecordTableError(f"line {lineno}: bad column name: {bad[0]!r}")
+                header, header_lineno = tuple(line.replace(",", " ").split()), lineno
                 continue
             row = tuple(map(_TRUTHY.get, line.lower().replace(",", " ").split()))
             if None in row:
@@ -282,7 +279,12 @@ class RecordTable:
             raise RecordTableError(f"line {lineno}: {problem}")
         if header is None:
             raise RecordTableError("table has no header line")
-        return cls(header, tuple(rows))
+        try:
+            return cls(header, tuple(rows))
+        except RecordTableError as error:
+            if "column" not in str(error):
+                raise
+            raise RecordTableError(f"line {header_lineno}: {error}") from None
 
 
 def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, Incidence]]:

@@ -27,15 +27,14 @@ The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
 `propagate(..., mode="complete")` computes that envelope directly.
 Because every connective is pointwise, the legal assignments factor point
-by point, and the envelope is read off one matrix: point columns x
-2^atoms valuations, each cell saying whether the valuation is admitted
-at the point.  Points with equal (lower bit, upper bit) columns form one
-class.  While the classes number at most 2^atoms, every node is
-evaluated once on 2^atoms-bit truth tables and each class is checked
-against them; otherwise each valuation is evaluated at all points at
-once.  Either way the cost is min(classes, 2^atoms) times the number of
-distinct registered nodes, and the truth tables take 2^atoms bits per
-node (128 KB at the limit of MAX_ATOMS = 20 atoms).
+by point, and the envelope is read off one matrix: points x 2^atoms
+valuations, each cell saying whether the valuation is admitted at the
+point.  Every node is evaluated once on a 2^atoms-bit truth table, and
+the points are split into groups admitting equal sets of valuations,
+which number at most the width.  The cost is the number of groups times
+the number of distinct registered nodes, in operations on 2^atoms-bit
+sets; each table takes 128 KB at the limit of MAX_ATOMS = 20 atoms, and
+all of them together at most MAX_TABLE_BITS.
 
 Sentences are interned (see `incalc.logic`), so a subterm shared by many
 sentences, or used twice in one, is one entry with one pair of bounds.
@@ -70,10 +69,15 @@ from .space import Incidence, SampleSpace
 FIXPOINT = "fixpoint"
 INCONSISTENT = "inconsistent"
 
-#: Complete mode refuses instances with more atoms than this: it may
-#: hold one 2^atoms-bit truth table per registered node, 128 KB each at
-#: 20 atoms, and may visit all 2^atoms valuations.
+#: Complete mode refuses instances with more atoms than this: it holds
+#: one 2^atoms-bit truth table per registered node, 128 KB each at 20
+#: atoms.
 MAX_ATOMS = 20
+
+#: Complete mode refuses an instance as soon as its truth tables, with
+#: one 2^atoms-bit set of admitted valuations per group of points, would
+#: take more bits than this: 128 MB, or 1024 tables at 20 atoms.
+MAX_TABLE_BITS = 1 << 30
 
 
 class BoundAssignment:
@@ -370,77 +374,37 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
 
 def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     """Exact envelope of the legal assignments, read off the matrix of
-    point columns x 2^atoms valuations from its shorter side.
+    points x 2^atoms valuations one group of equal rows at a time.
 
     Every connective acts point by point, so an assignment is legal
     exactly when its valuation at each point is admitted there, and the
     legal assignments are all ways of picking one admitted valuation per
-    point.  Points whose (lower bit, upper bit) columns are equal admit
-    the same valuations, so when the classes of equal columns number at
-    most 2^atoms, `_envelope_by_classes` treats one class at a time;
-    otherwise `_envelope_by_valuations` treats one valuation at a time.
+    point.  Bit v of a node's truth table is its value under valuation
+    v: atom k's table repeats 2^k zeros then 2^k ones, and every other
+    node is evaluated once on its children's tables.
+
+    The points start as one group admitting every valuation.  Each
+    sentence whose bounds constrain some point splits every group into
+    its part inside the lower bound, whose admitted valuations A keep
+    only the sentence's table, its part outside the upper bound, where A
+    keeps only the table's complement, and the rest; parts left with
+    equal A merge, so the groups never outnumber the points or the
+    distinct admitted sets.  A part left with no admitted valuation
+    makes the instance inconsistent.  Sentences are read in registration
+    order, so the culprit, the sentence that emptied A at the lowest such
+    point, ends the shortest prefix admitting nothing there.  Otherwise a
+    sentence's lower bound gets a group iff A lies inside its table, and
+    its upper bound iff A meets it.
     """
-    atoms = [f for f in assignment if isinstance(f, Atom)]
+    sentences = assignment.sentences()
+    atoms = [f for f in sentences if isinstance(f, Atom)]
     if len(atoms) > MAX_ATOMS:
         raise InstanceTooLargeError(
             f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope,"
             f" whose truth tables take 2^atoms bits per registered sentence"
             f" ({(1 << MAX_ATOMS) // 8192} KB at {MAX_ATOMS} atoms)"
         )
-    outcome = _envelope_by_classes(assignment, 1 << len(atoms))
-    return outcome if outcome is not None else _envelope_by_valuations(assignment)
-
-
-def _column_classes(full: int, constrained: list[tuple[int, int, int]], limit: float):
-    """The points split into masks of equal (lower bit, upper bit)
-    columns, or None as soon as there are more than `limit` of them.
-    Each constraining (position, lower, upper) splits a class into its
-    part inside the lower bound, its part outside the upper bound, and
-    the rest."""
-    classes = [full]
-    for _, low, high in constrained:
-        split = []
-        for points in classes:
-            inside, outside = points & low, points & ~high
-            rest = points ^ inside ^ outside
-            if inside:
-                split.append(inside)
-            if outside:
-                split.append(outside)
-            if rest:
-                split.append(rest)
-        if len(split) > limit:
-            return None
-        classes = split
-    return classes
-
-
-def _envelope_by_classes(assignment: BoundAssignment, limit: float) -> PropagationOutcome | None:
-    """The envelope at a cost of (column classes) x (registered nodes)
-    operations on 2^atoms-bit truth tables, or None when the classes
-    number more than `limit`.
-
-    Bit v of a node's truth table is its value under valuation v; atom
-    k's table repeats 2^k zeros then 2^k ones, and every other node is
-    evaluated once on its children's tables.  A class admits the
-    valuations A in which each sentence whose bounds constrain the class
-    takes the value they force there; a sentence's lower bound gets the
-    class iff A lies inside its table, and its upper bound iff A meets
-    it.  Classes are visited lowest point first, so the first class with
-    no admitted valuation holds the lowest point without one, and the
-    sentence that empties A there is the culprit.
-    """
-    full = assignment._full
-    constrained = [
-        (i, low, high)
-        for i, (low, high) in enumerate(zip(assignment._low, assignment._high))
-        if low or high != full
-    ]
-    classes = _column_classes(full, constrained, limit)
-    if classes is None:
-        return None
-    sentences = assignment.sentences()
-    atoms = [f for f in sentences if isinstance(f, Atom)]
+    _check_table_bits(len(sentences), len(atoms))
     valuations = 1 << len(atoms)
     every = (1 << valuations) - 1
     tables = {}
@@ -452,77 +416,56 @@ def _envelope_by_classes(assignment: BoundAssignment, limit: float) -> Propagati
         tables[atom] = table
     evaluate(evaluation_order(sentences), tables, every)
     truths = [tables[f] for f in sentences]
-    admitted = []  # (points, admitted valuations) per class
-    for points in sorted(classes, key=lambda points: points & -points):
-        point = (points & -points).bit_length() - 1
-        valid = every
-        for i, low, high in constrained:
-            if low >> point & 1:
-                valid &= truths[i]
-            elif not high >> point & 1:
-                valid &= ~truths[i]
-            if not valid:
-                return PropagationOutcome(INCONSISTENT, sentences[i], assignment, 0)
-        admitted.append((points, valid))
-    lower, upper = [], []
-    for truth in truths:
-        low = high = 0
-        for points, valid in admitted:
+    full = assignment._full
+    groups = {every: full}  # admitted valuations -> the points admitting exactly those
+    first = culprit = None  # lowest point (as a one-bit mask) left with none, and why
+    for i, (low, high) in enumerate(zip(assignment._low, assignment._high)):
+        out = full & ~high
+        if not low | out:
+            continue
+        sides = (truths[i], ~truths[i])
+        split = {}
+        for valid, points in groups.items():
+            inside, outside = points & low, points & out
+            if inside or outside:
+                for part, table in zip((inside, outside), sides):
+                    if not part:
+                        continue
+                    kept = valid & table
+                    if kept:
+                        split[kept] = split.get(kept, 0) | part
+                    elif first is None or part & -part < first:
+                        first, culprit = part & -part, sentences[i]
+                points ^= inside | outside
+                if not points:
+                    continue
+            split[valid] = split.get(valid, 0) | points
+        groups = split
+        _check_table_bits(len(sentences) + len(groups), len(atoms))
+    if culprit is not None:
+        return PropagationOutcome(INCONSISTENT, culprit, assignment, 0)
+    lower = [0] * len(sentences)
+    upper = [0] * len(sentences)
+    for valid, points in groups.items():
+        for j, truth in enumerate(truths):
             hit = valid & truth
             if hit:
-                high |= points
+                upper[j] |= points
                 if hit == valid:
-                    low |= points
-        lower.append(low)
-        upper.append(high)
+                    lower[j] |= points
     assignment._low, assignment._high = lower, upper
     return PropagationOutcome(FIXPOINT, None, assignment, 0)
 
 
-def _envelope_by_valuations(assignment: BoundAssignment) -> PropagationOutcome:
-    """The envelope in one pass over the 2^atoms valuations.
-
-    A valuation has the same truth value at every point, so it is
-    evaluated once, on one-bit masks, with one set operation per
-    registered node; the points it is admitted at are those where every
-    sentence's value lies within its bounds.  The cost is 2^atoms times
-    the number of registered nodes.
-    """
-    sentences = assignment.sentences()
-    atoms = [f for f in sentences if isinstance(f, Atom)]
-    bounds = list(zip(assignment._low, assignment._high))
-    full = assignment._full
-    lower = [full] * len(sentences)
-    upper = [0] * len(sentences)
-    # first_rejected[i]: points where some valuation is admitted by the
-    # bounds of sentences[:i] but not by those of sentences[i].
-    first_rejected = [0] * len(sentences)
-    covered = 0
-    order = evaluation_order(sentences)
-    for values in itertools.product((0, 1), repeat=len(atoms)):
-        value = evaluate(order, dict(zip(atoms, values)), 1)
-        truths = [value[f] for f in sentences]
-        admitted = full
-        for i, (truth, (low, high)) in enumerate(zip(truths, bounds)):
-            kept = admitted & (high if truth else ~low)
-            first_rejected[i] |= admitted & ~kept
-            admitted = kept
-            if not admitted:
-                break
-        else:
-            covered |= admitted
-            for i, truth in enumerate(truths):
-                if truth:
-                    upper[i] |= admitted
-                else:
-                    lower[i] &= ~admitted
-    uncovered = full & ~covered
-    if uncovered:
-        point = (uncovered & -uncovered).bit_length() - 1
-        last = max(i for i, bits in enumerate(first_rejected) if bits >> point & 1)
-        return PropagationOutcome(INCONSISTENT, sentences[last], assignment, 0)
-    assignment._low, assignment._high = lower, upper
-    return PropagationOutcome(FIXPOINT, None, assignment, 0)
+def _check_table_bits(tables: int, atoms: int) -> None:
+    """Refuse an envelope that would hold more than MAX_TABLE_BITS bits
+    in `tables` sets of 2^atoms valuations."""
+    if tables << atoms > MAX_TABLE_BITS:
+        raise InstanceTooLargeError(
+            f"the exact envelope needs {tables} tables of 2^{atoms} bits"
+            f" (truth tables and admitted sets), over its limit of"
+            f" {MAX_TABLE_BITS >> 23} MB ({MAX_TABLE_BITS >> MAX_ATOMS} tables at {MAX_ATOMS} atoms)"
+        )
 
 
 def propagate(
@@ -537,12 +480,13 @@ def propagate(
     copy.  With mode="fixpoint" the rules run to their (order-independent)
     fixed point; `worklist_rng` only varies the order in which that fixed
     point is reached.  With mode="complete" the bounds become exactly the
-    envelope of the legal assignments, computed over the classes of
-    points with equal bound columns or over the 2^atoms valuations,
-    whichever are fewer, at a cost of min(classes, 2^atoms) times the
-    registered nodes; instances with more than MAX_ATOMS (20) atoms raise
-    InstanceTooLargeError, whatever their width, since one 2^atoms-bit
-    truth table per registered node (128 KB at 20 atoms) may be needed.
+    envelope of the legal assignments, computed over the groups of points
+    that admit equal sets of valuations, at a cost of the groups times
+    the registered nodes in operations on 2^atoms-bit truth tables.
+    Instances with more than MAX_ATOMS (20) atoms raise
+    InstanceTooLargeError, whatever their width, as do those whose truth
+    tables, one per registered node, and admitted sets, one per group,
+    would take more than MAX_TABLE_BITS (128 MB, 1024 tables at 20 atoms).
 
     A lower bound escaping its upper bound, before or during the rules,
     is reported eagerly via the outcome's culprit, and propagation stops

@@ -1,4 +1,4 @@
-import math
+import itertools
 import random
 import re
 from collections import Counter
@@ -8,18 +8,12 @@ import pytest
 
 import incalc as ic
 from incalc.cli import main
-from incalc.propagation import (
-    MAX_ATOMS,
-    RULES,
-    RULES_BY_CONNECTIVE,
-    _column_classes,
-    _envelope_by_classes,
-    _envelope_by_valuations,
-)
+from incalc.propagation import MAX_ATOMS, MAX_TABLE_BITS, RULES, RULES_BY_CONNECTIVE
 from helpers import (
     ATOMS,
     arbitrary_instance,
     enumerate_legal,
+    holds_at,
     points,
     random_formula,
     sound_instance,
@@ -364,10 +358,12 @@ class TestOracle:
         assert main(["solve", str(kb), "--complete"]) == 2
         assert "atoms" in capsys.readouterr().err
 
-    def test_readme_states_the_atom_limit(self):
+    def test_readme_states_the_limits(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         stated = re.findall(r"more than (\d+) atoms\s+are refused", readme)
         assert stated == [str(MAX_ATOMS)]
+        budget = re.findall(r"more than (\d+) MB:.*?at most (\d+) tables", readme, re.S)
+        assert budget == [(str(MAX_TABLE_BITS >> 23), str(MAX_TABLE_BITS >> MAX_ATOMS))]
 
     def test_complete_mode_matches_oracle_past_the_old_atom_limit(self):
         # Width-1 instances with 17-20 atoms, all but six of them pinned
@@ -430,83 +426,107 @@ class TestOracle:
                     assert tight.bounds(sentence)[1].bits == high.bits >> k & 1
 
 
-class TestEnvelopeLoops:
-    """The class loop and the valuation loop read the same matrix, so
-    they must give the same bounds and the same culprit, on either side
-    of the switch at 2^atoms classes."""
-
-    def _agree(self, assignment):
-        by_classes = _envelope_by_classes(assignment.copy(), math.inf)
-        by_valuations = _envelope_by_valuations(assignment.copy())
-        assert by_classes.status == by_valuations.status
-        assert by_classes.culprit == by_valuations.culprit
-        assert by_classes.final == by_valuations.final
-        return by_classes
+class TestEnvelopeGroups:
+    """Complete mode against an enumeration of the valuations at each
+    point, including instances whose points admit more distinct sets of
+    valuations than there are valuations."""
 
     @staticmethod
-    def _classes(assignment):
-        full = (1 << assignment.space.size) - 1
-        constrained = [
-            (i, assignment._low[i], assignment._high[i])
-            for i in range(len(assignment))
-            if assignment._low[i] or assignment._high[i] != full
+    def _per_point(assignment):
+        """(culprit, None, sets) when some point admits no valuation, the
+        culprit found at the lowest such point; else (None, bounds, sets)
+        with bounds[sentence] = (lower bits, upper bits).  `sets` counts
+        the distinct admitted sets met before stopping."""
+        sentences = assignment.sentences()
+        names = [f.name for f in sentences if isinstance(f, ic.Atom)]
+        envs = [
+            {name: ic.Incidence(bit, 1) for name, bit in zip(names, bits)}
+            for bits in itertools.product((0, 1), repeat=len(names))
         ]
-        return len(_column_classes(full, constrained, math.inf))
 
-    def test_loops_agree_on_random_instances(self):
+        def admits(k, f, env):
+            low, high = assignment.bounds(f)
+            value = holds_at(f, 0, env)
+            return (value or k not in low) and (k in high or not value)
+
+        def admitted(k, prefix):
+            return [v for v, env in enumerate(envs) if all(admits(k, f, env) for f in prefix)]
+
+        lower = dict.fromkeys(sentences, 0)
+        upper = dict.fromkeys(sentences, 0)
+        sets = set()
+        for k in range(assignment.space.size):
+            here = admitted(k, sentences)
+            sets.add(tuple(here))
+            if not here:
+                ends = next(i for i in range(len(sentences)) if not admitted(k, sentences[: i + 1]))
+                return sentences[ends], None, len(sets)
+            for f in sentences:
+                values = [holds_at(f, 0, envs[v]) for v in here]
+                lower[f] |= all(values) << k
+                upper[f] |= any(values) << k
+        return None, {f: (lower[f], upper[f]) for f in sentences}, len(sets)
+
+    def test_matches_per_point_enumeration(self):
         rng = random.Random(89)
         seen = Counter()
-        while min(seen[ok, side] for ok in (True, False) for side in (-1, 0, 1)) < 5:
+        for _ in range(400):
             atoms = ATOMS[: rng.randint(1, 3)]
-            width = rng.randint(1, 12)
-            if rng.random() < 0.5:
-                _, assignment, _ = sound_instance(
-                    rng, width=width, atoms=atoms, n_sentences=rng.randint(1, 5)
-                )
-            else:
-                _, assignment = arbitrary_instance(
-                    rng, width=width, atoms=atoms, n_sentences=rng.randint(1, 5)
-                )
+            make = sound_instance if rng.random() < 0.5 else arbitrary_instance
+            assignment = make(
+                rng, width=rng.randint(1, 24), atoms=atoms, n_sentences=rng.randint(1, 5)
+            )[1]
             if ic.check_consistency(assignment) is not None:
                 continue
-            outcome = self._agree(assignment)
-            valuations = 1 << sum(isinstance(f, ic.Atom) for f in assignment)
-            classes = self._classes(assignment)
-            # -1: the class loop runs; 0: just past the switch (2^atoms + 1
-            # classes); 1: further past it.
-            side = -1 if classes <= valuations else int(classes > valuations + 1)
-            assert (_envelope_by_classes(assignment.copy(), valuations) is None) == (side >= 0)
-            seen[outcome.ok, side] += 1
+            culprit, bounds, sets = self._per_point(assignment)
+            outcome = ic.propagate(assignment, "complete")
+            if bounds is None:
+                assert outcome.status == ic.INCONSISTENT and outcome.culprit == culprit
+                assert outcome.final == assignment
+            else:
+                assert outcome.ok
+                final = outcome.final
+                assert {f: tuple(b.bits for b in final.bounds(f)) for f in final} == bounds
+            seen[outcome.ok, sets > 1 << len(atoms)] += 1
+        assert min(seen[ok, many] for ok in (True, False) for many in (True, False)) >= 5
 
-    def test_just_past_the_switch(self, monkeypatch):
-        # Five points, two atoms: the bounds of a and b put every point
-        # in its own class, one more than the four valuations, so
-        # complete mode walks the valuations.  Four points make four
-        # classes, and the class loop runs.
-        walks = []
+    def test_table_budget_refuses_before_evaluating(self, tmp_path, capsys, monkeypatch):
+        # 20 atoms and a chain of implications: more registered nodes than
+        # 2^20-bit tables fit in MAX_TABLE_BITS, at width 1 and 4096.  The
+        # refusal comes before a single table is built.
+        def evaluate(*args):
+            raise AssertionError("truth tables built past the budget")
 
-        def by_valuations(assignment):
-            walks.append(assignment.space.size)
-            return _envelope_by_valuations(assignment)
+        monkeypatch.setattr(ic.propagation, "evaluate", evaluate)
+        chain = ic.Atom("x0")
+        for j in range(MAX_TABLE_BITS >> MAX_ATOMS):
+            chain = ic.Implies(ic.Atom(f"x{j % MAX_ATOMS}"), chain)
+        for space in (u(1), u(4096)):
+            assignment = ic.BoundAssignment(space)
+            assignment.declare(chain, lower=space.full())
+            assert len(assignment) > MAX_TABLE_BITS >> MAX_ATOMS
+            with pytest.raises(ic.InstanceTooLargeError, match="128 MB"):
+                ic.propagate(assignment, "complete")
+        kb = tmp_path / "chain.kb"
+        kb.write_text(f"space 1\nbounds {ic.format_formula(chain)} inf 1 sup 1\n")
+        assert main(["solve", str(kb), "--complete"]) == 2
+        assert "128 MB" in capsys.readouterr().err
 
-        monkeypatch.setattr(ic.propagation, "_envelope_by_valuations", by_valuations)
-        for width in (4, 5):
+    def test_table_budget_counts_groups_of_points(self, monkeypatch):
+        # Two atoms, three nodes: a, b and a & b.  Points 0-4 admit five
+        # distinct sets of valuations (a, ~a, b, ~b, a & b); point 5
+        # admits all four.  With room for eight 4-bit tables, the three
+        # truth tables and five groups fit, and a sixth group does not.
+        monkeypatch.setattr(ic.propagation, "MAX_TABLE_BITS", 8 << 2)
+        for width in (5, 6):
             space = u(width)
             assignment = ic.BoundAssignment(space)
-            assignment.declare(A, lower=points(space, [0]), upper=points(space, [0, 1, 2]))
-            assignment.declare(B, lower=points(space, [1]), upper=points(space, [0, 1, 3]))
-            assignment.declare(ic.parse_formula("a -> b"))
-            assert self._classes(assignment) == width
-            assert ic.propagate(assignment, "complete").final == self._agree(assignment).final
-        assert walks == [5]
-        assert _envelope_by_classes(assignment.copy(), 4) is None
-        outcome = self._agree(assignment)
-        assert outcome.ok
-        # a -> b must hold where b must (1) or a cannot (3, 4).
-        assert outcome.final.bounds(ic.parse_formula("a -> b"))[0] == points(space, [1, 3, 4])
-
-        assignment.declare(ic.Not(B), lower=points(space, [1]))
-        assert self._classes(assignment) == 5
-        outcome = self._agree(assignment)
-        assert outcome.status == ic.INCONSISTENT and outcome.culprit == ic.Not(B)
-        assert ic.propagate(assignment, "complete").culprit == ic.Not(B)
+            but = lambda k: points(space, [j for j in range(width) if j != k])
+            assignment.declare(A, lower=points(space, [0]), upper=but(1))
+            assignment.declare(B, lower=points(space, [2]), upper=but(3))
+            assignment.declare(ic.And(A, B), lower=points(space, [4]))
+            if width == 5:
+                assert ic.propagate(assignment, "complete").ok
+            else:
+                with pytest.raises(ic.InstanceTooLargeError, match="needs 9 tables"):
+                    ic.propagate(assignment, "complete")
