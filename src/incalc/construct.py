@@ -8,6 +8,14 @@ given target marginals and pairwise correlations it synthesises a uniform
 space and atom incidences realising them as closely as integer point
 counts allow.
 
+A records table is read as one text, not row by row: `RecordTable.from_text`
+rewrites the value words to '0'/'1' with whole-text replacements, checks the
+shape of the whole table with two strided slices, and keeps each row as flag
+bytes (one byte per column, the encoding of `Incidence.flags`).  Only a table
+that fails the check is walked line by line, to name its first bad line.
+`incidences_from_records` folds equal rows with a `Counter` over those bytes
+and reads column c as every width-th byte of the distinct rows.
+
 Synthesis is deterministic for a fixed seed and works on int bitmasks
 throughout: every draw is one `_random_subset` of a mask, a uniformly
 random subset of a given size built from a few random words and fixed up
@@ -26,6 +34,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
@@ -37,7 +46,10 @@ from .space import Incidence, SampleSpace
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 _CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 
-_TRUTHY = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
+_VALUES = frozenset({"0", "1", "t", "f", "true", "false"})
+# Longer words first, so that 'true' is not read as 't' + 'rue'.
+_BIT_WORDS = (("false", "0"), ("true", "1"), ("f", "0"), ("t", "1"))
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -234,10 +246,15 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
 
 @dataclass(frozen=True)
 class RecordTable:
-    """A rectangular table of boolean observations, one row per record."""
+    """A rectangular table of boolean observations, one row per record.
+
+    Each row is kept as flag bytes, one byte per column, 1 for true and 0
+    for false (the encoding of `Incidence.flags`).  A row may be given as
+    those bytes or as any sequence of bools or 0/1; any other value is
+    refused with an error naming its 1-based row."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[bool, ...], ...]
+    rows: tuple[bytes, ...]
 
     def __post_init__(self):
         if not self.columns:
@@ -247,11 +264,15 @@ class RecordTable:
                 raise RecordTableError(f"bad column name: {name!r}")
         if len(set(self.columns)) != len(self.columns):
             raise RecordTableError("duplicate column names")
-        if not self.rows:
+        rows = tuple(self.rows)
+        if not rows:
             raise RecordTableError("table has no rows")
+        if set(map(type, rows)) != {bytes} or b"".join(rows).translate(None, b"\0\1"):
+            rows = tuple(_flag_row(number, row) for number, row in enumerate(rows, 1))
+        object.__setattr__(self, "rows", rows)
         width = len(self.columns)
-        if set(map(len, self.rows)) != {width}:
-            row = next(row for row in self.rows if len(row) != width)
+        if set(map(len, rows)) != {width}:
+            row = next(row for row in rows if len(row) != width)
             raise RecordTableError(f"row has {len(row)} values, expected {width}")
 
     @classmethod
@@ -261,41 +282,83 @@ class RecordTable:
         {0, 1, t, f, true, false} (case-insensitive).  Lines are read by
         `kb.directive_lines`: '#' starts a comment, blank lines are
         skipped, and an error in the header or a row names its 1-based
-        line."""
-        header: tuple[str, ...] | None = None
-        rows = []
-        for lineno, line in directive_lines(text):
-            if header is None:
-                header, header_lineno = tuple(line.replace(",", " ").split()), lineno
-                continue
-            row = tuple(map(_TRUTHY.get, line.lower().replace(",", " ").split()))
-            if None in row:
-                problem = f"bad value {line.replace(',', ' ').split()[row.index(None)]!r}"
-            elif len(row) != len(header):
-                problem = f"row has {len(row)} values, expected {len(header)}"
-            else:
-                rows.append(row)
-                continue
-            raise RecordTableError(f"line {lineno}: {problem}")
-        if header is None:
+        line.  The rows are read as one text (see the module docstring);
+        only a table that fails the whole-text check is walked line by
+        line, for its first bad line."""
+        lines = directive_lines(text)
+        first = next(lines, None)
+        if first is None:
             raise RecordTableError("table has no header line")
+        header_lineno, header = first[0], tuple(first[1].replace(",", " ").split())
+        width = len(header)
+        body = "\n".join(map(itemgetter(1), lines)).lower().replace(",", " ")
+        # Each word becomes one character, so a token of two or more values
+        # run together, like 'tf', stays too long to pass for one value.
+        for word, bit in _BIT_WORDS:
+            body = body.replace(word, bit)
+        body = "\n".join(map(" ".join, map(str.split, body.split("\n"))))
+        flags = body.encode("ascii", "replace")
+        if _is_flag_text(flags, width):
+            rows = tuple(flags.translate(_FLAGS, b" ").split(b"\n"))
+        else:
+            _check_rows(text, width)
+            rows = ()  # every row is well formed: there are no rows or no columns
         try:
-            return cls(header, tuple(rows))
+            return cls(header, rows)
         except RecordTableError as error:
             if "column" not in str(error):
                 raise
             raise RecordTableError(f"line {header_lineno}: {error}") from None
 
 
+def _flag_row(number: int, row) -> bytes:
+    """Row `number` as flag bytes; refuses any value but a bool or 0/1."""
+    try:
+        values = tuple(row)
+    except TypeError:
+        raise RecordTableError(f"row {number} is not a sequence of values: {row!r}") from None
+    for value in values:
+        if not isinstance(value, int) or value not in (0, 1):
+            raise RecordTableError(f"row {number} holds {value!r}, not a bool or 0/1")
+    return bytes(values)
+
+
+def _is_flag_text(flags: bytes, width: int) -> bool:
+    """Whether `flags` is one or more lines of `width` '0'/'1' values
+    each, separated by single spaces."""
+    if not width or (len(flags) + 1) % (2 * width):
+        return False
+    records = (len(flags) + 1) // (2 * width)
+    separators = (b" " * (width - 1) + b"\n") * records
+    return not flags[::2].translate(None, b"01") and flags[1::2] == separators[:-1]
+
+
+def _check_rows(text: str, width: int) -> None:
+    """Raise the error of the first bad row of `text`: a bad value (in
+    its original case) before a wrong number of values."""
+    lines = directive_lines(text)
+    next(lines)
+    for lineno, line in lines:
+        values = line.lower().replace(",", " ").split()
+        for k, value in enumerate(values):
+            if value not in _VALUES:
+                token = line.replace(",", " ").split()[k]
+                raise RecordTableError(f"line {lineno}: bad value {token!r}")
+        if len(values) != width:
+            raise RecordTableError(f"line {lineno}: row has {len(values)} values, expected {width}")
+
+
 def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, Incidence]]:
     """Fold identical rows into single points, in first-occurrence order,
     each weighted by its relative frequency; an atom's incidence is the
     set of points whose row has its column true.  Probabilities computed
-    downstream are then exactly the observed frequencies."""
+    downstream are then exactly the observed frequencies.  Column c of
+    the distinct rows is every width-th byte of their concatenation."""
     groups = Counter(table.rows)
     total = len(table.rows)
     space = SampleSpace((count, total) for count in groups.values())
-    columns = map(bytes, zip(*groups))
+    flags, width = b"".join(groups), len(table.columns)
+    columns = (flags[c::width] for c in range(width))
     return space, dict(zip(table.columns, map(Incidence.from_flags, columns)))
 
 

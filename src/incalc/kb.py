@@ -84,9 +84,12 @@ class KnowledgeBase:
 def directive_lines(text: str) -> Iterator[tuple[int, str]]:
     """The lines of `text` that have content once their '#' comment is
     cut, as (1-based line number, stripped text).  Every line-oriented
-    input (KB, targets, records) is read through this one scanner."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    input (KB, targets, records) is read through this one scanner.  A line
+    ends at '\\n', '\\r\\n' or '\\r' only: a form feed, '\\x85', U+2028 and
+    the other breaks of `str.splitlines` are whitespace inside a line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
 

@@ -6,12 +6,14 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc.kb import directive_lines
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
 
@@ -223,6 +225,47 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
             high = high | value
         result.declare(sentence, lower=low, upper=high)
     return result
+
+
+_TRUTHY = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
+
+
+def reference_ingest(text: str) -> str:
+    """What `ingest` writes for a records text, by the per-row reader and
+    the fold of bool tuples that `RecordTable.from_text` and
+    `incidences_from_records` replaced; raises the same `RecordTableError`.
+    Each row is read line by line, and each column's incidence is built
+    from the indices of the distinct rows that have it true."""
+    header: tuple[str, ...] | None = None
+    rows = []
+    for lineno, line in directive_lines(text):
+        if header is None:
+            header, header_lineno = tuple(line.replace(",", " ").split()), lineno
+            continue
+        row = tuple(map(_TRUTHY.get, line.lower().replace(",", " ").split()))
+        if None in row:
+            problem = f"bad value {line.replace(',', ' ').split()[row.index(None)]!r}"
+        elif len(row) != len(header):
+            problem = f"row has {len(row)} values, expected {len(header)}"
+        else:
+            rows.append(row)
+            continue
+        raise ic.RecordTableError(f"line {lineno}: {problem}")
+    if header is None:
+        raise ic.RecordTableError("table has no header line")
+    try:
+        ic.RecordTable(header, tuple(rows))
+    except ic.RecordTableError as error:
+        if "column" not in str(error):
+            raise
+        raise ic.RecordTableError(f"line {header_lineno}: {error}") from None
+    groups = Counter(rows)
+    space = ic.SampleSpace((count, len(rows)) for count in groups.values())
+    env = {
+        name: ic.Incidence.from_indices([k for k, row in enumerate(groups) if row[c]], len(groups))
+        for c, name in enumerate(header)
+    }
+    return ic.kb_fragment(space, env)
 
 
 # hypothesis strategies

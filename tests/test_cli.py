@@ -358,6 +358,40 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", records)
         assert code == 2 and "maybe" in err
 
+    def test_mixed_format_matches_golden(self, capsys):
+        """Commas, tabs, mixed case, comments, CRLF and repeated rows."""
+        source = DATA / "mixed.records"
+        code, out, err = run(capsys, "ingest", source)
+        assert code == 0 and err == ""
+        assert out == golden("mixed_ingest.golden")
+        # The library reads the CRLF line ends that the command's file read
+        # turns into '\n'.
+        raw = source.read_bytes().decode()
+        assert "\r\n" in raw
+        table = ic.RecordTable.from_text(raw)
+        assert ic.kb_fragment(*ic.incidences_from_records(table)) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("query", "space 2\ninc a = 10\n# note\finc b = 01\nquery prob a & b\n",
+         "atom 'b' has no incidence"),
+        ("query", "space 2\n# note\finc a = 10\nquery prob x y\n", "line 3: "),
+        ("ingest", "a b\n1 0\n# note\f1 1\n1 2\n", "line 4: bad value '2'"),
+        ("ingest", "a\fb\n1 0\n1\n", "line 3: row has 1 values, expected 2"),
+        ("sample", "prob a = 1/2\n# note\fprob b = x\nprob c = y\n",
+         "line 3: not a rational number: 'y'"),
+    ],
+)
+def test_form_feed_stays_inside_its_line(capsys, tmp_path, command, text, message):
+    source = tmp_path / "input"
+    source.write_text(text)
+    extra = ["--size", 4] if command == "sample" else []
+    code, out, err = run(capsys, command, source, *extra)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
 
 @pytest.fixture(scope="module")
 def tiny_weight_kb(tmp_path_factory):

@@ -12,7 +12,7 @@ import incalc as ic
 from incalc.construct import _random_subset
 from incalc.rational import sqrt_fraction
 
-from helpers import points
+from helpers import points, reference_ingest
 
 HALF, TWO_FIFTHS = F(1, 2), F(2, 5)
 
@@ -147,6 +147,66 @@ class TestRandomSubset:
         assert chi_square < 27.88
 
 
+def ingest_fragment(text: str) -> str:
+    return ic.kb_fragment(*ic.incidences_from_records(ic.RecordTable.from_text(text)))
+
+
+def outcome(read, text: str) -> str:
+    """What `read` returns for `text`, or the text of its error."""
+    try:
+        return read(text)
+    except ic.RecordTableError as error:
+        return f"error: {error}"
+
+
+SPELLINGS = {
+    True: ["1", "t", "T", "true", "True", "TRUE"],
+    False: ["0", "f", "F", "false", "False", "FALSE"],
+}
+SEPARATORS = [" ", "  ", "\t", ",", ", ", " ,", "\xa0", "\u3000", "\f"]
+BAD_TOKENS = ["2", "maybe", "tru", "yes", "-1", "0.5", "\u0130", "trueX"]
+
+
+@st.composite
+def records_texts(draw):
+    """A records text written in every form the reader accepts (mixed
+    separators and case, comments, blank lines, CRLF), sometimes with a bad
+    column name and sometimes with one row corrupted: a bad token, two
+    values run together ('10', 'tt', 'truefalse'), a value dropped or a
+    value added."""
+    columns = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 7)) == 7:
+        columns[-1] = draw(st.sampled_from(["a", "true", "2b"]))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=len(columns), max_size=len(columns)),
+                         max_size=8))
+    lines = [[*columns]]
+    for row in rows:
+        lines.append([draw(st.sampled_from(SPELLINGS[value])) for value in row])
+    if rows and draw(st.booleans()):
+        tokens = lines[draw(st.integers(1, len(rows)))]
+        k = draw(st.integers(0, len(tokens) - 1))
+        corruption = draw(st.sampled_from(["bad", "run together", "missing", "extra"]))
+        if corruption == "bad":
+            tokens[k] = draw(st.sampled_from(BAD_TOKENS))
+        elif corruption == "run together" and k + 1 < len(tokens):
+            tokens[k : k + 2] = [tokens[k] + tokens[k + 1]]
+        elif corruption == "missing":
+            del tokens[k]
+        else:
+            tokens.insert(k, draw(st.sampled_from(SPELLINGS[draw(st.booleans())])))
+    text = []
+    for tokens in lines:
+        while draw(st.integers(0, 3)) == 3:
+            text.append(draw(st.sampled_from(["", "# note", "  \t", "# 1 2 , maybe"])))
+        line = ""
+        for k, token in enumerate(tokens):
+            line += (draw(st.sampled_from(SEPARATORS)) if k else "") + token
+        if draw(st.integers(0, 3)) == 3:
+            line += draw(st.sampled_from([",", " ", " # 1 0", "\t#x"]))
+        text.append(line)
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(endings) for line in text)
+
 class TestRecordTable:
     def test_worked_example(self):
         table = ic.RecordTable(
@@ -178,7 +238,7 @@ class TestRecordTable:
             "FALSE false\n"
         )
         assert table.columns == ("rain", "wet")
-        assert table.rows == ((True, True), (True, False), (False, False))
+        assert table.rows == (b"\1\1", b"\1\0", b"\0\0")
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -220,6 +280,32 @@ class TestRecordTable:
         with pytest.raises(ic.RecordTableError) as info:
             ic.RecordTable(("a", "b"), rows)
         assert str(info.value) == message
+
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((2,),), "row 1 holds 2, not a bool or 0/1"),
+            (((True,), ("yes",)), "row 2 holds 'yes', not a bool or 0/1"),
+            (((None,),), "row 1 holds None, not a bool or 0/1"),
+            (((1.0,),), "row 1 holds 1.0, not a bool or 0/1"),
+            ((b"\1", b"\2"), "row 2 holds 2, not a bool or 0/1"),
+            (((False,), 1), "row 2 is not a sequence of values: 1"),
+        ],
+    )
+    def test_direct_rows_refuse_values_other_than_bools_and_0_1(self, rows, message):
+        with pytest.raises(ic.RecordTableError) as info:
+            ic.RecordTable(("a",), rows)
+        assert str(info.value) == message
+
+    def test_direct_rows_are_kept_as_flag_bytes(self):
+        table = ic.RecordTable(("a", "b"), [(True, 0), [1, False], b"\0\1"])
+        assert table.rows == (b"\1\0", b"\1\0", b"\0\1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(records_texts())
+    def test_reader_matches_the_per_row_reference(self, text):
+        assert outcome(ingest_fragment, text) == outcome(reference_ingest, text)
 
 
 class TestParseTargets:

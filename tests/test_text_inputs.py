@@ -49,7 +49,9 @@ KB_TEXT = st.tuples(
              + ATOMS + NUMBERS + JUNK),
 ).map("".join)
 TARGETS_TEXT = lines_of(["prob", "corr"] + ATOMS + NUMBERS + JUNK)
-RECORDS_TEXT = lines_of(["0", "1", "t", "f", "true", "FALSE", "T", "2"] + ATOMS + JUNK)
+RECORDS_TEXT = lines_of(
+    ["0", "1", "t", "f", "true", "FALSE", "T", "2", "10", "tf", "\f", "\u3000"] + ATOMS + JUNK
+)
 
 
 def run_on(text, command, *options):
@@ -187,28 +189,38 @@ class TestDirectiveLines:
         text = "# header\n\n  a b  # note\n\t\r\nc\r\n#\nd"
         assert list(directive_lines(text)) == [(3, "a b"), (5, "c"), (7, "d")]
 
-    def test_is_the_only_caller_of_splitlines(self):
+    def test_numbers_lines_by_newline_and_carriage_return_only(self):
+        text = "a\fb\x0bc\x1cd\x85e\u2028f\u2029g\rh\r\ni # x\fy\nj"
+        assert list(directive_lines(text)) == [
+            (1, "a\fb\x0bc\x1cd\x85e\u2028f\u2029g"), (2, "h"), (3, "i"), (4, "j")
+        ]
+
+    def test_is_the_only_place_that_breaks_text_at_line_ends(self):
         callers = [
             f"{path.stem}.{name}"
             for path in sorted((SRC / "incalc").glob("*.py"))
-            for name in splitlines_callers(ast.parse(path.read_text()))
+            for name in line_split_callers(ast.parse(path.read_text()))
         ]
-        assert callers == ["kb.directive_lines"]
+        # `from_text` splits only the text it joined from directive_lines' lines.
+        assert callers == ["construct.from_text", "kb.directive_lines"]
 
     def test_callers_are_found_in_methods_and_at_module_level(self):
         tree = ast.parse(
             "x = text.splitlines()\n"
-            "def f(): return [1 for _ in t.splitlines()]\n"
+            "def f(): return [1 for _ in t.split('\\n')]\n"
+            "def g(): return t.split(','), t.split(), t.split(b'\\n')\n"
             "class K:\n"
             "    def m(self):\n"
             "        def inner(): return s.splitlines()\n"
         )
-        assert splitlines_callers(tree) == ["<module>", "f", "inner"]
+        assert line_split_callers(tree) == ["<module>", "f", "inner"]
 
 
-def splitlines_callers(tree: ast.Module) -> list[str]:
-    """The innermost enclosing function of each `.splitlines()` call in a
-    module, in source order; '<module>' for a call outside any function."""
+def line_split_callers(tree: ast.Module) -> list[str]:
+    """The innermost enclosing function of each call in a module that
+    breaks text at line ends, `.splitlines()` or `.split()` at a '\\n' or
+    '\\r' string, in source order; '<module>' for a call outside any
+    function."""
     owner = {}
     # ast.walk is breadth-first, so an inner function overwrites its outer one.
     for node in ast.walk(tree):
@@ -220,7 +232,13 @@ def splitlines_callers(tree: ast.Module) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "splitlines"
+        and (node.func.attr == "splitlines" or node.func.attr == "split" and at_line_end(node))
     ]
     calls.sort(key=lambda node: (node.lineno, node.col_offset))
     return [owner.get(node, "<module>") for node in calls]
+
+
+def at_line_end(call: ast.Call) -> bool:
+    return any(
+        isinstance(arg, ast.Constant) and arg.value in ("\n", "\r", "\r\n") for arg in call.args
+    )
