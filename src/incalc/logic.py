@@ -11,9 +11,13 @@ compound sentence is a fixed set operation on the incidences of its parts,
 with no independence assumption anywhere.  Formulas are interned:
 building a node equal to one that already exists returns that node, so
 equal formulas are the same object, hashing is O(1), and a sentence that
-uses a subterm twice stores it once.  The walks below visit each distinct
-node once and never recurse, so cost follows the number of distinct nodes
-and depth is unbounded.  Nothing here normalises or simplifies.
+uses a subterm twice stores it once.  The intern table is a plain dict
+from (class, *args) to a weak reference to the node, so it keeps no node
+alive: a lookup is one `dict.get` and one call of the reference, and a
+node's entry leaves the table when the node dies, unless a new node has
+taken its key by then.  The walks below visit each distinct node once
+and never recurse, so cost follows the number of distinct nodes and
+depth is unbounded.  Nothing here normalises or simplifies.
 
 Concrete syntax: identifiers are atoms ([A-Za-z][A-Za-z0-9_]*), `true` and
 `false` are constants (so they name no atom, incidence, formula, column
@@ -30,6 +34,7 @@ import itertools
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from collections import Counter
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
@@ -37,10 +42,27 @@ from typing import Iterable, Iterator, Mapping
 from .errors import FormulaSyntaxError, UnboundAtomError, WidthMismatchError
 from .space import Incidence, SampleSpace
 
-_nodes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _serials = itertools.count()
 _by_serial = attrgetter("serial")
 _interning = threading.Lock()  # one node per key, even under threads
+
+
+class _Entry(weakref.ref):
+    """The intern table's reference to a node, holding the node's key
+    for the one callback that all entries share."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead node's entry.  It runs wherever the node dies, even
+    inside `Formula.__new__`, so it takes no lock: `_remove_dead_weakref`
+    drops the entry in one atomic step, and only while it is still dead,
+    never a live entry made since for the same key."""
+    _remove_dead_weakref(_nodes, entry.key)
+
+
+_nodes: dict[tuple, _Entry] = {}  # (class, *args) -> its node's entry
 
 
 class Formula:
@@ -60,12 +82,14 @@ class Formula:
     def __new__(cls, *args):
         key = (cls, *args)
         with _interning:
-            node = _nodes.get(key)
+            ref = _nodes.get(key)
+            node = ref and ref()
             if node is None:
                 node = object.__new__(cls)
                 node._init(*args)
                 node.serial = next(_serials)
-                _nodes[key] = node
+                ref = _nodes[key] = _Entry(node, _forget)
+                ref.key = key
         return node
 
     def _init(self, *args) -> None:

@@ -20,8 +20,13 @@ i(A | B) = i(A) | i(B), and i(A -> B) = (w \\ i(A)) | i(B).
 Every connective is a set operation, so a rule is one or two int mask
 operations.  The fixpoint loop works on two lists of bitmasks indexed by
 registration position, with child and parent positions computed once per
-call; an `Incidence` is built only where a bound is read out.  `dump`
-renders all sentences from one text memo, each shared subterm once.
+call.  A compound node's plan is its operands' positions and its
+connective's rule list, which every node of that connective shares; a
+node taken from the worklist reads its six bounds once, and again only
+after one of its rules changed a bound.  An `Incidence` is built only
+where a bound is read out.  `dump` renders all sentences from one text
+memo, each shared subterm once, and reads each distinct mask's weight as
+an integer numerator, so it builds one `Fraction` per distinct weight.
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
@@ -163,18 +168,23 @@ class BoundAssignment:
 
     def dump(self) -> str:
         """One line per sentence in registration order:
-        `<formula> inf=<bits> sup=<bits> p=[low, high]`."""
-        width, weight_of = self.space.size, self.space.weight_of
-        probs: dict[Fraction, str] = {}  # weight -> its rendering
+        `<formula> inf=<bits> sup=<bits> p=[low, high]`.
+
+        Each distinct mask is rendered once: its bit string by `format`,
+        its weight as an integer numerator over the space's common
+        denominator.  Each distinct numerator becomes one `Fraction`,
+        rendered once by `format_prob`."""
+        space = self.space
+        spec, numerator, denominator = f"0{space.size}b", space._numerator, space._denominator
+        probs: dict[int, str] = {}  # numerator -> its probability's rendering
         shown: dict[int, tuple[str, str]] = {}  # mask -> (bit string, probability)
         for mask in itertools.chain(self._low, self._high):
             if mask not in shown:
-                inc = Incidence(mask, width)
-                p = weight_of(inc)
-                text = probs.get(p)
+                n = numerator(mask)
+                text = probs.get(n)
                 if text is None:
-                    text = probs[p] = format_prob(p)
-                shown[mask] = inc.to_bitstring(), text
+                    text = probs[n] = format_prob(Fraction(n, denominator))
+                shown[mask] = format(mask, spec)[::-1], text
         lines = []
         for text, low, high in zip(format_formulas(self._position), self._low, self._high):
             (low_bits, low_p), (high_bits, high_p) = shown[low], shown[high]
@@ -296,8 +306,8 @@ RULES_BY_CONNECTIVE: dict[type, tuple[Rule, ...]] = {
 
 # Each connective's rules as (target: 0 self, 1 left, 2 right; raises?; compute).
 _ACTIONS = {
-    kind: [(("self", "left", "right").index(r.target), r.action == "raise", r.compute)
-           for r in rules]
+    kind: tuple((("self", "left", "right").index(r.target), r.action == "raise", r.compute)
+                for r in rules)
     for kind, rules in RULES_BY_CONNECTIVE.items()
 }
 
@@ -326,21 +336,17 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
     position, low, high = assignment._position, assignment._low, assignment._high
     full, sentences = assignment._full, list(position)
     # Per compound node: its operands' positions (B = A when unary) and
-    # its rules as (target position, raises?, compute).  A change to a
-    # node's bounds wakes its parents in registration order, then the
-    # node itself when it is compound.
-    plans: list[tuple[int, int, list] | None] = []
+    # its connective's shared rule list, whose targets 0, 1, 2 resolve
+    # through (node, A, B).  A change to a node's bounds wakes its
+    # parents in registration order, then the node itself when it is
+    # compound.
+    plans: list[tuple[int, int, tuple] | None] = []
     wakes: list[list[int]] = [[] for _ in sentences]
     for i, sentence in enumerate(sentences):
         kids = [position[a] for a in sentence.args]
         for k in dict.fromkeys(kids):
             wakes[k].append(i)
-        if not kids:
-            plans.append(None)
-            continue
-        slots = (i, kids[0], kids[-1])
-        actions = [(slots[t], raises, f) for t, raises, f in _ACTIONS[type(sentence)]]
-        plans.append((kids[0], kids[-1], actions))
+        plans.append((kids[0], kids[-1], _ACTIONS[type(sentence)]) if kids else None)
     queued = bytearray(plan is not None for plan in plans)
     pending = [i for i, q in enumerate(queued) if q]
     for i in pending:
@@ -350,8 +356,12 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
         i = pending.pop(rng.randrange(len(pending)) if rng is not None else 0)
         queued[i] = 0
         a, b, rules = plans[i]
+        slots = (i, a, b)
+        # The six bounds a rule reads, read again only after a change.
+        c_lo, c_hi, a_lo, a_hi, b_lo, b_hi = low[i], high[i], low[a], high[a], low[b], high[b]
         for t, raises, compute in rules:
-            candidate = compute(full, low[i], high[i], low[a], high[a], low[b], high[b])
+            candidate = compute(full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi)
+            t = slots[t]
             if raises:
                 merged = low[t] | candidate
                 if merged == low[t]:
@@ -369,6 +379,7 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
                 if not queued[p]:
                     queued[p] = 1
                     pending.append(p)
+            c_lo, c_hi, a_lo, a_hi, b_lo, b_hi = low[i], high[i], low[a], high[a], low[b], high[b]
     return PropagationOutcome(FIXPOINT, None, assignment, steps)
 
 

@@ -34,6 +34,9 @@ from .rational import as_ratio, exact_str
 #: point: at this width a full mask is 12.5 MB and its text 100 MB.
 MAX_WIDTH = 10**8
 
+#: A message quotes a literal whole up to this many characters.
+_QUOTED = 64
+
 _DROP_BITS = str.maketrans("", "", "01")
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -46,6 +49,10 @@ def _lcm_tree(values: list[int]) -> int:
     while len(values) > 1:
         values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
     return values[0]
+
+
+def _flags(bits: int, width: int) -> bytes:
+    return format(bits, f"0{width}b")[::-1].encode("ascii").translate(_FLAG_BYTES)
 
 
 def _check_size(size: int) -> None:
@@ -115,7 +122,7 @@ class Incidence:
 
     def flags(self) -> bytes:
         """One byte per point, point 0 first: 1 for a member, 0 otherwise."""
-        return format(self.bits, f"0{self.width}b")[::-1].encode("ascii").translate(_FLAG_BYTES)
+        return _flags(self.bits, self.width)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(compress(range(self.width), self.flags()))
@@ -164,20 +171,34 @@ class Incidence:
 
 def parse_incidence_text(text: str, width: int) -> Incidence:
     """Parse either encoding of an incidence: a bit string, or a point-set
-    literal such as '{0,2,5}' (zero-based indices, '{}' for empty)."""
+    literal such as '{0,2,5}' (zero-based indices in ASCII decimal digits,
+    '{}' for empty)."""
     t = text.strip()
     if t.startswith("{"):
         if not t.endswith("}"):
-            raise ValueError(f"unterminated point set: {text!r}")
+            raise ValueError(f"unterminated point set: {_quoted(text)}")
         inner = t[1:-1].strip()
         if not inner:
             return Incidence.empty(width)
+        parts = [part.strip() for part in inner.split(",")]
+        digits = "".join(parts)
+        # `int` alone would also read '1_0', '+3' and non-ASCII digits.
+        if not (all(parts) and digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad point set: {_quoted(text)}")
         try:
-            indices = [int(part.strip()) for part in inner.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad point set: {text!r}") from exc
+            indices = list(map(int, parts))
+        except ValueError:  # past Python's limit on an int's digits
+            raise ValueError(f"bad point set: {_quoted(text)}") from None
         return Incidence.from_indices(indices, width)
     return Incidence.from_bitstring(t, width)
+
+
+def _quoted(text: str) -> str:
+    """`text` quoted for a message, cut to its first 12 characters when
+    longer than _QUOTED, as `rational.parse_rational` shows a long number."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:12]!r}... ({len(text)} characters)"
 
 
 def _memo_keys(weights: list) -> list:
@@ -297,10 +318,17 @@ class SampleSpace:
     def weight_of(self, inc: Incidence) -> Fraction:
         """Total weight of the incidence's members; the whole space has
         weight 1, so this is the probability of any sentence whose
-        incidence this is.  One integer sum, or one popcount when the
-        space is uniform."""
+        incidence this is.  It is `_numerator` of the mask over the
+        common denominator, one `Fraction`."""
         if inc.width != self._size:
             raise WidthMismatchError(f"incidence width {inc.width} != space size {self._size}")
+        return Fraction(self._numerator(inc.bits), self._denominator)
+
+    def _numerator(self, bits: int) -> int:
+        """The weight of the points in mask `bits`, times the common
+        denominator: one integer sum, or one popcount when the space is
+        uniform.  `weight_of` and `BoundAssignment.dump` both weigh masks
+        here."""
         if self._numerators is None:
-            return Fraction(inc.count(), self._size)
-        return Fraction(sum(compress(self._numerators, inc.flags())), self._denominator)
+            return bits.bit_count()
+        return sum(compress(self._numerators, _flags(bits, self._size)))

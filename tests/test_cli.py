@@ -145,6 +145,14 @@ class TestSolve:
         ]
         assert shuffled == [1262, 1257, 1235]
 
+    def test_weighted_space_matches_golden(self, capsys):
+        # Unequal weights, one zero, and many masks of one weight.  The
+        # golden was recorded from the `dump` that weighed each distinct
+        # mask through an `Incidence` and `weight_of`.
+        code, out, err = run(capsys, "solve", DATA / "weighted.kb")
+        assert code == 0 and err == ""
+        assert out == golden("weighted_solve.golden")
+
     def test_width_past_memory_is_a_data_error(self, capsys, tmp_path):
         # Fits an index, but its first full mask would take 1.25 GB.
         kb = tmp_path / "wide.kb"
@@ -370,6 +378,16 @@ class TestIngest:
         assert "\r\n" in raw
         table = ic.RecordTable.from_text(raw)
         assert ic.kb_fragment(*ic.incidences_from_records(table)) + "\n" == out
+
+
+@pytest.mark.parametrize("literal", ["{1_0}", "{+3}", "{\u0663}"])
+def test_point_index_other_than_ascii_digits_exits_two(capsys, tmp_path, literal):
+    # int() would read these as points 10, 3 and 3.
+    kb = tmp_path / "points.kb"
+    kb.write_text(f"space 11\ninc a = {literal}\nquery prob a\n", encoding="utf-8")
+    code, out, err = run(capsys, "query", kb)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: bad point set: {literal!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
 import copy
+import gc
 import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc import logic
 from incalc.logic import format_formulas, is_name
 from helpers import (
     ATOMS,
@@ -21,6 +24,7 @@ from helpers import (
 )
 
 A, B, C = ic.Atom("a"), ic.Atom("b"), ic.Atom("c")
+DATA = Path(__file__).parent / "data"
 
 # Every token of the syntax, whitespace, and characters that are not
 # tokens or only part of one.
@@ -147,6 +151,29 @@ class TestInterning:
             sys.setswitchinterval(interval)
         for nodes in results[1:]:
             assert all(a is b for a, b in zip(nodes, results[0]))
+
+    def test_dropped_nodes_leave_the_table(self):
+        text = (DATA / "fixpoint.kb").read_text()
+        gc.collect()
+        before = len(logic._nodes)
+        kbs = [ic.parse_kb(text) for _ in range(3)]
+        assert len(logic._nodes) > before
+        del kbs
+        gc.collect()
+        assert len(logic._nodes) == before
+
+    def test_a_node_built_after_its_predecessor_died_is_interned(self):
+        key = (ic.Atom, "reborn")
+        f = ic.parse_formula("reborn & ~reborn")
+        del f
+        gc.collect()
+        assert key not in logic._nodes
+        again = ic.parse_formula("reborn & ~reborn")
+        assert again is ic.And(ic.Atom("reborn"), ic.Not(ic.Atom("reborn")))
+        # A predecessor's callback that runs late leaves a live entry alone.
+        entry = logic._nodes[key]
+        logic._forget(entry)
+        assert logic._nodes[key] is entry and ic.Atom("reborn") is entry()
 
     def test_shared_subterm_walked_once(self):
         assert len(list(ic.subformulas(ic.parse_formula("a & a")))) == 2

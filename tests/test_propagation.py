@@ -5,19 +5,25 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.cli import main
 from incalc.propagation import MAX_ATOMS, MAX_TABLE_BITS, RULES, RULES_BY_CONNECTIVE
+from incalc.rational import format_prob
 from helpers import (
     ATOMS,
     arbitrary_instance,
     enumerate_legal,
+    formulas_st,
     holds_at,
+    incidences,
     points,
     random_formula,
     sound_instance,
     tight_bounds,
+    written_weights,
 )
 
 A, B = ic.Atom("a"), ic.Atom("b")
@@ -187,6 +193,25 @@ class TestBoundAssignment:
         assignment = ic.BoundAssignment(space)
         assignment.declare(A, lower=points(space, [0]), upper=points(space, [0, 1]))
         assert assignment.dump() == "a inf=1000 sup=1100 p=[1/4 (= 0.25), 1/2 (= 0.5)]"
+
+    @given(st.data())
+    def test_dump_prints_the_weight_of_each_bound(self, data):
+        # dump reads each mask's weight off an integer numerator; it must
+        # be the weight that weight_of gives, on either kind of space.
+        if data.draw(st.booleans()):
+            space = u(data.draw(st.integers(1, 12)))
+        else:
+            space = ic.SampleSpace(data.draw(written_weights(max_size=12)))
+        assignment = ic.BoundAssignment(space)
+        for f in data.draw(st.lists(formulas_st, min_size=1, max_size=4)):
+            x, y = data.draw(incidences(space.size)), data.draw(incidences(space.size))
+            assignment.declare(f, lower=x & y, upper=x | y)
+        lines = assignment.dump().split("\n")
+        assert len(lines) == len(assignment)
+        for line, sentence in zip(lines, assignment):
+            low, high = assignment.bounds(sentence)
+            probs = ", ".join(format_prob(space.weight_of(bound)) for bound in (low, high))
+            assert line == f"{sentence} inf={low} sup={high} p=[{probs}]"
 
     def test_unknown_sentence(self):
         assignment = ic.BoundAssignment(u(2))

@@ -147,6 +147,35 @@ class TestParseIncidenceText:
         with pytest.raises(ValueError):
             ic.parse_incidence_text("{9}", 4)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["{1_0}", "{+3}", "{\u0663}", "{1,\uff12}", "{-1}", "{1,,2}", "{1 0}", "{0x1}", "{1.0}"],
+    )
+    def test_indices_are_ascii_decimal_digits(self, literal):
+        # int() reads every one of these but the last four.
+        with pytest.raises(ValueError) as info:
+            ic.parse_incidence_text(literal, 11)
+        assert str(info.value) == f"bad point set: {literal!r}"
+
+    def test_leading_zeros_and_spaces_are_kept(self):
+        assert ic.parse_incidence_text("{ 007 ,\t10 }", 11).indices() == (7, 10)
+
+    @pytest.mark.parametrize("digits", [61, 4300, 5000])
+    def test_a_long_literal_is_cut_in_the_message(self, digits):
+        literal = "{1," + "9" * digits + "x}"
+        with pytest.raises(ValueError) as info:
+            ic.parse_incidence_text(literal, 11)
+        assert str(info.value) == f"bad point set: '{{1,999999999'... ({digits + 5} characters)"
+
+    def test_an_index_past_the_digit_limit_is_a_bad_point_set(self):
+        literal = "{" + "9" * 5000 + "}"
+        with pytest.raises(ValueError) as info:
+            ic.parse_incidence_text(literal, 11)
+        assert str(info.value) == "bad point set: '{99999999999'... (5002 characters)"
+        # Within the limit, the index is read and found out of range.
+        with pytest.raises(ValueError, match="out of range for width 11"):
+            ic.parse_incidence_text("{" + "9" * 4300 + "}", 11)
+
 
 class TestSampleSpace:
     def test_weight_of_worked_example(self):
