@@ -11,10 +11,13 @@ counts allow.
 A records table is read as one text, not row by row: `RecordTable.from_text`
 rewrites the value words to '0'/'1' with whole-text replacements, checks the
 shape of the whole table with two strided slices, and keeps each row as flag
-bytes (one byte per column, the encoding of `Incidence.flags`).  Only a table
-that fails the check is walked line by line, to name its first bad line.
-`incidences_from_records` folds equal rows with a `Counter` over those bytes
-and reads column c as every width-th byte of the distinct rows.
+bytes (one byte per column, the encoding of `Incidence.flags`).  The check
+runs on the rows as written; only a table that fails it has each row's
+separators normalised to single spaces and is checked again, and only a table
+that fails both is walked line by line, to name its first bad line.
+`incidences_from_records` folds equal rows with a `Counter` over those bytes,
+builds the space from the counts (`SampleSpace.from_counts`) and reads column
+c as every width-th byte of the distinct rows.
 
 Synthesis is deterministic for a fixed seed and works on int bitmasks
 throughout: every draw is one `_random_subset` of a mask, a uniformly
@@ -282,9 +285,12 @@ class RecordTable:
         {0, 1, t, f, true, false} (case-insensitive).  Lines are read by
         `kb.directive_lines`: '#' starts a comment, blank lines are
         skipped, and an error in the header or a row names its 1-based
-        line.  The rows are read as one text (see the module docstring);
-        only a table that fails the whole-text check is walked line by
-        line, for its first bad line."""
+        line.  The rows are read as one text (see the module docstring).
+        The whole-text check runs first on the rows as written, which a
+        table with single-space separators passes; a table that fails it
+        is checked again once its separators are normalised, and only a
+        table that fails both is walked line by line, for its first bad
+        line."""
         lines = directive_lines(text)
         first = next(lines, None)
         if first is None:
@@ -296,13 +302,16 @@ class RecordTable:
         # run together, like 'tf', stays too long to pass for one value.
         for word, bit in _BIT_WORDS:
             body = body.replace(word, bit)
-        body = "\n".join(map(" ".join, map(str.split, body.split("\n"))))
         flags = body.encode("ascii", "replace")
-        if _is_flag_text(flags, width):
-            rows = tuple(flags.translate(_FLAGS, b" ").split(b"\n"))
-        else:
-            _check_rows(text, width)
-            rows = ()  # every row is well formed: there are no rows or no columns
+        if not _is_flag_text(flags, width):
+            # A body that passes has single separators already, so only one
+            # that fails can change when its separators are normalised.
+            body = "\n".join(map(" ".join, map(str.split, body.split("\n"))))
+            flags = body.encode("ascii", "replace")
+            if not _is_flag_text(flags, width):
+                _check_rows(text, width)
+                flags = b""  # every row is well formed: there are no rows or no columns
+        rows = tuple(flags.translate(_FLAGS, b" ").split(b"\n")) if flags else ()
         try:
             return cls(header, rows)
         except RecordTableError as error:
@@ -352,11 +361,13 @@ def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, 
     """Fold identical rows into single points, in first-occurrence order,
     each weighted by its relative frequency; an atom's incidence is the
     set of points whose row has its column true.  Probabilities computed
-    downstream are then exactly the observed frequencies.  Column c of
-    the distinct rows is every width-th byte of their concatenation."""
+    downstream are then exactly the observed frequencies.  The space is
+    built from the counts and the row total, with no weight per point,
+    and column c of the distinct rows is every width-th byte of their
+    concatenation."""
     groups = Counter(table.rows)
     total = len(table.rows)
-    space = SampleSpace((count, total) for count in groups.values())
+    space = SampleSpace.from_counts(groups.values(), total)
     flags, width = b"".join(groups), len(table.columns)
     columns = (flags[c::width] for c in range(width))
     return space, dict(zip(table.columns, map(Incidence.from_flags, columns)))

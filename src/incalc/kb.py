@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import IncalcError, KBError
@@ -86,12 +88,14 @@ def directive_lines(text: str) -> Iterator[tuple[int, str]]:
     cut, as (1-based line number, stripped text).  Every line-oriented
     input (KB, targets, records) is read through this one scanner.  A line
     ends at '\\n', '\\r\\n' or '\\r' only: a form feed, '\\x85', U+2028 and
-    the other breaks of `str.splitlines` are whitespace inside a line."""
+    the other breaks of `str.splitlines` are whitespace inside a line.
+    The text is split once and each line cut, stripped, numbered and kept
+    by C-level iterators, with no Python frame per line; comments are cut
+    only when the text holds a '#'."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.partition("#")[0].strip()
-        if line:
-            yield lineno, line
+    if "#" in text:
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    return filter(itemgetter(1), enumerate(map(str.strip, lines), 1))
 
 
 def parse_kb(text: str) -> KnowledgeBase:

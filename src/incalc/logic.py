@@ -93,7 +93,8 @@ class Formula:
         return node
 
     def _init(self, *args) -> None:
-        if len(args) != len(self.contexts) or not all(isinstance(a, Formula) for a in args):
+        operands = map(isinstance, args, itertools.repeat(Formula))
+        if len(args) != len(self.contexts) or not all(operands):
             raise TypeError(f"bad operands for {type(self).__name__}: {args!r}")
         self.args = args
 

@@ -66,7 +66,6 @@ from .logic import (
     evaluate,
     evaluation_order,
     format_formulas,
-    subformulas,
 )
 from .rational import format_prob
 from .space import Incidence, SampleSpace
@@ -93,7 +92,8 @@ class BoundAssignment:
     space, and reading a bound builds an `Incidence`.  Reports and dumps
     follow registration order.  Registering a sentence registers each
     distinct subformula once, in the first-occurrence preorder of
-    `subformulas`: unseen ones default to the vacuous bounds (empty,
+    `subformulas`, and walks no further down than the nodes already
+    registered: unseen ones default to the vacuous bounds (empty,
     full), except the constants, whose incidences are forced by the
     axioms.  Declaring bounds for an already-known sentence merges them:
     lower bounds amalgamate by union, upper bounds by intersection, which
@@ -119,12 +119,18 @@ class BoundAssignment:
             if lower is not None or upper is not None:
                 raise ValueError("pass either exact or lower/upper, not both")
             lower = upper = exact
-        for sub in subformulas(sentence):
+        # Every subformula of a registered node is registered, so the walk
+        # descends only into new nodes: `subformulas`' preorder, less the
+        # registered parts, at a cost linear in the nodes it registers.
+        stack = [sentence]
+        while stack:
+            sub = stack.pop()
             if sub not in self._position:
                 self._position[sub] = len(self._low)
                 pinned = sub in (TRUE, FALSE)
                 self._low.append(sub.apply(self._full) if pinned else 0)
                 self._high.append(sub.apply(self._full) if pinned else self._full)
+                stack.extend(reversed(sub.args))
         if lower is not None:
             self.raise_lower(sentence, lower)
         if upper is not None:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from math import lcm
-from operator import index
+from itertools import chain, compress, repeat
+from math import gcd, lcm
+from operator import floordiv, index
 from typing import Iterable
 
 from .errors import WidthMismatchError
@@ -43,12 +43,13 @@ _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _lcm_tree(values: list[int]) -> int:
-    """The lcm of `values`, taken pairwise in a balanced tree: a flat
-    `lcm(*values)` multiplies a huge running result by each next value,
-    quadratic in the digits when there are many long denominators."""
+    """The lcm of `values` (1 for none), taken pairwise in a balanced
+    tree: a flat `lcm(*values)` multiplies a huge running result by each
+    next value, quadratic in the digits when there are many long
+    denominators."""
     while len(values) > 1:
         values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
-    return values[0]
+    return lcm(*values)
 
 
 def _flags(bits: int, width: int) -> bytes:
@@ -93,7 +94,10 @@ class Incidence:
         flags = bytearray(width)
         for k in indices:
             if not 0 <= k < width:
-                raise ValueError(f"point index {k} out of range for width {width}")
+                shown = exact_str(k)
+                if len(shown) > _QUOTED:
+                    shown = f"{shown[:12]}... ({len(shown)} characters)"
+                raise ValueError(f"point index {shown} out of range for width {width}")
             flags[k] = 1
         return cls.from_flags(flags)
 
@@ -229,6 +233,10 @@ class SampleSpace:
     were written.  A uniform space keeps no numerators: each would be 1.
     Each distinct weight is read by `as_ratio` and scaled once, and
     `map_weights` renders it once; the checks still see every point.
+    `from_counts` builds a space of observed frequencies from integer
+    counts over one total, reduced by one `gcd`.  Both hand their
+    numerators to `_keep`, which checks them and decides how they are
+    held, so every space is held alike however it was built.
     """
 
     __slots__ = ("_size", "_denominator", "_numerators")
@@ -244,12 +252,32 @@ class SampleSpace:
                 as_ratio(value)
             raise
         ratios = {key: as_ratio(value) for key, value in distinct.items()}
-        if not ratios:
-            raise ValueError("a sample space needs at least one point")
-        _check_size(len(weights))
         denominator = _lcm_tree([d for _, d in ratios.values()])
         scaled = {key: n * (denominator // d) for key, (n, d) in ratios.items()}
-        numerators = tuple(map(scaled.__getitem__, keys))
+        self._keep(tuple(map(scaled.__getitem__, keys)), denominator)
+
+    @classmethod
+    def from_counts(cls, counts: Iterable[int], total: int) -> "SampleSpace":
+        """The space whose point k weighs counts[k]/total: equal to
+        `SampleSpace((c, total) for c in counts)`, with no weight read one
+        by one.  One `gcd` over the total and every count reduces all of
+        them at once, so the common denominator is total // gcd."""
+        counts = tuple(counts)
+        if total < 1:
+            raise ValueError(f"total must be >= 1, got {exact_str(total)}")
+        common = gcd(total, *counts)
+        space = cls.__new__(cls)
+        space._keep(tuple(map(floordiv, counts, repeat(common))), total // common)
+        return space
+
+    def _keep(self, numerators: tuple[int, ...], denominator: int) -> None:
+        """Hold `numerators` over `denominator` as the weights, once they
+        pass the checks every space passes: at least one point, at most
+        `MAX_WIDTH`, none negative, summing to 1.  All numerators 1 is the
+        uniform space, which keeps none."""
+        if not numerators:
+            raise ValueError("a sample space needs at least one point")
+        _check_size(len(numerators))
         if min(numerators) < 0:
             raise ValueError("weights must be non-negative")
         total = sum(numerators)

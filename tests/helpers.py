@@ -13,7 +13,6 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.kb import directive_lines
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
 
@@ -227,6 +226,17 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
     return result
 
 
+def reference_directive_lines(text: str):
+    """The per-line definition of `kb.directive_lines`: each line of
+    `text`, broken at '\\n', '\\r\\n' and '\\r' only, numbered from 1, cut
+    at its first '#' and stripped, kept when anything is left."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
 _TRUTHY = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
 
 
@@ -238,7 +248,7 @@ def reference_ingest(text: str) -> str:
     from the indices of the distinct rows that have it true."""
     header: tuple[str, ...] | None = None
     rows = []
-    for lineno, line in directive_lines(text):
+    for lineno, line in reference_directive_lines(text):
         if header is None:
             header, header_lineno = tuple(line.replace(",", " ").split()), lineno
             continue

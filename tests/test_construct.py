@@ -207,6 +207,23 @@ def records_texts(draw):
     endings = st.sampled_from(["\n", "\r\n", "\r"])
     return "".join(line + draw(endings) for line in text)
 
+
+@st.composite
+def boolean_tables(draw):
+    """Rows of one to eight booleans each, all of one width."""
+    width = draw(st.integers(1, 8))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=12))
+
+
+def written_table(rows, separator: str, words: tuple[str, str]) -> str:
+    """`rows` as a records text: columns c0, c1, ..., values written as
+    words[False] and words[True], every line ended by a newline."""
+    lines = [[f"c{k}" for k in range(len(rows[0]))]]
+    lines += [[words[value] for value in row] for row in rows]
+    return "".join(separator.join(line) + "\n" for line in lines)
+
+
 class TestRecordTable:
     def test_worked_example(self):
         table = ic.RecordTable(
@@ -306,6 +323,16 @@ class TestRecordTable:
     @given(records_texts())
     def test_reader_matches_the_per_row_reference(self, text):
         assert outcome(ingest_fragment, text) == outcome(reference_ingest, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(boolean_tables(), st.sampled_from([("FALSE", "TRUE"), ("F", "T"), ("false", "True")]))
+    def test_every_spelling_of_a_table_ingests_alike(self, rows, words):
+        # Single spaces pass the whole-text check as written; the other
+        # separators pass it only once they are normalised.
+        expected = reference_ingest(written_table(rows, " ", ("0", "1")))
+        for separator in (" ", ", ", "\t", "   ", " \t , "):
+            for spelling in (("0", "1"), words):
+                assert ingest_fragment(written_table(rows, separator, spelling)) == expected
 
 
 class TestParseTargets:

@@ -163,6 +163,41 @@ class TestBoundAssignment:
         assignment.declare(f)
         assert assignment.sentences() == (f, ic.Not(A), A, B)
 
+    @given(st.lists(formulas_st, min_size=1, max_size=6))
+    def test_registration_follows_the_preorder_of_all_declared(self, sentences):
+        assignment = ic.BoundAssignment(u(2))
+        for sentence in sentences:
+            assignment.declare(sentence)
+        assert assignment.sentences() == tuple(ic.subformulas(*sentences))
+
+    def test_registering_a_chain_is_linear_in_its_length(self, monkeypatch):
+        class Counting(dict):
+            checks = 0
+
+            def __contains__(self, key):
+                Counting.checks += 1
+                return super().__contains__(key)
+
+        init = ic.BoundAssignment.__init__
+
+        def counted(self, space):
+            init(self, space)
+            self._position = Counting()
+
+        monkeypatch.setattr(ic.BoundAssignment, "__init__", counted)
+        checks = {}
+        for n in (100, 200, 400):
+            lines = "".join(f"formula d{i} = d{i - 1} & a{i % 5}\n" for i in range(1, n))
+            kb = ic.parse_kb(f"space 4\nformula d0 = a0\n{lines}")
+            Counting.checks = 0
+            assignment = kb.initial_assignment()
+            assert assignment.sentences() == tuple(ic.subformulas(*kb.formulas.values()))
+            checks[n] = Counting.checks
+        # Each line after the first registers one new node and looks up its
+        # two operands; a walk of every declared sentence's whole DAG would
+        # grow quadratically in the length.
+        assert checks == {n: 3 * n - 2 for n in checks}
+
     def test_duplicate_declarations_amalgamate(self):
         space = u(4)
         assignment = ic.BoundAssignment(space)

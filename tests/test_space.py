@@ -172,9 +172,15 @@ class TestParseIncidenceText:
         with pytest.raises(ValueError) as info:
             ic.parse_incidence_text(literal, 11)
         assert str(info.value) == "bad point set: '{99999999999'... (5002 characters)"
-        # Within the limit, the index is read and found out of range.
-        with pytest.raises(ValueError, match="out of range for width 11"):
+        # Within the limit, the index is read, found out of range and cut
+        # in the message as a long literal is.
+        with pytest.raises(ValueError) as info:
             ic.parse_incidence_text("{" + "9" * 4300 + "}", 11)
+        assert str(info.value) == (
+            "point index 999999999999... (4300 characters) out of range for width 11"
+        )
+        with pytest.raises(ValueError, match="^point index -<4301 digits> out of range"):
+            ic.Incidence.from_indices([-(10**4300)], 11)
 
 
 class TestSampleSpace:
@@ -318,6 +324,37 @@ class TestSampleSpace:
             assert hash(space) == hash((len(weights), denominator, numerators))
             assert repr(space) == f"SampleSpace({weights!r})"
         assert space.map_weights(str) == tuple(map(str, weights))
+
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=30).filter(any),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    def test_from_counts_equals_the_space_of_pairs(self, counts, factor, ones):
+        # A common factor of the counts and the total is reduced away;
+        # equal counts give the uniform space, which keeps no numerators.
+        counts = [factor * (1 if ones else c) for c in counts]
+        total = sum(counts)
+        space = ic.SampleSpace.from_counts(counts, total)
+        expected = ic.SampleSpace((c, total) for c in counts)
+        assert space == expected and hash(space) == hash(expected)
+        assert space.weights == expected.weights and repr(space) == repr(expected)
+        assert space.is_uniform == (len(set(counts)) == 1)
+
+    @pytest.mark.parametrize(
+        "counts, total",
+        [([1, 1], 3), ([2, 2], 2), ([3, -1], 2), ([], 1), ([0, 0], 4)],
+    )
+    def test_from_counts_refuses_what_the_pairs_refuse(self, counts, total):
+        with pytest.raises(ValueError) as expected:
+            ic.SampleSpace((c, total) for c in counts)
+        with pytest.raises(ValueError) as info:
+            ic.SampleSpace.from_counts(counts, total)
+        assert str(info.value) == str(expected.value)
+
+    def test_from_counts_needs_a_positive_total(self):
+        with pytest.raises(ValueError, match="^total must be >= 1, got 0$"):
+            ic.SampleSpace.from_counts([0, 0], 0)
 
     @settings(max_examples=60)
     @given(st.data())

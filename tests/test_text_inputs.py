@@ -21,6 +21,8 @@ from incalc.cli import main
 from incalc.kb import directive_lines
 from incalc.rational import exact_str
 
+from helpers import reference_directive_lines
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 NUMBERS = ["0", "1", "2", "3", "7", "1/2", "1/4", "3/4", "0.5", "0.25", "-1", "1e-1", "25e-2"]
@@ -194,6 +196,19 @@ class TestDirectiveLines:
         assert list(directive_lines(text)) == [
             (1, "a\fb\x0bc\x1cd\x85e\u2028f\u2029g"), (2, "h"), (3, "i"), (4, "j")
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["a", "b c", "1 0", "#", "# x", "##", "\r", "\r\n", "\n", "\n\n", "\f", "\x85",
+                 "\u2028", "\u3000", " ", "  ", "\t", "\x0b", "\xa0"]
+            ),
+            max_size=24,
+        ).map("".join)
+    )
+    def test_matches_the_per_line_reference(self, text):
+        assert list(directive_lines(text)) == list(reference_directive_lines(text))
 
     def test_is_the_only_place_that_breaks_text_at_line_ends(self):
         callers = [
