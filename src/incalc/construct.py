@@ -22,7 +22,8 @@ c as every width-th byte of the distinct rows.
 Synthesis is deterministic for a fixed seed and works on int bitmasks
 throughout: every draw is one `_random_subset` of a mask, a uniformly
 random subset of a given size built from a few random words and fixed up
-by O(sqrt(points)) single points.  Marginals are met exactly at the quota
+by O(sqrt(points)) single points, picked by their rank in the mask, so no
+step makes a Python int per point.  Marginals are met exactly at the quota
 round(p * size).  The correlation pairs must form a forest: each tree is
 oriented from its lexically smallest atom, breadth first, and every other
 atom is moved once against its parent, by seeded swaps that set the pair's
@@ -34,11 +35,13 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
@@ -53,6 +56,7 @@ _VALUES = frozenset({"0", "1", "t", "f", "true", "false"})
 # Longer words first, so that 'true' is not read as 't' + 'rue'.
 _BIT_WORDS = (("false", "0"), ("true", "1"), ("f", "0"), ("t", "1"))
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+_POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its set bits
 
 
 @dataclass(frozen=True)
@@ -123,12 +127,18 @@ def _random_subset(rng: random.Random, mask: int, count: int, size: int) -> int:
     """A uniformly random `count`-subset of `mask`'s points, as a mask.
 
     Each point is first kept with probability share/2^digits, at most
-    count/|mask| and within 2^-digits of it: `digits` random words of `size` bits are combined by the
-    binary digits of `share`, least significant first, AND on a 0 and OR
-    on a 1.  The result is clipped to `mask`, and the |have - count| points
-    missing or extra are drawn by `rng.sample`.  With 2^digits at least
-    sqrt(|mask|) that fix-up is O(sqrt(|mask|)) points.  No step depends on
-    which points `mask` holds, so every `count`-subset is equally likely.
+    count/|mask| and within 2^-digits of it: `digits` random words of
+    `size` bits are combined by the binary digits of `share`, least
+    significant first, AND on a 0 and OR on a 1.  The result is clipped to
+    `mask`, and the |have - count| points missing or extra are drawn by
+    rank: `rng.sample` picks that many ranks among the pool's points, and
+    `_select` turns them into a mask, so no point of the pool becomes a
+    Python int.  `random.sample` reads only the population's length and
+    the items at the indices it picks, so a `range` of ranks takes the
+    same draws as the tuple of the pool's points would.  With 2^digits at
+    least sqrt(|mask|) that fix-up is O(sqrt(|mask|)) points.  No step
+    depends on which points `mask` holds, so every `count`-subset is
+    equally likely.
     """
     points = mask.bit_count()
     if not 0 <= count <= points:
@@ -148,8 +158,28 @@ def _random_subset(rng: random.Random, mask: int, count: int, size: int) -> int:
         return drawn
     # The fix-up points come from outside `drawn` or from inside it, so a
     # XOR adds or removes them.
-    pool = Incidence(mask & ~drawn if have < count else drawn, size).indices()
-    return drawn ^ Incidence.from_indices(rng.sample(pool, abs(have - count)), size).bits
+    pool = mask & ~drawn if have < count else drawn
+    return drawn ^ _select(pool, rng.sample(range(pool.bit_count()), abs(have - count)))
+
+
+def _select(mask: int, ranks: Iterable[int]) -> int:
+    """The mask of `mask`'s points of the given ranks, rank r being the
+    point with r lower points in `mask`.
+
+    Each rank is found by bisecting the running point count of `mask`'s
+    bytes (popcounts by one `bytes.translate`), then clearing that byte's
+    lower points, so the cost is one pass over the bytes in C plus a few
+    steps per rank."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    before = list(accumulate(data.translate(_POPCOUNT), initial=0))
+    chosen = 0
+    for rank in ranks:
+        at = bisect_right(before, rank) - 1
+        byte = data[at]
+        for _ in range(rank - before[at]):
+            byte &= byte - 1
+        chosen |= (byte & -byte) << 8 * at
+    return chosen
 
 
 def _placement_order(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:

@@ -58,6 +58,12 @@ class KnowledgeBase:
     bounds: list[tuple[Formula, Incidence, Incidence]] = field(default_factory=list)
     formulas: dict[str, Formula] = field(default_factory=dict)
     queries: list[Query] = field(default_factory=list)
+    # The nodes below the `formula` definitions read so far, and the atom
+    # names among them: a new definition walks only the nodes past these.
+    _defined_nodes: set[Formula] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+    _defined_atoms: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def environment(self) -> dict[str, Incidence]:
         """The exact incidences, for truth-functional evaluation."""
@@ -175,9 +181,32 @@ def _parse_formula_def(kb: KnowledgeBase, line: str) -> None:
     if name in kb.incidences:
         raise KBError(f"{name!r} already names an incidence")
     sentence = kb.resolve(m.group(2))
-    if name in atom_names(sentence):
+    if _refers_to(kb, name, sentence):
         raise KBError(f"formula {name!r} refers to itself")
     kb.formulas[name] = sentence
+
+
+def _refers_to(kb: KnowledgeBase, name: str, sentence: Formula) -> bool:
+    """Whether `name` is an atom of `sentence`, walking only the nodes that
+    no earlier definition holds.  The name is not defined yet, so it can
+    be an atom of the line's own text or of an earlier definition that
+    the line uses, as after `formula c = b & x`, `formula b = c | x`
+    refers to itself.  Only when `name` is an atom below some earlier
+    definition is the whole sentence walked, so a chain of definitions
+    loads in work linear in its nodes.  The sentence's nodes and atom
+    names join the KB's record of walked definitions."""
+    walked, fresh = kb._defined_nodes, set()
+    stack = [sentence]
+    while stack:
+        node = stack.pop()
+        if node not in walked:
+            walked.add(node)
+            if isinstance(node, Atom):
+                fresh.add(node.name)
+            stack.extend(node.args)
+    found = name in fresh or name in kb._defined_atoms and name in atom_names(sentence)
+    kb._defined_atoms |= fresh
+    return found
 
 
 def _parse_query(kb: KnowledgeBase, line: str) -> None:

@@ -278,6 +278,30 @@ def reference_ingest(text: str) -> str:
     return ic.kb_fragment(space, env)
 
 
+def reference_random_subset(rng: random.Random, mask: int, count: int, size: int) -> int:
+    """The draw that `construct._random_subset` replaced, which listed its
+    fix-up pool point by point: the same random words, then `rng.sample`
+    over the tuple of the pool's points.  Same seed, same mask."""
+    points = mask.bit_count()
+    if not 0 <= count <= points:
+        raise ValueError(f"cannot draw {count} of {points} points")
+    if count in (0, points):
+        return mask if count else 0
+    digits = (points.bit_length() + 1) // 2
+    share = (count << digits) // points
+    drawn = 0
+    for _ in range(digits):
+        word = rng.getrandbits(size)
+        drawn = drawn | word if share & 1 else drawn & word
+        share >>= 1
+    drawn &= mask
+    have = drawn.bit_count()
+    if have == count:
+        return drawn
+    pool = ic.Incidence(mask & ~drawn if have < count else drawn, size).indices()
+    return drawn ^ ic.Incidence.from_indices(rng.sample(pool, abs(have - count)), size).bits
+
+
 # hypothesis strategies
 
 @st.composite

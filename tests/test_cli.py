@@ -227,6 +227,17 @@ class TestSample:
         )
         assert reseeded != first
 
+    def test_path_of_pairs_matches_golden(self, capsys):
+        # Pairs a-b, b-c and c-d of mixed sign: b, c and d each move once,
+        # and the fix-ups add points on some draws and remove them on
+        # others.  The golden was recorded from the placement that listed
+        # each fix-up pool point by point.
+        code, out, err = run(
+            capsys, "sample", DATA / "path.targets", "--size", 3000, "--seed", 17
+        )
+        assert code == 0 and err == ""
+        assert out == golden("path_sample.golden")
+
     def test_output_is_a_parsable_kb(self, capsys):
         import incalc as ic
 

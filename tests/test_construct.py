@@ -2,17 +2,17 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.construct import _random_subset
+from incalc.construct import _random_subset, _select
 from incalc.rational import sqrt_fraction
 
-from helpers import points, reference_ingest
+from helpers import points, reference_ingest, reference_random_subset
 
 HALF, TWO_FIFTHS = F(1, 2), F(2, 5)
 
@@ -145,6 +145,81 @@ class TestRandomSubset:
         chi_square = sum((n - expected) ** 2 / expected for n in drawn.values())
         # 27.88 is the 0.999 quantile of chi-square with 9 degrees of freedom.
         assert chi_square < 27.88
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_draws_what_listing_the_pool_drew(self, data):
+        # The fix-up picks ranks where the reference picked points from the
+        # tuple of the pool's points; both must leave the same mask and the
+        # generator in the same state, or every later draw of a seed moves.
+        width = data.draw(
+            st.integers(1, 300) | st.sampled_from([8, 9, 16, 17, 10**4]), label="width"
+        )
+        if width <= 300:
+            mask = data.draw(st.integers(0, (1 << width) - 1), label="mask")
+        else:
+            words = random.Random(data.draw(st.integers(0, 2**32), label="mask seed"))
+            mask = words.getrandbits(width) | words.getrandbits(width)
+        count = data.draw(st.integers(0, mask.bit_count()), label="count")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _random_subset(ours, mask, count, width) == reference_random_subset(
+            theirs, mask, count, width
+        )
+        assert ours.getstate() == theirs.getstate()
+
+
+class TestSelect:
+    def picked(self, mask: int, width: int, ranks) -> int:
+        """The points of the given ranks, from `mask`'s points listed one
+        int each."""
+        listed = tuple(compress(range(width), ic.Incidence(mask, width).flags()))
+        return sum(1 << listed[rank] for rank in ranks)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 64, 300])
+    def test_first_and_last_rank_of_a_full_mask(self, width):
+        full = (1 << width) - 1
+        assert _select(full, [0]) == 1
+        assert _select(full, [width - 1]) == 1 << width - 1
+        assert _select(full, [0, width - 1]) == 1 | 1 << width - 1
+
+    @pytest.mark.parametrize(
+        "mask, width",
+        [
+            ((1 << 40) - 1, 40),
+            (0xFF00FF00FF, 40),  # whole bytes without points between them
+            (0b1000_0000_1000_0001, 16),  # one point at each end of a byte
+            (random.Random(5).getrandbits(10**4), 10**4),
+        ],
+    )
+    def test_ranks_on_byte_boundaries(self, mask, width):
+        total = mask.bit_count()
+        near = {r for k in range(0, total + 9, 8) for r in (k - 1, k, k + 1)}
+        ranks = sorted(near & set(range(total)))
+        assert _select(mask, ranks) == self.picked(mask, width, ranks)
+        for rank in ranks:
+            assert _select(mask, [rank]) == self.picked(mask, width, [rank])
+
+    @pytest.mark.parametrize("width", [1, 8, 9, 16, 17, 10**4])
+    def test_single_point_masks(self, width):
+        for k in {0, 1, 7, 8, 9, width // 2, width - 2, width - 1} & set(range(width)):
+            assert _select(1 << k, [0]) == 1 << k
+
+    def test_the_top_point_of_the_width(self):
+        width = 10**4
+        mask = 1 << width - 1 | random.Random(2).getrandbits(width - 8)
+        assert _select(mask, [mask.bit_count() - 1]) == 1 << width - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_indexing_the_listed_points(self, data):
+        width = data.draw(st.integers(1, 300) | st.sampled_from([8, 9, 16, 17]), label="width")
+        mask = data.draw(st.integers(1, (1 << width) - 1), label="mask")
+        ranks = data.draw(
+            st.lists(st.integers(0, mask.bit_count() - 1), unique=True, max_size=20),
+            label="ranks",
+        )
+        assert _select(mask, ranks) == self.picked(mask, width, ranks)
 
 
 def ingest_fragment(text: str) -> str:

@@ -2,13 +2,15 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc import kb as kb_module
 from incalc import rational
 from incalc import space as space_module
-from helpers import ATOMS, points
+from incalc.cli import main
+from helpers import ATOMS, formulas_st, points
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +80,9 @@ class TestParseKB:
             ("space 2\ninc f = 10\nformula f = a\n", 3, "already names an incidence"),
             ("space 2\nformula f = a\nformula f = b\n", 3, "duplicate formula"),
             ("space 2\nformula f = f & a\n", 2, "refers to itself"),
+            # The name is an atom of an earlier definition, not of the line.
+            ("space 2\nformula c = b & x\nformula b = c | x\n", 3, "formula 'b' refers to itself"),
+            ("space 2\nformula c = b\nformula e = ~c\nformula b = e & y\n", 4, "'b' refers"),
             ("space 2\nguess a = 10\n", 2, "unknown directive"),
             ("space 2\ninc a = 101\n", 2, "length 3"),
             ("space 2\ninc a = {5}\n", 2, "out of range"),
@@ -238,6 +243,73 @@ class TestKnowledgeBase:
             outcome = ic.propagate(assignment, mode)
             assert outcome.ok
             assert 3 not in outcome.final.bounds(kb.formulas["d0"])[1]
+
+    def test_an_atom_of_an_earlier_definition_may_be_defined_apart(self):
+        kb = ic.parse_kb("space 2\nformula c = b & x\nformula b = x | y\n")
+        assert kb.formulas["b"] == ic.parse_formula("x | y")
+        assert kb.formulas["c"] == ic.parse_formula("b & x")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(ATOMS), formulas_st), min_size=1, max_size=8))
+    def test_definitions_are_checked_as_by_a_whole_walk(self, lines):
+        # Names and atoms share one pool, so a name is often an atom of an
+        # earlier definition that the line may or may not use.
+        defined, expected = {}, None
+        for lineno, (name, body) in enumerate(lines, 2):
+            if name in defined:
+                expected = (lineno, f"duplicate formula name {name!r}")
+                break
+            sentence = ic.parse_formula(str(body), defined)
+            if name in ic.atom_names(sentence):
+                expected = (lineno, f"formula {name!r} refers to itself")
+                break
+            defined[name] = sentence
+        text = "space 2\n" + "".join(f"formula {name} = {body}\n" for name, body in lines)
+        if expected is None:
+            assert ic.parse_kb(text).formulas == defined
+        else:
+            with pytest.raises(ic.KBError) as info:
+                ic.parse_kb(text)
+            lineno, message = expected
+            assert (info.value.line, str(info.value)) == (lineno, f"line {lineno}: {message}")
+
+    def test_self_reference_through_an_earlier_definition_exits_two(self, tmp_path, capsys):
+        kb = tmp_path / "cycle.kb"
+        kb.write_text("space 2\nformula c = b & x\nformula b = c | x\n")
+        assert main(["solve", str(kb)]) == 2
+        assert capsys.readouterr().err == "error: line 3: formula 'b' refers to itself\n"
+
+    def test_loading_a_chain_is_linear_in_its_length(self, monkeypatch):
+        class Counting(set):
+            checks = 0
+
+            def __contains__(self, key):
+                Counting.checks += 1
+                return super().__contains__(key)
+
+        parse_space = kb_module._parse_space
+
+        def counted(line):
+            kb = parse_space(line)
+            kb._defined_nodes = Counting()
+            return kb
+
+        def full_walk(sentence):
+            raise AssertionError("no name of the chain is an atom of an earlier line")
+
+        monkeypatch.setattr(kb_module, "_parse_space", counted)
+        monkeypatch.setattr(kb_module, "atom_names", full_walk)
+        checks = {}
+        for n in (100, 200, 400):
+            lines = "".join(f"formula d{i} = d{i - 1} & a{i % 5}\n" for i in range(1, n))
+            Counting.checks = 0
+            kb = ic.parse_kb(f"space 4\nformula d0 = a0\n{lines}")
+            checks[n] = Counting.checks
+            assert kb._defined_nodes == set(ic.subformulas(*kb.formulas.values()))
+        # Each line after the first walks one new node and looks up its two
+        # operands; a walk of each definition's whole DAG would grow
+        # quadratically in the length.
+        assert checks == {n: 3 * n - 2 for n in checks}
 
 
 class TestKBFragment:
