@@ -11,11 +11,15 @@ Exit codes: 0 on success (and on a consistent solve), 1 when solve finds
 an inconsistency, 2 for usage, parse, or data errors, 3 for an internal
 error (a fault in incalc itself, reported as one `internal error:` line).
 
-`_COMMANDS` describes each subcommand once, and a call builds the parser
-of its own subcommand only; `incalc`, `-h`, an unknown word or a leading
-option builds all five, so help and usage text read the same either way.
-Building all five was about 70% of a small `solve`: argparse's gettext
-lookups and terminal-size probes grow with every subparser built.
+`_COMMANDS` describes each subcommand once.  `main` reads a well-formed
+command line from it directly (`_read_argv`): the command's exact name,
+then flags spelled exactly as in the table, each at most once and with
+its value if it takes one, and the positionals, no value or positional
+starting with `-`.  Anything else, help included, goes to the argparse
+parser of all five commands, which is the only code that writes help,
+usage and error text.  Building that
+parser was about half of a small `solve`: argparse's gettext lookups and
+terminal-size probes grow with every subparser built.
 """
 
 from __future__ import annotations
@@ -100,6 +104,8 @@ def _cmd_ingest(args) -> int:
 
 # Each command once: its help, the name of its handler (looked up when
 # `main` runs it) and its arguments as (flags, keyword arguments) pairs.
+# `_read_argv` knows positionals, `store_true` flags and flags that take
+# one value with `type`, `default` and `required`, and nothing else.
 _COMMANDS = {
     "eval": (
         "evaluate a formula against exact incidences",
@@ -145,21 +151,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for `command` alone, or for every command when it is
-    None.  A lone subparser is listed under every command's name, so
-    usage and error text read as the full parser's."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incalc",
         description="Set-valued probabilistic reasoning over weighted sample spaces.",
     )
-    if command is None:
-        names, listed = _COMMANDS, {}
-    else:
-        names, listed = [command], {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **listed)
-    for name in names:
-        help_text, handler, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -167,11 +165,73 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _reader_entry(handler: str, arguments: list) -> tuple:
+    """One command's arguments as `_read_argv` reads them: its positional
+    dests, each flag string mapped to (dest, convert), where convert None
+    marks a `store_true` flag, its defaults and its required dests.
+    Dests follow argparse: the first long flag, else the first flag,
+    without its dashes and with `-` as `_`."""
+    positionals, flags, defaults, required = [], {}, {}, set()
+    for names, options in arguments:
+        if not names[0].startswith("-"):
+            positionals.append(names[0])
+            defaults[names[0]] = None
+            continue
+        dest = ([n for n in names if n.startswith("--")] or names)[0]
+        dest = dest.lstrip("-").replace("-", "_")
+        switch = options.get("action") == "store_true"
+        flags.update(dict.fromkeys(names, (dest, None if switch else options.get("type", str))))
+        defaults[dest] = False if switch else options.get("default")
+        if options.get("required"):
+            required.add(dest)
+    defaults["run"] = handler
+    return positionals, flags, defaults, required
+
+
+_READER = {name: _reader_entry(*entry[1:]) for name, entry in _COMMANDS.items()}
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that `_build_parser().parse_args(argv)` returns, when
+    `argv` is a command's exact name followed by flags spelled exactly as
+    in `_COMMANDS`, each at most once and followed by its value if it
+    takes one, and as many positionals as the command takes, no
+    positional or value starting with `-`.  None for anything else,
+    which argparse then reads: help, abbreviations, `--flag=value`, `--`,
+    repeats and every error."""
+    entry = _READER.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    positionals, flags, defaults, required = entry
+    values, given = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        dest, convert = flags.get(token, (None, None))
+        if dest is None or dest in values:
+            return None
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a flag at the end has no value
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+    if len(given) != len(positionals) or not required <= values.keys():
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**{"command": argv[0], **defaults, **values})
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return globals()[args.run](args)
     except (IncalcError, ValueError, TypeError, OSError) as exc:

@@ -39,12 +39,23 @@ from collections import Counter
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
-from .errors import FormulaSyntaxError, UnboundAtomError, WidthMismatchError
+from .errors import (
+    FormulaSyntaxError,
+    InstanceTooLargeError,
+    UnboundAtomError,
+    WidthMismatchError,
+)
+from .rational import exact_str
 from .space import Incidence, SampleSpace
 
 _serials = itertools.count()
 _by_serial = attrgetter("serial")
 _interning = threading.Lock()  # one node per key, even under threads
+
+# Characters that one call of `format_formulas` may render, in total.  A
+# chain of definitions that each use the previous name twice doubles its
+# text per line, so 40 lines would print terabytes.
+MAX_TEXT = 1 << 26
 
 
 class _Entry(weakref.ref):
@@ -236,10 +247,28 @@ def format_formulas(nodes: Iterable[Formula]) -> list[str]:
     its children's text, so a subterm shared by many of them costs one
     rendering.  The text of a node not asked for is dropped after its last
     use, so a deep chain holds no more than the asked-for text at any time.
+
+    Each node's rendered length is counted first, one int per node, and
+    asked-for text longer than MAX_TEXT characters in total raises
+    InstanceTooLargeError before any text is built.
     """
     nodes = list(nodes)
     wanted = set(nodes)
     order = sorted(subformulas(*nodes), key=_by_serial)
+    length: dict[Formula, int] = {}
+    for g in order:
+        n = len(g.symbol)
+        for a, context in zip(g.args, g.contexts):
+            n += length[a] + (2 if a.prec < context else 0)  # parentheses
+        length[g] = n
+    total = 0
+    for k, f in enumerate(nodes, 1):
+        total += length[f]
+        if total > MAX_TEXT:
+            raise InstanceTooLargeError(
+                f"sentence {k} of {len(nodes)} renders as {exact_str(length[f])} characters,"
+                f" taking the text past the limit of {MAX_TEXT} characters"
+            )
     uses = Counter(a for g in order for a in g.args)
     text: dict[Formula, str] = {}
     for g in order:

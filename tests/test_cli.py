@@ -5,11 +5,12 @@ import random
 import shlex
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
@@ -128,6 +129,29 @@ class TestSolve:
         code, out, err = run(capsys, "solve", DATA / "chain.kb")
         assert code == 0 and err == ""
         assert out == golden("chain_solve.golden")
+
+    @pytest.mark.parametrize("command", ["solve", "query"])
+    def test_text_past_the_rendering_limit_exits_two_before_printing(
+        self, command, capsys, tmp_path
+    ):
+        # The KB of tests/test_kb.py::test_long_definition_chain_is_shared:
+        # the text of d40 would hold 2^40 copies of d0.
+        levels = "".join(f"formula d{i} = (d{i - 1} & b) | ~d{i - 1}\n" for i in range(1, 41))
+        path = tmp_path / "chain40.kb"
+        path.write_text(
+            "space 4\ninc b = 1010\nformula d0 = a -> c\n"
+            + levels
+            + "bounds d40 inf {0} sup {0,1,2}\ninc a = 0011\ninc c = 0101\nquery prob d40\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        position = "4 of 124" if command == "solve" else "1 of 1"
+        assert err == (
+            f"error: sentence {position} renders as 19791209299956 characters,"
+            " taking the text past the limit of 67108864 characters\n"
+        )
 
     def test_fixpoint_scale_matches_golden(self, capsys):
         # 303 registered sentences at width 32, shared chains included.
@@ -446,14 +470,37 @@ class TestDigitsPastTheLimit:
         assert out == f"a inf={mask} sup={mask} p=[{prob}, {prob}]\nCONSISTENT\n"
 
 
-# Each argv once through the per-command parser and once through the
-# parser of all five commands; the exit code and both streams must agree.
+# Each argv once through `main` as it stands and once with the reader
+# refusing everything, so that argparse reads it; the exit code and both
+# streams must agree.
 USAGE_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["sol"], ["--x"], ["-h", "solve"], ["solve"],
     ["solve", "-h"], ["solve", "x", "--bogus"], ["solve", "a", "b"], ["solve", "--comp", "x"],
     ["solve", "--complete"], ["eval", "-h"], ["eval", "x"], ["query", "-h"], ["sample", "-h"],
     ["sample", "t", "--size", "x"], ["ingest", "-h"],
+    ["sample", "t", "--size=5"], ["eval", "x", "-fa"], ["solve", "--", "x"], ["solve", "-"],
+    ["sample", "t", "--size", "-5"], ["sample", "t", "--si", "5"], ["eval", "x", "--form", "a"],
+    ["sample", "t", "--size", "5", "--size", "6"], ["sample", "t", "--size", "9" * 5000],
+    ["sample", "t", "--size", "٣"], ["eval", "x", "-f"], ["solve", "x", "--complete", "-h"],
 ]
+
+# Well-formed command lines of all five commands, which the reader takes.
+WELL_FORMED = [
+    ["eval", str(DATA / "example.kb"), "-f", "a & ~b"],
+    ["eval", "--formula", "a | b", str(DATA / "example.kb")],
+    ["query", str(DATA / "example.kb")],
+    ["solve", str(DATA / "example.kb")],
+    ["solve", "--complete", str(DATA / "tighten.kb")],
+    ["sample", str(DATA / "ab.targets"), "--size", " 1_0", "--seed", "٣"],
+    ["ingest", str(DATA / "rain_wet.records")],
+    ["query", "x"],
+]
+
+
+def argv_id(argv):
+    """A test id: data files by name, long tokens by their length."""
+    names = (Path(t).name if t.startswith(str(DATA)) else t for t in argv)
+    return " ".join(t if len(t) < 40 else f"<{len(t)} characters>" for t in names)
 
 
 def outcome(argv):
@@ -466,19 +513,66 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def parsed(argv):
+    """What the full argparse parser makes of `argv`: its Namespace as a
+    dict, or None when it exits (help, usage or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_FLAGS = sorted(
+    {
+        f
+        for _, _, arguments in cli._COMMANDS.values()
+        for names, _ in arguments
+        for f in names
+        if f.startswith("-")
+    }
+)
+_ODD = ["--comp", "--si", "--form", "--size=5", "-fa", "--", "-", "-5", "-h", "--help"]
+_TOKENS = [*cli._COMMANDS, *_FLAGS, *_ODD, "7", " 7", "1_0", "٣", "9" * 5000, "", "x", "a & b"]
+# A flag-like token and the token after it, or one token alone.
+_CHUNKS = st.one_of(
+    st.tuples(st.sampled_from(_FLAGS + _ODD), st.sampled_from(_TOKENS)),
+    st.tuples(st.sampled_from(_TOKENS)),
+)
+
+
 class TestParserPerCommand:
-    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("argv", USAGE_ARGVS + WELL_FORMED, ids=argv_id)
     def test_text_matches_the_full_parser(self, argv, monkeypatch, tmp_path):
         monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.chdir(tmp_path)  # 'x', 'a' and 't' name no file
         own = outcome(argv)
-        build_all = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build_all())
+        monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
         assert own == outcome(argv)
         assert own[0] in (0, 2)
 
-    @pytest.mark.parametrize("argv, built", [(["solve", str(DATA / "example.kb")], 1), (["-h"], 5)])
-    def test_builds_only_the_named_subcommand(self, argv, built, monkeypatch):
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=argv_id)
+    def test_reads_a_well_formed_command_line(self, argv):
+        assert vars(cli._read_argv(argv)) == parsed(argv)
+
+    @settings(max_examples=500, deadline=None)
+    @example("sample", [("t",), ("--size", "7"), ("--size", "9")])
+    @example("solve", [("x",), ("--comp",)])
+    @example("eval", [("x",), ("--", "a")])
+    @given(
+        st.one_of(st.sampled_from(list(cli._COMMANDS)), st.sampled_from(_TOKENS)),
+        st.lists(_CHUNKS, max_size=4),
+    )
+    def test_reader_agrees_with_argparse(self, first, chunks):
+        argv = [first, *(token for chunk in chunks for token in chunk)]
+        read = cli._read_argv(argv)
+        assert read is None or vars(read) == parsed(argv)
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [(["solve", str(DATA / "example.kb")], 0), (["-h"], 5), (["solve", "x", "--bogus"], 5)],
+    )
+    def test_builds_subparsers_only_for_help_and_errors(self, argv, built, monkeypatch):
         calls = []
         add_parser = argparse._SubParsersAction.add_parser
 

@@ -5,6 +5,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,26 @@ class TestPrinter:
         texts = format_formulas(nodes)
         assert texts == [ic.format_formula(f) for f in nodes]
         assert all(ic.parse_formula(text) is f for text, f in zip(texts, nodes))
+
+    @given(st.lists(formulas_st, min_size=1, max_size=4))
+    def test_text_up_to_the_limit_renders_and_one_character_more_is_refused(self, nodes):
+        texts = format_formulas(nodes)
+        total = sum(map(len, texts))
+        with mock.patch.object(logic, "MAX_TEXT", total):
+            assert format_formulas(nodes) == texts
+        with mock.patch.object(logic, "MAX_TEXT", total - 1):
+            with pytest.raises(ic.InstanceTooLargeError):
+                format_formulas(nodes)
+
+    def test_the_refusal_names_the_sentence_by_position_and_length(self, monkeypatch):
+        f = ic.parse_formula("(a | b) & ~c")  # 12 characters
+        monkeypatch.setattr(logic, "MAX_TEXT", 23)
+        with pytest.raises(ic.InstanceTooLargeError) as err:
+            format_formulas([f, f])
+        assert str(err.value) == (
+            "sentence 2 of 2 renders as 12 characters,"
+            " taking the text past the limit of 23 characters"
+        )
 
 
 @pytest.fixture
