@@ -113,7 +113,8 @@ class Formula:
         return type(self), self.args
 
     def __repr__(self) -> str:
-        return f"parse_formula({format_formula(self)!r})"
+        note = _too_long(self)
+        return f"<{note}>" if note else f"parse_formula({format_formula(self)!r})"
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -255,12 +256,7 @@ def format_formulas(nodes: Iterable[Formula]) -> list[str]:
     nodes = list(nodes)
     wanted = set(nodes)
     order = sorted(subformulas(*nodes), key=_by_serial)
-    length: dict[Formula, int] = {}
-    for g in order:
-        n = len(g.symbol)
-        for a, context in zip(g.args, g.contexts):
-            n += length[a] + (2 if a.prec < context else 0)  # parentheses
-        length[g] = n
+    length = _text_lengths(order)
     total = 0
     for k, f in enumerate(nodes, 1):
         total += length[f]
@@ -281,9 +277,34 @@ def format_formulas(nodes: Iterable[Formula]) -> list[str]:
     return [text[f] for f in nodes]
 
 
+def _text_lengths(order: list[Formula]) -> dict[Formula, int]:
+    """Each node's rendered length, one int per node, children first:
+    `order` holds every node below the ones asked for, by serial."""
+    length: dict[Formula, int] = {}
+    for g in order:
+        n = len(g.symbol)
+        for a, context in zip(g.args, g.contexts):
+            n += length[a] + (2 if a.prec < context else 0)  # parentheses
+        length[g] = n
+    return length
+
+
 def format_formula(f: Formula) -> str:
     """One formula's text, as `format_formulas` renders it."""
     return format_formulas((f,))[0]
+
+
+def _too_long(f: Formula) -> str | None:
+    """A note of `f`'s length when its text passes MAX_TEXT characters,
+    counted without rendering it; None when the text fits."""
+    n = _text_lengths(sorted(subformulas(f), key=_by_serial))[f]
+    return f"a sentence of {exact_str(n)} characters, too long to render" if n > MAX_TEXT else None
+
+
+def describe(f: Formula) -> str:
+    """`f` for a message: its text, or the note `_too_long` makes, so
+    that naming a sentence in an error never fails."""
+    return _too_long(f) or format_formula(f)
 
 
 def subformulas(*roots: Formula) -> Iterator[Formula]:

@@ -63,6 +63,7 @@ from .logic import (
     Implies,
     Not,
     Or,
+    describe,
     evaluate,
     evaluation_order,
     format_formulas,
@@ -143,7 +144,7 @@ class BoundAssignment:
         try:
             return self._position[sentence]
         except KeyError:
-            raise UnknownSentenceError(f"no bounds registered for {sentence}") from None
+            raise UnknownSentenceError(f"no bounds registered for {describe(sentence)}") from None
 
     def _bits(self, inc: Incidence) -> int:
         if inc.width == self.space.size:

@@ -9,11 +9,14 @@ on-disk format and must not change.
 Weights are exact rationals.  A probability read off an incidence is the
 sum of the weights of its member points, so downstream identities hold as
 equalities rather than to within a tolerance.  A space keeps its weights
-as integer numerators over one common denominator, so that sum is one
-integer sum turned into a `Fraction` once; a uniform space keeps no
+as integer numerators over one common denominator, so that sum is an
+integer turned into a `Fraction` once.  A uniform space keeps no
 numerators, and the sum is the incidence's member count (a popcount).
-Each distinct weight is read, scaled and rendered once; the per-point work
-is C-level `map` and `sum` over the numerators.
+Any other space whose numerators fit in a byte, with at most
+`MAX_MASKS` distinct non-zero ones, is weighed as one popcount per
+distinct numerator n, of the incidence and the mask of the points
+weighing n; the masks are built the first time the space is weighed.
+Each distinct weight is read, scaled and rendered once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from .rational import as_ratio, exact_str
 #: point: at this width a full mask is 12.5 MB and its text 100 MB.
 MAX_WIDTH = 10**8
 
+#: The most distinct non-zero numerators a space is weighed by point
+#: masks for.  At one bit per point each, that many masks take no more
+#: memory than the tuple of numerators' 8-byte pointers.
+MAX_MASKS = 64
+
 #: A message quotes a literal whole up to this many characters.
 _QUOTED = 64
 
@@ -42,14 +50,35 @@ _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _lcm_tree(values: list[int]) -> int:
-    """The lcm of `values` (1 for none), taken pairwise in a balanced
-    tree: a flat `lcm(*values)` multiplies a huge running result by each
-    next value, quadratic in the digits when there are many long
-    denominators."""
-    while len(values) > 1:
-        values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
-    return lcm(*values)
+def _lcm_tree(values: list[int]) -> tuple[int, list[int]]:
+    """The lcm M of `values` (1 for none) and `M // v` for each value;
+    `values` is left empty.
+
+    The lcm is taken pairwise in a balanced tree: a flat `lcm(*values)`
+    multiplies a huge running result by each next value, quadratic in the
+    digits when there are many long denominators.  The quotients come
+    back down the same tree, each node's from its parent's as
+    `q_parent * (parent // node)`, so each division is of a node by its
+    child rather than of M by every value.  A node is dropped as soon as
+    its children have their quotients, and the values once the tree is
+    done, so the tree never holds much more than the values and their
+    quotients at once."""
+    levels = [values]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([lcm(*below[i : i + 2]) for i in range(0, len(below), 2)])
+    above = levels.pop()
+    common, quotients = lcm(*above), [1] * len(above)
+    while levels:
+        below, children = levels.pop(), []
+        while above:  # right to left, so that each parent can be popped
+            parent, q = above.pop(), quotients.pop()
+            first = 2 * len(above)
+            children.extend(q * (parent // v) for v in reversed(below[first : first + 2]))
+        children.reverse()
+        above, quotients = below, children
+    values.clear()
+    return common, quotients
 
 
 def _flags(bits: int, width: int) -> bytes:
@@ -61,6 +90,28 @@ def _check_size(size: int) -> None:
         raise ValueError(
             f"size must be <= {MAX_WIDTH}, got {exact_str(size)}: its masks would not fit"
         )
+
+
+def _point_masks(numerators: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """`(n, mask)` for each distinct non-zero numerator n, the mask
+    holding the points that weigh n; none when a numerator passes 255 or
+    there are more than `MAX_MASKS` of them.  The numerators become one
+    byte each, and each mask is one `translate` of those bytes to '0'/'1'
+    digits and one `int` of them."""
+    try:
+        codes = bytes(numerators)[::-1]  # point 0 is the last digit
+    except ValueError:  # a numerator past 255
+        return ()
+    distinct = set(codes)
+    distinct.discard(0)
+    if len(distinct) > MAX_MASKS:
+        return ()
+    masks = []
+    for n in distinct:
+        table = bytearray(b"0" * 256)
+        table[n] = ord("1")
+        masks.append((n, int(codes.translate(table), 2)))
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -233,13 +284,15 @@ class SampleSpace:
     were written.  A uniform space keeps no numerators: each would be 1.
     Each distinct weight is read by `as_ratio` and scaled once, and
     `map_weights` renders it once; the checks still see every point.
+    The first weighing builds the point masks `_numerator` weighs by
+    (`_point_masks`), a cache that equality and hashing never read.
     `from_counts` builds a space of observed frequencies from integer
     counts over one total, reduced by one `gcd`.  Both hand their
     numerators to `_keep`, which checks them and decides how they are
     held, so every space is held alike however it was built.
     """
 
-    __slots__ = ("_size", "_denominator", "_numerators")
+    __slots__ = ("_size", "_denominator", "_numerators", "_masks")
 
     def __init__(self, weights: Iterable):
         weights = list(weights)
@@ -251,9 +304,14 @@ class SampleSpace:
             for value in weights:
                 as_ratio(value)
             raise
-        ratios = {key: as_ratio(value) for key, value in distinct.items()}
-        denominator = _lcm_tree([d for _, d in ratios.values()])
-        scaled = {key: n * (denominator // d) for key, (n, d) in ratios.items()}
+        ratios = [as_ratio(value) for value in distinct.values()]
+        numerators = [n for n, _ in ratios]
+        denominators = [d for _, d in ratios]
+        # No denominator or scale factor outlives its use: a wide space's
+        # can take as much memory as its numerators.
+        del ratios  # `_lcm_tree` empties `denominators`
+        denominator, factors = _lcm_tree(denominators)
+        scaled = {key: numerators.pop() * factors.pop() for key in reversed(distinct)}
         self._keep(tuple(map(scaled.__getitem__, keys)), denominator)
 
     @classmethod
@@ -278,7 +336,8 @@ class SampleSpace:
         if not numerators:
             raise ValueError("a sample space needs at least one point")
         _check_size(len(numerators))
-        if min(numerators) < 0:
+        distinct = set(numerators)
+        if min(distinct) < 0:
             raise ValueError("weights must be non-negative")
         total = sum(numerators)
         if total != denominator:
@@ -286,8 +345,8 @@ class SampleSpace:
             raise ValueError(f"weights must sum to 1, got {shown}")
         self._size = len(numerators)
         self._denominator = denominator
-        uniform = numerators.count(1) == len(numerators)
-        self._numerators = None if uniform else numerators
+        self._numerators = None if distinct == {1} else numerators
+        self._masks = None
 
     @classmethod
     def uniform(cls, size: int) -> "SampleSpace":
@@ -297,7 +356,7 @@ class SampleSpace:
         _check_size(size)
         space = cls.__new__(cls)
         space._size = space._denominator = size
-        space._numerators = None
+        space._numerators = space._masks = None
         return space
 
     @property
@@ -354,9 +413,15 @@ class SampleSpace:
 
     def _numerator(self, bits: int) -> int:
         """The weight of the points in mask `bits`, times the common
-        denominator: one integer sum, or one popcount when the space is
-        uniform.  `weight_of` and `BoundAssignment.dump` both weigh masks
-        here."""
+        denominator: one popcount when the space is uniform, one per
+        distinct numerator when it has point masks, and otherwise one
+        integer sum over the member points.  `weight_of` and
+        `BoundAssignment.dump` both weigh masks here."""
         if self._numerators is None:
             return bits.bit_count()
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = _point_masks(self._numerators)
+        if masks:
+            return sum([n * (bits & mask).bit_count() for n, mask in masks])
         return sum(compress(self._numerators, _flags(bits, self._size)))

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -266,6 +267,23 @@ class TestPrinter:
             "sentence 2 of 2 renders as 12 characters,"
             " taking the text past the limit of 23 characters"
         )
+
+    def test_repr_past_the_limit_names_the_length(self, monkeypatch):
+        f = ic.parse_formula("(a | b) & ~c")  # 12 characters
+        monkeypatch.setattr(logic, "MAX_TEXT", 12)
+        assert repr(f) == "parse_formula('(a | b) & ~c')"
+        monkeypatch.setattr(logic, "MAX_TEXT", 11)
+        assert repr(f) == "<a sentence of 12 characters, too long to render>"
+        with pytest.raises(ic.InstanceTooLargeError):
+            str(f)
+
+    def test_repr_of_a_deep_chain_is_immediate(self):
+        # Each level uses the one below twice, so d40's text would be
+        # terabytes; repr counts it without building it.
+        d = ic.Atom("a")
+        for _ in range(40):
+            d = ic.Or(ic.And(d, ic.Atom("b")), ic.Not(d))
+        assert re.fullmatch(r"<a sentence of \d{13,} characters, too long to render>", repr(d))
 
 
 @pytest.fixture

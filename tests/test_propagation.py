@@ -250,8 +250,24 @@ class TestBoundAssignment:
 
     def test_unknown_sentence(self):
         assignment = ic.BoundAssignment(u(2))
-        with pytest.raises(ic.UnknownSentenceError):
-            assignment.bounds(A)
+        with pytest.raises(ic.UnknownSentenceError, match="^no bounds registered for a & b$"):
+            assignment.bounds(ic.And(A, B))
+
+    def test_unknown_sentence_too_long_to_render_is_named_by_its_length(self):
+        # d40 of a chain that uses each level twice would render as
+        # terabytes: the error names its length and keeps its type.
+        d = A
+        for _ in range(40):
+            d = ic.Or(ic.And(d, B), ic.Not(d))
+        assignment = ic.BoundAssignment(u(1))
+        assignment.declare(A)
+        for call in (assignment.bounds, lambda s: assignment.raise_lower(s, u(1).full())):
+            with pytest.raises(ic.UnknownSentenceError) as err:
+                call(d)
+            assert re.fullmatch(
+                r"no bounds registered for a sentence of \d{13,} characters, too long to render",
+                str(err.value),
+            )
 
     def test_width_checked(self):
         assignment = ic.BoundAssignment(u(2))

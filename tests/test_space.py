@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.space import MAX_WIDTH
+from incalc import space as space_module
+from incalc.space import MAX_MASKS, MAX_WIDTH, _lcm_tree
 from incalc.rational import as_ratio
 from helpers import incidences, load_script, random_space, reference_weight_of, written_weights
 
@@ -33,6 +34,37 @@ def repeated_weights(draw):
         form = draw(st.sampled_from(forms)) if forms else F
         written.append(form(value))
     return written
+
+
+@st.composite
+def counted_spaces(draw):
+    """A space of integer counts over their total, built by `__init__`
+    from `(count, total)` pairs or by `from_counts`, with the counts.
+    Widths run to 300 and include 10^4; the counts take up to 70
+    distinct values, about MAX_MASKS, among them 0, 255 and 256 and some
+    past a byte."""
+    width = draw(st.integers(1, 300) | st.just(10_000))
+    kinds = draw(st.sampled_from([1, 2, 7, MAX_MASKS, MAX_MASKS + 1]) | st.integers(1, 70))
+    kinds = min(width, kinds)
+    value = st.sampled_from([0, 1, 255, 256]) | st.integers(0, 300) | st.integers(257, 2**70)
+    pool = draw(st.lists(value, min_size=kinds, max_size=kinds, unique=True))
+    counts = [pool[k % kinds] for k in range(width)]
+    draw(st.randoms(use_true_random=False)).shuffle(counts)
+    if not any(counts):
+        counts[0] = 1
+    total = sum(counts)
+    if draw(st.booleans()):
+        return ic.SampleSpace.from_counts(counts, total), counts
+    return ic.SampleSpace((c, total) for c in counts), counts
+
+
+def spaces_of_numerators(numerators):
+    """The space whose point k weighs numerators[k] over their sum, built
+    both ways."""
+    total = sum(numerators)
+    return ic.SampleSpace.from_counts(numerators, total), ic.SampleSpace(
+        (n, total) for n in numerators
+    )
 
 
 def decimal_text(q):
@@ -369,6 +401,75 @@ class TestSampleSpace:
         ) + space.weight_of(j)
         assert space.weight_of(i & j) <= space.weight_of(i)
         assert space.weight_of(i.complement()) == 1 - space.weight_of(i)
+
+
+class TestWeighing:
+    @settings(max_examples=80, deadline=None)
+    @given(counted_spaces(), st.randoms(use_true_random=False))
+    def test_weight_of_is_the_sum_over_the_member_points(self, built, rng):
+        space, counts = built
+        total = sum(counts)
+        weights = [F(c, total) for c in counts]
+        masks = [0, (1 << space.size) - 1] + [rng.getrandbits(space.size) for _ in range(3)]
+        for bits in masks:
+            inc = ic.Incidence(bits, space.size)
+            assert space.weight_of(inc) == reference_weight_of(weights, inc)
+
+    @pytest.mark.parametrize(
+        "numerators",
+        [
+            [255, 1],
+            [0, 3, 0, 255, 2],
+            list(range(1, MAX_MASKS + 1)) * 3,
+            [0] + list(range(1, MAX_MASKS + 1)),
+        ],
+    )
+    def test_a_qualifying_space_is_weighed_by_point_masks(self, numerators, monkeypatch):
+        # Numerators that fit in a byte, at most MAX_MASKS of them non-zero:
+        # weighing counts mask bits and never reads a point's flag.
+        def refused(*args):
+            raise AssertionError("weighed point by point")
+
+        monkeypatch.setattr(space_module, "_flags", refused)
+        total = sum(numerators)
+        weights = [F(n, total) for n in numerators]
+        rng = random.Random(len(numerators))
+        for space in spaces_of_numerators(numerators):
+            for _ in range(5):
+                inc = ic.Incidence(rng.getrandbits(space.size), space.size)
+                assert space.weight_of(inc) == reference_weight_of(weights, inc)
+            assert space.weight_of(space.full()) == 1
+
+    @pytest.mark.parametrize(
+        "numerators",
+        [[256, 1], [2**4000, 1, 3], list(range(1, MAX_MASKS + 2))],
+    )
+    def test_any_other_space_is_weighed_point_by_point(self, numerators, monkeypatch):
+        calls = []
+        flags = space_module._flags
+        monkeypatch.setattr(space_module, "_flags", lambda *a: calls.append(a) or flags(*a))
+        total = sum(numerators)
+        weights = [F(n, total) for n in numerators]
+        for space in spaces_of_numerators(numerators):
+            for inc in (ic.Incidence(1, space.size), ~ic.Incidence(1, space.size)):
+                assert space.weight_of(inc) == reference_weight_of(weights, inc)
+        assert len(calls) == 4
+
+    def test_weighing_leaves_equality_and_hash_alone(self):
+        counts = [3, 0, 5, 3, 7, 1] * 50
+        for weigh_first in range(2):
+            spaces = spaces_of_numerators(counts)
+            spaces[weigh_first].weight_of(ic.Incidence(0b110101, len(counts)))
+            assert spaces[0] == spaces[1] and hash(spaces[0]) == hash(spaces[1])
+            assert spaces[0]._key() == spaces[1]._key()
+
+    @given(st.lists(st.integers(1, 10**30) | st.integers(1, 12), max_size=40))
+    def test_tree_quotients_divide_the_lcm(self, values):
+        given = list(values)
+        denominator, quotients = _lcm_tree(given)
+        assert denominator == lcm(*values)
+        assert quotients == [denominator // d for d in values]
+        assert given == []
 
 
 # The bit-cost formula tabulated by scripts/storage_table.py.
