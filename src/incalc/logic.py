@@ -13,11 +13,14 @@ building a node equal to one that already exists returns that node, so
 equal formulas are the same object, hashing is O(1), and a sentence that
 uses a subterm twice stores it once.  The intern table is a plain dict
 from (class, *args) to a weak reference to the node, so it keeps no node
-alive: a lookup is one `dict.get` and one call of the reference, and a
-node's entry leaves the table when the node dies, unless a new node has
-taken its key by then.  The walks below visit each distinct node once
-and never recurse, so cost follows the number of distinct nodes and
-depth is unbounded.  Nothing here normalises or simplifies.
+alive: a lookup is one `dict.get` and one call of the reference, taken
+without a lock, since a live node found there is the one node of its
+key.  Only a miss, or an entry whose node has died, takes the interning
+lock and looks again under it before building a node.  A node's entry
+leaves the table when the node dies, unless a new node has taken its
+key by then.  The walks below visit each distinct node once and never
+recurse, so cost follows the number of distinct nodes and depth is
+unbounded.  Nothing here normalises or simplifies.
 
 Concrete syntax: identifiers are atoms ([A-Za-z][A-Za-z0-9_]*), `true` and
 `false` are constants (so they name no atom, incidence, formula, column
@@ -92,7 +95,12 @@ class Formula:
 
     def __new__(cls, *args):
         key = (cls, *args)
-        with _interning:
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        with _interning:  # a miss, or a dead entry: look again under the lock
             ref = _nodes.get(key)
             node = ref and ref()
             if node is None:
@@ -172,7 +180,11 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CONSTANTS = {c.symbol: c for c in (TRUE, FALSE)}
 _BINARY = {cls.symbol.strip(): cls for cls in (And, Or, Implies)}
 _SYMBOLS = "|".join(map(re.escape, [*_BINARY, Not.symbol, "(", ")"]))
-_TOKEN_RE = re.compile(rf"\s*(?:({IDENT_RE.pattern}|{_SYMBOLS})|(\S))")
+# One token per match: its text in the group, or an empty group for a
+# character that starts no token.  Whitespace matches nothing.
+_TOKEN_RE = re.compile(rf"({IDENT_RE.pattern}|{_SYMBOLS})|\S")
+# Every token but an identifier; None is the end of the text.
+_SYNTAX = frozenset([*_BINARY, Not.symbol, "(", ")", None])
 
 
 def is_name(text: str) -> bool:
@@ -187,50 +199,54 @@ def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -
     An identifier named in `definitions` stands for that node itself, so
     a defined sentence is shared by every formula that uses its name.
 
-    One loop over the tokens, with no recursion: operands wait on one
-    stack and connectives on another.  A binary connective C arriving
-    first builds every waiting connective that binds at least as tightly
-    as C's left operand demands (`prec >= C.contexts[0]`), the test
+    One `findall` splits the text into token strings, and a character
+    that starts no token is reported first, wherever it is.  Then one
+    loop over the strings, with no recursion: operands wait on one stack
+    and connectives on another.  A binary connective C arriving first
+    builds every waiting connective that binds at least as tightly as C's
+    left operand demands (`prec >= C.contexts[0]`), the test
     `format_formula` uses to leave out parentheses, so `&` and `|`
-    associate left and `->` right.
+    associate left and `->` right.  A token's position is worked out
+    only when it is reported.
     """
+    tokens: list[str | None] = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        pos = _token_start(text, tokens.index(""))
+        raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(None)  # the end of the text
     definitions = definitions or {}
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m[2]:
-            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
-        tokens.append((m[1], m.start(1)))
-    tokens.append((None, len(text)))
     operands: list[Formula] = []
     waiting: list[type[Formula] | None] = []  # None marks an open parenthesis
     depth = 0  # open parentheses
     want_operand = True
-    for token, pos in tokens:
+    for k, token in enumerate(tokens):
         if want_operand:
-            if token == Not.symbol:
+            if token not in _SYNTAX:  # an identifier
+                operands.append(_CONSTANTS.get(token) or definitions.get(token) or Atom(token))
+                want_operand = False
+            elif token == Not.symbol:
                 waiting.append(Not)
             elif token == "(":
                 waiting.append(None)
                 depth += 1
-            elif token is None:
-                raise FormulaSyntaxError("unexpected end of input", pos)
-            elif IDENT_RE.fullmatch(token):
-                operands.append(_CONSTANTS.get(token) or definitions.get(token) or Atom(token))
-                want_operand = False
             else:
-                raise FormulaSyntaxError(f"unexpected {token!r}", pos)
+                message = "unexpected end of input" if token is None else f"unexpected {token!r}"
+                raise FormulaSyntaxError(message, _token_start(text, k))
             continue
         binary = _BINARY.get(token)
         if binary is None and not (token == ")" and depth):
             if depth:
-                raise FormulaSyntaxError("expected ')'", pos)
+                raise FormulaSyntaxError("expected ')'", _token_start(text, k))
             if token is not None:
-                raise FormulaSyntaxError(f"unexpected {token!r}", pos)
+                raise FormulaSyntaxError(f"unexpected {token!r}", _token_start(text, k))
         floor = binary.contexts[0] if binary else 0
         while waiting and waiting[-1] is not None and waiting[-1].prec >= floor:
             connective = waiting.pop()
-            arity = len(connective.contexts)
-            operands[-arity:] = [connective(*operands[-arity:])]
+            if connective is Not:
+                operands[-1] = Not(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = connective(operands[-1], right)
         if binary:
             waiting.append(binary)
             want_operand = True
@@ -238,6 +254,14 @@ def parse_formula(text: str, definitions: Mapping[str, Formula] | None = None) -
             waiting.pop()
             depth -= 1
     return operands[0]
+
+
+def _token_start(text: str, k: int) -> int:
+    """Where token k of `text` starts, counting a character that starts
+    no token as one; the end of the text when there are only k."""
+    for m in itertools.islice(_TOKEN_RE.finditer(text), k, None):
+        return m.start()
+    return len(text)
 
 
 def format_formulas(nodes: Iterable[Formula]) -> list[str]:
@@ -265,13 +289,20 @@ def format_formulas(nodes: Iterable[Formula]) -> list[str]:
                 f"sentence {k} of {len(nodes)} renders as {exact_str(length[f])} characters,"
                 f" taking the text past the limit of {MAX_TEXT} characters"
             )
-    uses = Counter(a for g in order for a in g.args)
+    # Uses left of each node nobody asked for; when every node was asked
+    # for, as in a dump, nothing is counted.
+    uses = {}
+    if len(order) > len(wanted):
+        uses = Counter(a for g in order for a in g.args if a not in wanted)
     text: dict[Formula, str] = {}
     for g in order:
         parts = []
         for a, context in zip(g.args, g.contexts):
-            uses[a] -= 1
-            part = text[a] if uses[a] or a in wanted else text.pop(a)
+            part = text[a]
+            if a in uses:
+                uses[a] -= 1
+                if not uses[a]:
+                    del text[a]
             parts.append(f"({part})" if a.prec < context else part)
         text[g] = g.symbol.join(parts) if len(parts) == 2 else g.symbol + "".join(parts)
     return [text[f] for f in nodes]

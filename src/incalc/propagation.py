@@ -20,13 +20,16 @@ i(A | B) = i(A) | i(B), and i(A -> B) = (w \\ i(A)) | i(B).
 Every connective is a set operation, so a rule is one or two int mask
 operations.  The fixpoint loop works on two lists of bitmasks indexed by
 registration position, with child and parent positions computed once per
-call.  A compound node's plan is its operands' positions and its
-connective's rule list, which every node of that connective shares; a
-node taken from the worklist reads its six bounds once, and again only
-after one of its rules changed a bound.  An `Incidence` is built only
-where a bound is read out.  `dump` renders all sentences from one text
-memo, each shared subterm once, and reads each distinct mask's weight as
-an integer numerator, so it builds one `Fraction` per distinct weight.
+call.  A compound node's plan is its operands' positions, read from its
+first and last argument, and its connective's rule list, which every
+node of that connective shares.  The worklist is a FIFO queue (a
+`deque`, so taking the next node costs O(1) however many are queued),
+each node in it at most once; a node taken from it reads its six bounds
+once, and again only after one of its rules changed a bound.  An
+`Incidence` is built only where a bound is read out.  `dump` renders all
+sentences from one text memo, each shared subterm once, and reads each
+distinct mask's weight as an integer numerator, so it builds one
+`Fraction` per distinct weight.
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -350,17 +354,27 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
     plans: list[tuple[int, int, tuple] | None] = []
     wakes: list[list[int]] = [[] for _ in sentences]
     for i, sentence in enumerate(sentences):
-        kids = [position[a] for a in sentence.args]
-        for k in dict.fromkeys(kids):
-            wakes[k].append(i)
-        plans.append((kids[0], kids[-1], _ACTIONS[type(sentence)]) if kids else None)
+        args = sentence.args
+        if args:
+            a, b = position[args[0]], position[args[-1]]
+            wakes[a].append(i)
+            if b != a:
+                wakes[b].append(i)
+            plans.append((a, b, _ACTIONS[type(sentence)]))
+        else:
+            plans.append(None)
     queued = bytearray(plan is not None for plan in plans)
-    pending = [i for i, q in enumerate(queued) if q]
+    pending = deque(itertools.compress(range(len(plans)), queued))
     for i in pending:
         wakes[i].append(i)
     steps = 0
     while pending:
-        i = pending.pop(rng.randrange(len(pending)) if rng is not None else 0)
+        if rng is None:
+            i = pending.popleft()
+        else:  # a queued node drawn at random, by its place in the queue
+            k = rng.randrange(len(pending))
+            i = pending[k]
+            del pending[k]
         queued[i] = 0
         a, b, rules = plans[i]
         slots = (i, a, b)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -235,6 +236,63 @@ def reference_directive_lines(text: str):
         line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|&|\||->|~|\(|\))|(\S))")
+_REFERENCE_BINARY = {"&": ic.And, "|": ic.Or, "->": ic.Implies}
+_REFERENCE_CONSTANTS = {"true": ic.TRUE, "false": ic.FALSE}
+
+
+def reference_parse_formula(text: str, definitions=None) -> ic.Formula:
+    """The match-object definition of `ic.parse_formula`: one `finditer`
+    match per token with its position, every character that starts no
+    token reported before any structural error, then one loop over
+    (token, position) pairs ending in (None, len(text))."""
+    definitions = definitions or {}
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        if m[2]:
+            raise ic.FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    tokens.append((None, len(text)))
+    operands = []
+    waiting = []  # None marks an open parenthesis
+    depth = 0
+    want_operand = True
+    for token, pos in tokens:
+        if want_operand:
+            if token == "~":
+                waiting.append(ic.Not)
+            elif token == "(":
+                waiting.append(None)
+                depth += 1
+            elif token is None:
+                raise ic.FormulaSyntaxError("unexpected end of input", pos)
+            elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", token):
+                node = _REFERENCE_CONSTANTS.get(token) or definitions.get(token) or ic.Atom(token)
+                operands.append(node)
+                want_operand = False
+            else:
+                raise ic.FormulaSyntaxError(f"unexpected {token!r}", pos)
+            continue
+        binary = _REFERENCE_BINARY.get(token)
+        if binary is None and not (token == ")" and depth):
+            if depth:
+                raise ic.FormulaSyntaxError("expected ')'", pos)
+            if token is not None:
+                raise ic.FormulaSyntaxError(f"unexpected {token!r}", pos)
+        floor = binary.contexts[0] if binary else 0
+        while waiting and waiting[-1] is not None and waiting[-1].prec >= floor:
+            connective = waiting.pop()
+            arity = len(connective.contexts)
+            operands[-arity:] = [connective(*operands[-arity:])]
+        if binary:
+            waiting.append(binary)
+            want_operand = True
+        elif token == ")":
+            waiting.pop()
+            depth -= 1
+    return operands[0]
 
 
 _TRUTHY = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}

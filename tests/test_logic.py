@@ -23,6 +23,7 @@ from helpers import (
     random_env,
     random_formula,
     random_space,
+    reference_parse_formula,
 )
 
 A, B, C = ic.Atom("a"), ic.Atom("b"), ic.Atom("c")
@@ -34,6 +35,27 @@ TOKEN_SOUP = [
     "a", "b", "x_1", "true", "false", "~", "&", "|", "->", "(", ")",
     " ", "\t", "-", ">", "$", "1", "_", "\u00e9",
 ]
+
+# Characters that start no token, one after an identifier, and the
+# whitespace put between tokens (none, a no-break space and a line
+# separator included).
+STRAY = [*TOKEN_SOUP[13:], "0", "#", "!", "=", ",", "x\u00e9"]
+SPACES = ["", " ", "\t", "\n", "\r", "\u00a0", "\u2028"]
+
+
+@st.composite
+def soup_texts(draw):
+    """A random formula's text cut into tokens, with up to two of them
+    dropped and up to two strings from TOKEN_SOUP or STRAY put anywhere,
+    joined by random whitespace: well-formed, malformed and unreadable
+    text all come up."""
+    parts = re.findall(r"\w+|->|\S", ic.format_formula(draw(formulas_st)))
+    for _ in range(draw(st.integers(0, 2))):
+        if parts:
+            del parts[draw(st.integers(0, len(parts) - 1))]
+    for extra in draw(st.lists(st.sampled_from(TOKEN_SOUP + STRAY), max_size=2)):
+        parts.insert(draw(st.integers(0, len(parts))), extra)
+    return "".join(draw(st.sampled_from(SPACES)) + part for part in parts + [""])
 
 
 class TestParser:
@@ -111,6 +133,20 @@ class TestParser:
             return
         assert ic.parse_formula(ic.format_formula(f)) is f
 
+    @settings(max_examples=300)
+    @given(soup_texts())
+    def test_agrees_with_the_match_object_parser(self, text):
+        # The same node, or the same message at the same position.
+        definitions = {"x_1": ic.And(A, B)}
+        try:
+            expected = reference_parse_formula(text, definitions)
+        except ic.FormulaSyntaxError as err:
+            with pytest.raises(ic.FormulaSyntaxError) as got:
+                ic.parse_formula(text, definitions)
+            assert (str(got.value), got.value.position) == (str(err), err.position)
+        else:
+            assert ic.parse_formula(text, definitions) is expected
+
     def test_no_normalisation(self):
         assert ic.parse_formula("a & b") != ic.parse_formula("b & a")
         assert ic.parse_formula("~~a") != A
@@ -153,6 +189,43 @@ class TestInterning:
             sys.setswitchinterval(interval)
         for nodes in results[1:]:
             assert all(a is b for a, b in zip(nodes, results[0]))
+
+    def test_threads_rebuilding_dropped_formulas_get_one_node_each(self):
+        # Each round rebuilds formulas whose nodes the last round dropped.
+        # Every atom's key starts with a dead entry, as when a node has
+        # died and its callback has not run yet: the lock-free lookup
+        # finds it, and the threads must settle on one node under the lock.
+        names = [f"reborn{i}" for i in range(100)]
+
+        def build():
+            return [ic.Or(ic.Atom(n), ic.Not(ic.Atom(n))) for n in names]
+
+        def plant_dead_entries():
+            for n in names:
+                victim = ic.Atom(n)
+                stale = logic._Entry(victim)
+                stale.key = (ic.Atom, n)
+                del victim
+                logic._nodes[stale.key] = stale
+                assert stale() is None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(20):
+                    plant_dead_entries()
+                    futures = [pool.submit(build) for _ in range(8)]
+                    results = [future.result(timeout=60) for future in futures]
+                    for f, *others in zip(*results):
+                        assert all(g is f for g in others)
+                        assert logic._nodes[(ic.Or, *f.args)]() is f
+                        assert logic._nodes[(ic.Atom, f.args[0].name)]() is f.args[0]
+                    del futures, results, f, others
+                    gc.collect()
+                    assert not any((ic.Atom, n) in logic._nodes for n in names)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_dropped_nodes_leave_the_table(self):
         text = (DATA / "fixpoint.kb").read_text()
