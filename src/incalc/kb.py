@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .errors import IncalcError, KBError
-from .logic import IDENT_RE, Atom, Formula, atom_names, is_name, parse_formula
+from .logic import IDENT_RE, Atom, Formula, is_name, parse_formula
 from .propagation import BoundAssignment
 from .rational import as_ratio
 from .space import Incidence, SampleSpace, parse_incidence_text
@@ -192,9 +192,9 @@ def _refers_to(kb: KnowledgeBase, name: str, sentence: Formula) -> bool:
     be an atom of the line's own text or of an earlier definition that
     the line uses, as after `formula c = b & x`, `formula b = c | x`
     refers to itself.  Only when `name` is an atom below some earlier
-    definition is the whole sentence walked, so a chain of definitions
-    loads in work linear in its nodes.  The sentence's nodes and atom
-    names join the KB's record of walked definitions."""
+    definition does `_holds_atom` look below those nodes too.  The
+    sentence's nodes and atom names join the KB's record of walked
+    definitions."""
     walked, fresh = kb._defined_nodes, set()
     stack = [sentence]
     while stack:
@@ -204,9 +204,25 @@ def _refers_to(kb: KnowledgeBase, name: str, sentence: Formula) -> bool:
             if isinstance(node, Atom):
                 fresh.add(node.name)
             stack.extend(node.args)
-    found = name in fresh or name in kb._defined_atoms and name in atom_names(sentence)
+    found = name in fresh or name in kb._defined_atoms and _holds_atom(sentence, Atom(name))
     kb._defined_atoms |= fresh
     return found
+
+
+def _holds_atom(sentence: Formula, atom: Atom) -> bool:
+    """Whether `atom` is below `sentence`.  Children are built before
+    their parents, so a node with a lower serial than the atom's cannot
+    hold it, and the walk skips every such node: a line that reuses a
+    long definition built before the atom walks none of it."""
+    oldest, seen, stack = atom.serial, set(), [sentence]
+    while stack:
+        node = stack.pop()
+        if node is atom:
+            return True
+        if node.serial > oldest and node not in seen:
+            seen.add(node)
+            stack.extend(node.args)
+    return False
 
 
 def _parse_query(kb: KnowledgeBase, line: str) -> None:

@@ -9,27 +9,37 @@ for the unknown true incidence i(S).  Local rules transfer information
 between a compound sentence and its direct parts: each rule either raises
 a lower bound (by union) or cuts an upper bound (by intersection), so
 bounds only ever tighten.  Repeating the rules to a fixed point is
-confluent: the final assignment does not depend on the order in which
-rules fire, which `propagate` exploits by allowing a shuffled worklist.
+confluent: the final assignment does not depend on the order of work,
+which `propagate` exploits by allowing a shuffled worklist.
 
 Soundness of every rule is a one-line set inclusion; see the `note` field
 on each catalog entry.  Throughout, w is the whole space, \\ is set
 difference, and the axioms fix i(~A) = w \\ i(A), i(A & B) = i(A) & i(B),
 i(A | B) = i(A) | i(B), and i(A -> B) = (w \\ i(A)) | i(B).
 
-Every connective is a set operation, so a rule is one or two int mask
-operations.  The fixpoint loop works on two lists of bitmasks indexed by
-registration position, with child and parent positions computed once per
-call.  A compound node's plan is its operands' positions, read from its
-first and last argument, and its connective's rule list, which every
-node of that connective shares.  The worklist is a FIFO queue (a
-`deque`, so taking the next node costs O(1) however many are queued),
-each node in it at most once; a node taken from it reads its six bounds
-once, and again only after one of its rules changed a bound.  An
-`Incidence` is built only where a bound is read out.  `dump` renders all
-sentences from one text memo, each shared subterm once, and reads each
-distinct mask's weight as an integer numerator, so it builds one
-`Fraction` per distinct weight.
+Every connective is truth functional, so the fixpoint runs no rule one
+at a time: one update per compound node C = op(A, B), read off op's
+truth table (its `apply` at one point), takes C and its operands to
+their local closure, which is generalised arc consistency on C = op(A, B)
+(Mackworth 1977).  At each point a node may be 0 outside its lower bound
+and may be 1 inside its upper bound; a value stays possible where some
+row (x, y, op(x, y)) of the table through it has all three of its values
+possible.  The update works each row on whole masks, a few int
+operations, and writes back A's bounds, then B's, then C's, so a shared
+operand (`a & a`, `~a`) needs no special case.  Closing one node's rules
+gives the same bounds, as the tests check for every state of the three
+nodes at widths 1 and 2.  The fixpoint loop works on two lists of
+bitmasks indexed by registration position, with child and parent
+positions computed once per call.  A compound node's plan is its
+operands' positions, read from its first and last argument, and its
+connective's truth table.  The worklist is a FIFO queue (a `deque`, so
+taking the next node costs O(1) however many are queued), each node in
+it at most once; an update that changes a node's bounds wakes that node,
+when compound, and its parents, all but the node that ran it, which the
+update left closed.  An `Incidence` is built only where a bound is read
+out.  `dump` renders all sentences from one text memo, each shared
+subterm once, and reads each distinct mask's weight as an integer
+numerator, so it builds one `Fraction` per distinct weight.
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
@@ -235,10 +245,11 @@ def check_consistency(assignment: BoundAssignment) -> Formula | None:
 # its operands A and B as int bitmasks, `(full, c_lo, c_hi, a_lo, a_hi,
 # b_lo, b_hi)` (for a unary C, B's bounds are A's and go unused), and
 # returns the mask to merge into the target's bound.  A complement is
-# `full ^ x`, which stays inside the space.  Rules that target an operand
-# come before rules that target the compound, so that when a
-# contradiction is detectable both ways, it surfaces on the part that was
-# registered first.
+# `full ^ x`, which stays inside the space.  The fixpoint does not run
+# these rules: each connective's rules, closed at one node, give exactly
+# its update's bounds, so the catalog is the soundness argument for the
+# update and its oracle in the tests, and the order of its entries
+# affects no result.
 
 
 @dataclass(frozen=True)
@@ -315,21 +326,14 @@ RULES_BY_CONNECTIVE: dict[type, tuple[Rule, ...]] = {
     for kind in (Not, And, Or, Implies)
 }
 
-# Each connective's rules as (target: 0 self, 1 left, 2 right; raises?; compute).
-_ACTIONS = {
-    kind: tuple((("self", "left", "right").index(r.target), r.action == "raise", r.compute)
-                for r in rules)
-    for kind, rules in RULES_BY_CONNECTIVE.items()
-}
-
 
 @dataclass(frozen=True)
 class PropagationOutcome:
     """Result of `propagate`: final bounds, status, the culprit of an
-    inconsistency, and the number of strict bound changes the rules
-    performed (each one either adds points to a lower bound or removes
-    points from an upper bound, so the count is at most
-    2 * width * number_of_sentences).  Complete mode fires no rules, so
+    inconsistency, and the number of strict bound changes the updates
+    made (each one either adds points to a lower bound or removes points
+    from an upper bound, so the count is at most
+    2 * width * number_of_sentences).  Complete mode runs no updates, so
     its `steps` is 0; when it finds no legal assignment, `final` is the
     declared bounds."""
 
@@ -343,13 +347,22 @@ class PropagationOutcome:
         return self.status == FIXPOINT
 
 
+# Each connective's truth table, read off `apply` at one point: the rows
+# (x, y, op(x, y)), y = x when unary, as indexes into a node's six masks
+# (where A may be 0, where A may be 1, then the same for B and for C).
+_ROWS = {
+    kind: tuple((p[0], 2 + p[-1], 4 + kind.apply(1, *p))
+                for p in itertools.product((0, 1), repeat=len(kind.contexts)))
+    for kind in (Not, And, Or, Implies)
+}
+
+
 def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> PropagationOutcome:
     position, low, high = assignment._position, assignment._low, assignment._high
     full, sentences = assignment._full, list(position)
     # Per compound node: its operands' positions (B = A when unary) and
-    # its connective's shared rule list, whose targets 0, 1, 2 resolve
-    # through (node, A, B).  A change to a node's bounds wakes its
-    # parents in registration order, then the node itself when it is
+    # its connective's truth table.  A change to a node's bounds wakes
+    # its parents in registration order, then the node itself when it is
     # compound.
     plans: list[tuple[int, int, tuple] | None] = []
     wakes: list[list[int]] = [[] for _ in sentences]
@@ -360,7 +373,7 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
             wakes[a].append(i)
             if b != a:
                 wakes[b].append(i)
-            plans.append((a, b, _ACTIONS[type(sentence)]))
+            plans.append((a, b, _ROWS[type(sentence)]))
         else:
             plans.append(None)
     queued = bytearray(plan is not None for plan in plans)
@@ -376,31 +389,29 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
             i = pending[k]
             del pending[k]
         queued[i] = 0
-        a, b, rules = plans[i]
-        slots = (i, a, b)
-        # The six bounds a rule reads, read again only after a change.
-        c_lo, c_hi, a_lo, a_hi, b_lo, b_hi = low[i], high[i], low[a], high[a], low[b], high[b]
-        for t, raises, compute in rules:
-            candidate = compute(full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi)
-            t = slots[t]
-            if raises:
-                merged = low[t] | candidate
-                if merged == low[t]:
-                    continue
-                low[t] = merged
-            else:
-                merged = high[t] & candidate
-                if merged == high[t]:
-                    continue
-                high[t] = merged
-            steps += 1
-            if low[t] & ~high[t]:
-                return PropagationOutcome(INCONSISTENT, sentences[t], assignment, steps)
-            for p in wakes[t]:
-                if not queued[p]:
-                    queued[p] = 1
-                    pending.append(p)
-            c_lo, c_hi, a_lo, a_hi, b_lo, b_hi = low[i], high[i], low[a], high[a], low[b], high[b]
+        a, b, rows = plans[i]
+        # A value stays possible where some row through it does.
+        may = (full ^ low[a], high[a], full ^ low[b], high[b], full ^ low[i], high[i])
+        kept = [0] * 6
+        for x, y, v in rows:
+            t = may[x] & may[y] & may[v]
+            kept[x] |= t
+            kept[y] |= t
+            kept[v] |= t
+        # Operands first, so that a point the update empties surfaces on
+        # A.  The three nodes are left closed here, so i is not woken.
+        for t, k in ((a, 0), (b, 2), (i, 4)):
+            lo, hi = low[t] | full ^ kept[k], high[t] & kept[k + 1]
+            changed = (lo != low[t]) + (hi != high[t])
+            if changed:
+                steps += changed
+                low[t], high[t] = lo, hi
+                if lo & ~hi:
+                    return PropagationOutcome(INCONSISTENT, sentences[t], assignment, steps)
+                for p in wakes[t]:
+                    if not queued[p] and p != i:
+                        queued[p] = 1
+                        pending.append(p)
     return PropagationOutcome(FIXPOINT, None, assignment, steps)
 
 
@@ -506,28 +517,32 @@ def propagate(
     *,
     worklist_rng: random.Random | None = None,
 ) -> PropagationOutcome:
-    """Tighten bounds with the rules, or compute the exact envelope.
+    """Tighten bounds to the fixed point of the local updates, or compute
+    the exact envelope.
 
     The input assignment is not touched; the outcome holds a private
-    copy.  With mode="fixpoint" the rules run to their (order-independent)
-    fixed point; `worklist_rng` only varies the order in which that fixed
-    point is reached.  With mode="complete" the bounds become exactly the
-    envelope of the legal assignments, computed over the groups of points
-    that admit equal sets of valuations, at a cost of the groups times
-    the registered nodes in operations on 2^atoms-bit truth tables.
+    copy.  With mode="fixpoint" the updates run to their
+    (order-independent) fixed point; `worklist_rng` only varies the order
+    in which that fixed point is reached.  With mode="complete" the
+    bounds become exactly the envelope of the legal assignments, computed
+    over the groups of points that admit equal sets of valuations, at a
+    cost of the groups times the registered nodes in operations on
+    2^atoms-bit truth tables.
     Instances with more than MAX_ATOMS (20) atoms raise
     InstanceTooLargeError, whatever their width, as do those whose truth
     tables, one per registered node, and admitted sets, one per group,
     would take more than MAX_TABLE_BITS (128 MB, 1024 tables at 20 atoms).
 
-    A lower bound escaping its upper bound, before or during the rules,
-    is reported eagerly via the outcome's culprit, and propagation stops
-    there.  When complete mode finds that no valuation is admitted at
-    some point, the instance has no legal assignment: the outcome keeps
-    the declared bounds, `steps` is 0, and the culprit is found at the
-    lowest such point, as the sentence that ends the shortest
-    registration-order prefix of sentences whose bounds already admit no
-    valuation there.
+    A lower bound escaping its upper bound is reported eagerly via the
+    outcome's culprit, and propagation stops there.  Before the updates
+    the culprit is the first such sentence in registration order; during
+    them it is the first operand of the node whose update first empties
+    a point, leaving no value possible there for it.  When complete mode
+    finds that no valuation is admitted at some point, the instance has
+    no legal assignment: the outcome keeps the declared bounds, `steps`
+    is 0, and the culprit is found at the lowest such point, as the
+    sentence that ends the shortest registration-order prefix of
+    sentences whose bounds already admit no valuation there.
     """
     if mode not in (FIXPOINT, "complete"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -14,6 +14,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc.propagation import RULES_BY_CONNECTIVE
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
 
@@ -225,6 +226,38 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
             high = high | value
         result.declare(sentence, lower=low, upper=high)
     return result
+
+
+def reference_fixpoint(initial: ic.BoundAssignment):
+    """The fixpoint as the rule catalog defines it, with no worklist:
+    every rule of every registered compound sentence, in registration
+    order and catalog order, in rounds until a round changes nothing.
+    Returns (status, culprit, final bounds), stopping at the first
+    sentence whose lower bound escapes its upper bound."""
+    work = initial.copy()
+    bad = ic.check_consistency(work)
+    if bad is not None:
+        return ic.INCONSISTENT, bad, work
+    width = work.space.size
+    full = work.space.full().bits
+    changed = True
+    while changed:
+        changed = False
+        for c in work.sentences():
+            if not c.args:
+                continue
+            nodes = {"self": c, "left": c.args[0], "right": c.args[-1]}
+            for rule in RULES_BY_CONNECTIVE[type(c)]:
+                bounds = [work.bounds(nodes[key]) for key in ("self", "left", "right")]
+                mask = rule.compute(full, *(side.bits for pair in bounds for side in pair))
+                merge = work.raise_lower if rule.action == "raise" else work.cut_upper
+                target = nodes[rule.target]
+                if merge(target, ic.Incidence(mask, width)):
+                    changed = True
+                    low, high = work.bounds(target)
+                    if not low.is_subset(high):
+                        return ic.INCONSISTENT, target, work
+    return ic.FIXPOINT, None, work
 
 
 def reference_directive_lines(text: str):

@@ -294,11 +294,11 @@ class TestKnowledgeBase:
             kb._defined_nodes = Counting()
             return kb
 
-        def full_walk(sentence):
+        def full_walk(sentence, atom):
             raise AssertionError("no name of the chain is an atom of an earlier line")
 
         monkeypatch.setattr(kb_module, "_parse_space", counted)
-        monkeypatch.setattr(kb_module, "atom_names", full_walk)
+        monkeypatch.setattr(kb_module, "_holds_atom", full_walk)
         checks = {}
         for n in (100, 200, 400):
             lines = "".join(f"formula d{i} = d{i - 1} & a{i % 5}\n" for i in range(1, n))
