@@ -39,7 +39,6 @@ from .logic import (
     Not,
     Or,
     Top,
-    atom_names,
     format_formula,
     incidence_of,
     parse_formula,
@@ -100,7 +99,6 @@ __all__ = [
     "UnknownSentenceError",
     "WidthMismatchError",
     "ZeroProbabilityError",
-    "atom_names",
     "check_consistency",
     "cond_prob",
     "correlation",

@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return globals()[args.run](args)
-    except (IncalcError, ValueError, TypeError, OSError) as exc:
+    except (IncalcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -58,11 +58,7 @@ class KnowledgeBase:
     bounds: list[tuple[Formula, Incidence, Incidence]] = field(default_factory=list)
     formulas: dict[str, Formula] = field(default_factory=dict)
     queries: list[Query] = field(default_factory=list)
-    # The nodes below the `formula` definitions read so far, and the atom
-    # names among them: a new definition walks only the nodes past these.
-    _defined_nodes: set[Formula] = field(
-        default_factory=set, init=False, repr=False, compare=False
-    )
+    # The atom names below the `formula` definitions read so far.
     _defined_atoms: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def environment(self) -> dict[str, Incidence]:
@@ -126,7 +122,7 @@ def parse_kb(text: str) -> KnowledgeBase:
                 _parse_query(kb, line)
             else:
                 raise KBError(f"unknown directive {word!r}")
-        except (IncalcError, ValueError, TypeError) as exc:
+        except (IncalcError, ValueError) as exc:
             raise KBError(str(exc), lineno) from None
     if kb is None:
         raise KBError("no space declaration found")
@@ -180,33 +176,18 @@ def _parse_formula_def(kb: KnowledgeBase, line: str) -> None:
         raise KBError(f"duplicate formula name {name!r}")
     if name in kb.incidences:
         raise KBError(f"{name!r} already names an incidence")
-    sentence = kb.resolve(m.group(2))
-    if _refers_to(kb, name, sentence):
+    text = m.group(2)
+    sentence = kb.resolve(text)
+    # The parse took every identifier of the text as a token, so the atoms
+    # this line adds are its identifiers that name no earlier definition
+    # and no constant.  Any other atom below the sentence is below an
+    # earlier definition that the line names, as after `formula c = b & x`,
+    # `formula b = c | x` refers to itself; only such a name needs a walk.
+    atoms = {t for t in IDENT_RE.findall(text) if t not in kb.formulas and is_name(t)}
+    if name in atoms or name in kb._defined_atoms and _holds_atom(sentence, Atom(name)):
         raise KBError(f"formula {name!r} refers to itself")
+    kb._defined_atoms |= atoms
     kb.formulas[name] = sentence
-
-
-def _refers_to(kb: KnowledgeBase, name: str, sentence: Formula) -> bool:
-    """Whether `name` is an atom of `sentence`, walking only the nodes that
-    no earlier definition holds.  The name is not defined yet, so it can
-    be an atom of the line's own text or of an earlier definition that
-    the line uses, as after `formula c = b & x`, `formula b = c | x`
-    refers to itself.  Only when `name` is an atom below some earlier
-    definition does `_holds_atom` look below those nodes too.  The
-    sentence's nodes and atom names join the KB's record of walked
-    definitions."""
-    walked, fresh = kb._defined_nodes, set()
-    stack = [sentence]
-    while stack:
-        node = stack.pop()
-        if node not in walked:
-            walked.add(node)
-            if isinstance(node, Atom):
-                fresh.add(node.name)
-            stack.extend(node.args)
-    found = name in fresh or name in kb._defined_atoms and _holds_atom(sentence, Atom(name))
-    kb._defined_atoms |= fresh
-    return found
 
 
 def _holds_atom(sentence: Formula, atom: Atom) -> bool:

@@ -352,10 +352,6 @@ def subformulas(*roots: Formula) -> Iterator[Formula]:
             stack.extend(reversed(g.args))
 
 
-def atom_names(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
-
-
 def evaluation_order(nodes: Iterable[Formula]) -> list[Formula]:
     """The non-atoms among `nodes`, children first, as `evaluate` takes them."""
     return sorted((g for g in nodes if not isinstance(g, Atom)), key=_by_serial)

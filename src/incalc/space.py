@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import floordiv, index
 from typing import Iterable
@@ -256,24 +256,6 @@ def _quoted(text: str) -> str:
     return f"{text[:12]!r}... ({len(text)} characters)"
 
 
-def _memo_keys(weights: list) -> list:
-    """One key per weight, equal for two weights exactly when `as_ratio`
-    reads them alike, so that each distinct weight is read once.  Equal
-    values of different types hash alike (0.5 and Fraction(1, 2), (1.0, 2)
-    and (1, 2)), yet the reader refuses one of them; so a list that mixes
-    types keys each value with its type, and a pair with its parts' types
-    too.  A list of one type, with pairs of one part type, the case of every
-    file and table read, is its own key list."""
-    kinds = set(map(type, weights))
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        if not issubclass(kind, tuple) or len(set(map(type, chain.from_iterable(weights)))) < 2:
-            return weights
-    return [
-        (type(v), *map(type, v), v) if isinstance(v, tuple) else (type(v), v) for v in weights
-    ]
-
-
 class SampleSpace:
     """A finite set of points, each carrying a non-negative rational weight.
 
@@ -284,6 +266,9 @@ class SampleSpace:
     were written.  A uniform space keeps no numerators: each would be 1.
     Each distinct weight is read by `as_ratio` and scaled once, and
     `map_weights` renders it once; the checks still see every point.
+    Equal weights merge only once they are known to be read alike: a list
+    that is not all `str`, all `int` or all `Fraction` is first read
+    whole, so that no float hides behind an equal `Fraction`.
     The first weighing builds the point masks `_numerator` weighs by
     (`_point_masks`), a cache that equality and hashing never read.
     `from_counts` builds a space of observed frequencies from integer
@@ -296,23 +281,23 @@ class SampleSpace:
 
     def __init__(self, weights: Iterable):
         weights = list(weights)
-        keys = _memo_keys(weights)
-        try:
-            distinct = dict(zip(keys, weights))
-        except TypeError:
-            # An unhashable value is no exact value either: the reader says so.
+        if set(map(type, weights)) not in ({str}, {int}, {Fraction}):
+            # Equal values of one type among these are read alike.  Any
+            # other list may hold equal values of which the reader refuses
+            # one (0.5 and Fraction(1, 2), (1.0, 2) and (1, 2)), or an
+            # unhashable one: it is read whole first, naming the first bad value.
             for value in weights:
                 as_ratio(value)
-            raise
-        ratios = [as_ratio(value) for value in distinct.values()]
+        distinct = dict.fromkeys(weights)
+        ratios = [as_ratio(value) for value in distinct]
         numerators = [n for n, _ in ratios]
         denominators = [d for _, d in ratios]
         # No denominator or scale factor outlives its use: a wide space's
         # can take as much memory as its numerators.
         del ratios  # `_lcm_tree` empties `denominators`
         denominator, factors = _lcm_tree(denominators)
-        scaled = {key: numerators.pop() * factors.pop() for key in reversed(distinct)}
-        self._keep(tuple(map(scaled.__getitem__, keys)), denominator)
+        scaled = {value: numerators.pop() * factors.pop() for value in reversed(distinct)}
+        self._keep(tuple(map(scaled.__getitem__, weights)), denominator)
 
     @classmethod
     def from_counts(cls, counts: Iterable[int], total: int) -> "SampleSpace":

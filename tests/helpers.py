@@ -128,6 +128,11 @@ def truth_of(assignment: ic.BoundAssignment, env, f: ic.Formula) -> ic.Incidence
     return ic.incidence_of(f, env, assignment.space)
 
 
+def atom_names(*roots: ic.Formula) -> set[str]:
+    """The names of the atoms below `roots`, by a walk of every node."""
+    return {g.name for g in ic.subformulas(*roots) if isinstance(g, ic.Atom)}
+
+
 def holds_at(f: ic.Formula, point: int, env) -> bool:
     """Pointwise truth of f at one sample-space point, by the truth table
     of each connective, recursing on the formula's tree.

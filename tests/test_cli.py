@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc import cli
+from incalc import kb as kb_module
 from incalc.cli import main
 from incalc.construct import _overlap_count
 from incalc.rational import round_half_up
@@ -606,6 +607,24 @@ class TestUsage:
         monkeypatch.setattr(cli, "_cmd_query", broken)
         code, out, err = run(capsys, "query", DATA / "example.kb")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+    def test_type_error_in_a_command_exits_three(self, capsys, monkeypatch):
+        # Every value from the command line is text, so a TypeError is a
+        # fault in incalc, not in its input.
+        def broken(args):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_query", broken)
+        code, out, err = run(capsys, "query", DATA / "example.kb")
+        assert (code, out, err) == (3, "", "internal error: TypeError: boom\n")
+
+    def test_type_error_in_the_kb_reader_exits_three(self, capsys, monkeypatch):
+        def broken(kb, line):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(kb_module, "_parse_inc", broken)
+        code, out, err = run(capsys, "query", DATA / "example.kb")
+        assert (code, out, err) == (3, "", "internal error: TypeError: boom\n")
 
     def test_module_entry_point(self):
         import subprocess

@@ -17,6 +17,7 @@ from incalc import logic
 from incalc.logic import format_formulas, is_name
 from helpers import (
     ATOMS,
+    atom_names,
     formulas_st,
     holds_at,
     points,
@@ -434,7 +435,7 @@ class TestHoldsAt:
 
 class TestHelpers:
     def test_atom_names(self):
-        assert ic.atom_names(ic.parse_formula("a & (b -> ~a) | true")) == {"a", "b"}
+        assert atom_names(ic.parse_formula("a & (b -> ~a) | true")) == {"a", "b"}
 
     def test_subformulas_preorder(self):
         f = ic.parse_formula("a & ~b")

@@ -8,6 +8,7 @@ call, such as `list.pop(0)`, stays invisible to this count.
 """
 
 import sys
+from fractions import Fraction as F
 
 import incalc as ic
 
@@ -43,6 +44,52 @@ def _chain(n: int) -> str:
     atoms = "".join(f"inc a{j} = {j:04b}\n" for j in range(5))
     lines = "".join(f"formula d{i} = d{i - 1} & a{i % 5}\n" for i in range(1, n))
     return f"space 4\n{atoms}formula d0 = a0\n{lines}"
+
+
+def _conjunction(n: int) -> str:
+    return " & ".join(f"x{i}" for i in range(n))
+
+
+def test_parsing_a_long_conjunction_is_linear_work():
+    assert _ratio(_conjunction, ic.parse_formula) <= MAX_RATIO
+
+
+def test_formatting_a_long_conjunction_is_linear_work():
+    def conjunction(n):
+        return ic.parse_formula(_conjunction(n))
+
+    assert _ratio(conjunction, ic.format_formula) <= MAX_RATIO
+
+
+def test_loading_a_chain_is_linear_work():
+    assert _ratio(_chain, ic.parse_kb) <= MAX_RATIO
+
+
+def test_building_the_assignment_of_many_bounds_is_linear_work():
+    def kb(n):
+        lines = "".join(f"bounds (a{i} | b) inf 0001 sup 0111\n" for i in range(n))
+        return ic.parse_kb(f"space 4\n{lines}")
+
+    assert _ratio(kb, ic.KnowledgeBase.initial_assignment) <= MAX_RATIO
+
+
+def test_ingesting_records_is_linear_work():
+    def records(n):
+        rows = "".join(f"{i & 1} {i >> 1 & 1} {i >> 2 & 1}\n" for i in range(n))
+        return f"a b c\n{rows}"
+
+    def ingest(text):
+        ic.incidences_from_records(ic.RecordTable.from_text(text))
+
+    assert _ratio(records, ingest) <= MAX_RATIO
+
+
+def test_synthesis_with_two_correlations_is_linear_work():
+    def spec(n):
+        marginals = {"a": F(1, 2), "b": F(2, 5), "c": F(3, 10)}
+        return ic.TargetSpec(marginals, n, {("a", "b"): "0.5", ("b", "c"): "0.3"}, seed=7)
+
+    assert _ratio(spec, ic.incidences_from_probabilities) <= MAX_RATIO
 
 
 def test_definitions_that_reuse_a_long_one_load_in_linear_work():
