@@ -36,19 +36,20 @@ from .construct import (
     parse_targets,
 )
 from .errors import IncalcError
-from .kb import KnowledgeBase, kb_fragment, parse_kb
+from .kb import kb_fragment, parse_kb
 from .logic import format_formula, incidence_of
 from .probability import cond_prob, correlation, prob
 from .propagation import propagate
 from .rational import format_prob
 
 
-def _load_kb(path: str) -> KnowledgeBase:
-    return parse_kb(Path(path).read_text())
+def _read(path: str) -> str:
+    """An input file's text, read as UTF-8 less a leading byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _cmd_eval(args) -> int:
-    kb = _load_kb(args.kb)
+    kb = parse_kb(_read(args.kb))
     sentence = kb.resolve(args.formula)
     inc = incidence_of(sentence, kb.environment(), kb.space)
     print(inc.to_bitstring())
@@ -58,7 +59,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    kb = _load_kb(args.kb)
+    kb = parse_kb(_read(args.kb))
     env = kb.environment()
     for q in kb.queries:
         if q.kind == "prob":
@@ -74,7 +75,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    kb = _load_kb(args.kb)
+    kb = parse_kb(_read(args.kb))
     mode = "complete" if args.complete else "fixpoint"
     outcome = propagate(kb.initial_assignment(), mode)
     print(outcome.final.dump())
@@ -86,7 +87,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    marginals, correlations = parse_targets(Path(args.targets).read_text())
+    marginals, correlations = parse_targets(_read(args.targets))
     spec = TargetSpec(
         marginals=marginals, size=args.size, correlations=correlations, seed=args.seed
     )
@@ -96,7 +97,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    table = RecordTable.from_text(Path(args.records).read_text())
+    table = RecordTable.from_text(_read(args.records))
     space, env = incidences_from_records(table)
     print(kb_fragment(space, env))
     return 0

@@ -40,13 +40,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
 from .logic import IDENT_RE, is_name
-from .rational import as_ratio, exact_str, round_half_up, sqrt_fraction
+from .rational import as_ratio, exact_str, round_half_up
 from .space import Incidence, SampleSpace
 
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
@@ -74,45 +75,63 @@ class TargetSpec:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
-        marginals = {}
-        for name, p in self.marginals.items():
-            if not is_name(name):
-                raise ValueError(f"bad atom name: {name!r}")
-            p = Fraction(*as_ratio(p))
-            if not 0 <= p <= 1:
-                raise ValueError(f"marginal for {name!r} out of [0, 1]: {exact_str(p)}")
-            marginals[name] = p
+        marginals = {name: _marginal(name, p) for name, p in self.marginals.items()}
         object.__setattr__(self, "marginals", marginals)
         correlations = {}
         for pair, c in self.correlations.items():
-            x, y = sorted(pair)
-            if x == y:
-                raise ValueError(f"correlation pair must name two distinct atoms: {pair}")
-            for name in (x, y):
-                if name not in marginals:
-                    raise ValueError(f"correlated atom {name!r} has no marginal")
-                if marginals[name] in (0, 1):
-                    raise ValueError(
-                        f"correlated atom {name!r} needs a marginal strictly inside (0, 1)"
-                    )
-            c = Fraction(*as_ratio(c))
-            if not -1 <= c <= 1:
-                raise ValueError(f"correlation for {pair} out of [-1, 1]: {exact_str(c)}")
-            if (x, y) in correlations:
-                raise ValueError(f"duplicate correlation for pair ({x}, {y})")
-            correlations[(x, y)] = c
+            _add_correlation(correlations, pair, c, marginals)
         object.__setattr__(self, "correlations", correlations)
+
+
+def _marginal(name: str, p) -> Fraction:
+    """The target marginal `p` of atom `name`, read exactly and checked."""
+    if not is_name(name):
+        raise ValueError(f"bad atom name: {name!r}")
+    p = Fraction(*as_ratio(p))
+    if not 0 <= p <= 1:
+        raise ValueError(f"marginal for {name!r} out of [0, 1]: {exact_str(p)}")
+    return p
+
+
+def _add_correlation(correlations: dict, pair, c, marginals: Mapping[str, Fraction]) -> None:
+    """Check the target correlation `c` of an atom pair against the
+    checked `marginals`, names first, and add it to `correlations` under
+    the sorted pair."""
+    for name in pair:
+        if not is_name(name):
+            raise ValueError(f"bad atom name: {name!r}")
+    x, y = sorted(pair)
+    if x == y:
+        raise ValueError(f"correlation pair must name two distinct atoms: {(x, y)}")
+    for name in (x, y):
+        if name not in marginals:
+            raise ValueError(f"correlated atom {name!r} has no marginal")
+        if marginals[name] in (0, 1):
+            raise ValueError(f"correlated atom {name!r} needs a marginal strictly inside (0, 1)")
+    c = Fraction(*as_ratio(c))
+    if not -1 <= c <= 1:
+        raise ValueError(f"correlation for {(x, y)} out of [-1, 1]: {exact_str(c)}")
+    if (x, y) in correlations:
+        raise ValueError(f"duplicate correlation for pair ({x}, {y})")
+    correlations[(x, y)] = c
 
 
 def _overlap_count(kx: int, ky: int, size: int, c: Fraction) -> int:
     """Point count for the pair's conjunction implied by the correlation,
     computed against the quantised marginals kx/size and ky/size, then
     checked against the hard set-theoretic range
-    [max(0, kx + ky - size), min(kx, ky)]."""
-    variance = kx * (size - kx) * ky * (size - ky)
-    root = sqrt_fraction(Fraction(variance))
-    implied = Fraction(kx * ky, size) + c * root / size
-    count = round_half_up(implied)
+    [max(0, kx + ky - size), min(kx, ky)].
+
+    The count is round_half_up((kx*ky + c*sqrt(V)) / size), where
+    V = kx(size-kx) ky(size-ky), in integers: with c = p/q, 2*p*sqrt(V) is
+    +-sqrt(4*p^2*V), of which only the floor counts, as
+    floor((N + y)/D) = floor((N + floor(y))/D) for integers N and D > 0."""
+    p, q = c.numerator, c.denominator
+    m = 4 * p * p * kx * (size - kx) * ky * (size - ky)
+    root = isqrt(m)
+    if p < 0:
+        root = -(root + (root * root != m))
+    count = (2 * kx * ky * q + size * q + root) // (2 * size * q)
     lowest = max(0, kx + ky - size)
     highest = min(kx, ky)
     if not lowest <= count <= highest:
@@ -403,37 +422,36 @@ def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, 
     return space, dict(zip(table.columns, map(Incidence.from_flags, columns)))
 
 
-def _target_name(name: str) -> str:
-    if not is_name(name):
-        raise ValueError(f"bad atom name: {name!r}")
-    return name
-
-
 def parse_targets(text: str) -> tuple[dict[str, Fraction], dict[tuple[str, str], Fraction]]:
-    """Parse a targets file into (marginals, correlations).
+    """Parse a targets file into (marginals, correlations), checked as
+    `TargetSpec` checks its own.
 
     Grammar, one directive per line, read by `kb.directive_lines` ('#'
     comments, blank lines skipped); every error names its 1-based line:
         prob <atom> = <rational-or-decimal>
         corr <atom> <atom> = <rational-or-decimal>
-    Values are read by `rational.as_ratio`, as `TargetSpec` reads its own.
+    Values are read by `rational.as_ratio`.  A `corr` line is checked once
+    every `prob` line is read, as it needs the marginals of its atoms.
     """
     marginals: dict[str, Fraction] = {}
     correlations: dict[tuple[str, str], Fraction] = {}
+    corr_lines = []
     for lineno, line in directive_lines(text):
         try:
             if m := _PROB_RE.fullmatch(line):
-                name = _target_name(m.group(1))
+                name = m.group(1)
                 if name in marginals:
                     raise ValueError(f"duplicate marginal for {name!r}")
-                marginals[name] = Fraction(*as_ratio(m.group(2)))
+                marginals[name] = _marginal(name, m.group(2))
             elif m := _CORR_RE.fullmatch(line):
-                pair = tuple(sorted(map(_target_name, (m.group(1), m.group(2)))))
-                if pair in correlations:
-                    raise ValueError(f"duplicate correlation for {pair}")
-                correlations[pair] = Fraction(*as_ratio(m.group(3)))
+                corr_lines.append((lineno, m.groups()))
             else:
                 raise ValueError(f"unrecognised directive: {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    for lineno, (x, y, c) in corr_lines:
+        try:
+            _add_correlation(correlations, (x, y), c, marginals)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return marginals, correlations

@@ -77,7 +77,7 @@ class KnowledgeBase:
         and every subformula of anything registered gets an entry."""
         assignment = BoundAssignment(self.space)
         for name, inc in self.incidences.items():
-            assignment.declare(Atom(name), exact=inc)
+            assignment.declare(Atom(name), inc, inc)
         for sentence, low, high in self.bounds:
             assignment.declare(sentence, lower=low, upper=high)
         for sentence in self.formulas.values():

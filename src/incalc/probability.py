@@ -41,7 +41,7 @@ class Correlation:
 
     c itself is generally irrational, so we carry its square as an exact
     rational together with the sign; `decimal` renders sign * sqrt(c_squared)
-    to any number of places without going through floats.
+    at `rational.DIGITS` places without going through floats.
     """
 
     c_squared: Fraction
@@ -55,10 +55,10 @@ class Correlation:
         if (self.c_squared == 0) != (self.sign == 0):
             raise ValueError("sign must be 0 exactly when c_squared is 0")
 
-    def decimal(self, digits: int = 6) -> str:
+    def decimal(self) -> str:
         if self.sign == 0:
             return "0"
-        text = sqrt_decimal_str(self.c_squared, digits)
+        text = sqrt_decimal_str(self.c_squared)
         return text if self.sign > 0 else "-" + text
 
     def __str__(self) -> str:

@@ -10,7 +10,7 @@ between a compound sentence and its direct parts: each rule either raises
 a lower bound (by union) or cuts an upper bound (by intersection), so
 bounds only ever tighten.  Repeating the rules to a fixed point is
 confluent: the final assignment does not depend on the order of work,
-which `propagate` exploits by allowing a shuffled worklist.
+which the tests check by running the fixpoint on shuffled worklists.
 
 Soundness of every rule is a one-line set inclusion; see the `note` field
 on each catalog entry.  Throughout, w is the whole space, \\ is set
@@ -61,7 +61,6 @@ sentences, or used twice in one, is one entry with one pair of bounds.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,12 +127,10 @@ class BoundAssignment:
         sentence: Formula,
         lower: Incidence | None = None,
         upper: Incidence | None = None,
-        exact: Incidence | None = None,
     ) -> None:
-        if exact is not None:
-            if lower is not None or upper is not None:
-                raise ValueError("pass either exact or lower/upper, not both")
-            lower = upper = exact
+        """Register `sentence` and its subformulas, then merge `lower`
+        into its lower bound and `upper` into its upper bound; passing
+        one incidence as both pins the sentence to it."""
         # Every subformula of a registered node is registered, so the walk
         # descends only into new nodes: `subformulas`' preorder, less the
         # registered parts, at a cost linear in the nodes it registers.
@@ -357,7 +354,7 @@ _ROWS = {
 }
 
 
-def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> PropagationOutcome:
+def _run_fixpoint(assignment: BoundAssignment) -> PropagationOutcome:
     position, low, high = assignment._position, assignment._low, assignment._high
     full, sentences = assignment._full, list(position)
     # Per compound node: its operands' positions (B = A when unary) and
@@ -382,12 +379,7 @@ def _run_fixpoint(assignment: BoundAssignment, rng: random.Random | None) -> Pro
         wakes[i].append(i)
     steps = 0
     while pending:
-        if rng is None:
-            i = pending.popleft()
-        else:  # a queued node drawn at random, by its place in the queue
-            k = rng.randrange(len(pending))
-            i = pending[k]
-            del pending[k]
+        i = pending.popleft()
         queued[i] = 0
         a, b, rows = plans[i]
         # A value stays possible where some row through it does.
@@ -511,19 +503,14 @@ def _check_table_bits(tables: int, atoms: int) -> None:
         )
 
 
-def propagate(
-    initial: BoundAssignment,
-    mode: str = "fixpoint",
-    *,
-    worklist_rng: random.Random | None = None,
-) -> PropagationOutcome:
+def propagate(initial: BoundAssignment, mode: str = "fixpoint") -> PropagationOutcome:
     """Tighten bounds to the fixed point of the local updates, or compute
     the exact envelope.
 
     The input assignment is not touched; the outcome holds a private
-    copy.  With mode="fixpoint" the updates run to their
-    (order-independent) fixed point; `worklist_rng` only varies the order
-    in which that fixed point is reached.  With mode="complete" the
+    copy.  With mode="fixpoint" the updates run to their fixed point,
+    taking the queued nodes first in, first out; the fixed point does not
+    depend on that order, only the step count does.  With mode="complete" the
     bounds become exactly the envelope of the legal assignments, computed
     over the groups of points that admit equal sets of valuations, at a
     cost of the groups times the registered nodes in operations on
@@ -552,4 +539,4 @@ def propagate(
         return PropagationOutcome(INCONSISTENT, bad, work, 0)
     if mode == "complete":
         return _run_envelope(work)
-    return _run_fixpoint(work, worklist_rng)
+    return _run_fixpoint(work)

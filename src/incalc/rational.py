@@ -1,5 +1,5 @@
 """Exact rational helpers: `as_ratio`, the one reader of a user's exact
-values, decimal rendering and integer square roots.
+values, and decimal rendering, square roots included, at DIGITS places.
 
 Everything here stays in integer arithmetic so that rendered output is
 deterministic across platforms and test runs.
@@ -85,45 +85,36 @@ def round_half_up(q: Fraction) -> int:
     return (2 * q.numerator + q.denominator) // (2 * q.denominator)
 
 
-def _strip_scaled(scaled: int, digits: int, negative: bool) -> str:
-    whole, frac = divmod(scaled, 10**digits)
+DIGITS = 6  # decimal places of every rendered decimal
+
+
+def _strip_scaled(scaled: int, negative: bool) -> str:
+    whole, frac = divmod(scaled, 10**DIGITS)
     sign = "-" if negative and scaled else ""
     if frac == 0:
         return f"{sign}{whole}"
-    tail = str(frac).rjust(digits, "0").rstrip("0")
+    tail = str(frac).rjust(DIGITS, "0").rstrip("0")
     return f"{sign}{whole}.{tail}"
 
 
-def decimal_str(q: Fraction, digits: int = 6) -> str:
-    """Decimal rendering of q, rounded half-up at `digits` places,
-    trailing zeros trimmed ('1/5' -> '0.2', '1/3' -> '0.333333')."""
+def decimal_str(q: Fraction) -> str:
+    """Decimal rendering of q, rounded half-up at DIGITS places, trailing
+    zeros trimmed ('1/5' -> '0.2', '1/3' -> '0.333333')."""
     p = abs(q)
-    scaled = (2 * p.numerator * 10**digits + p.denominator) // (2 * p.denominator)
-    return _strip_scaled(scaled, digits, q < 0)
+    scaled = (2 * p.numerator * 10**DIGITS + p.denominator) // (2 * p.denominator)
+    return _strip_scaled(scaled, q < 0)
 
 
-def sqrt_scaled(q: Fraction, digits: int) -> int:
-    """Nearest integer to sqrt(q) * 10**digits, computed exactly.
-
-    sqrt(n/d) = sqrt(n*d)/d, so the scaled value is sqrt(M)/d with
-    M = n * d * 10**(2*digits); rounding to nearest is
-    (floor(2*sqrt(M)) + d) // (2*d), and floor(2*sqrt(M)) = isqrt(4*M).
-    """
+def sqrt_decimal_str(q: Fraction) -> str:
+    """Decimal rendering of sqrt(q), rounded to nearest at DIGITS places,
+    zeros trimmed: sqrt(n/d) * 10**DIGITS = sqrt(M)/d for
+    M = n * d * 10**(2*DIGITS), whose nearest integer is
+    (floor(2*sqrt(M)) + d) // (2*d), and floor(2*sqrt(M)) = isqrt(4*M)."""
     if q < 0:
         raise ValueError("square root of a negative rational")
     n, d = q.numerator, q.denominator
-    m = n * d * 10 ** (2 * digits)
-    return (isqrt(4 * m) + d) // (2 * d)
-
-
-def sqrt_decimal_str(q: Fraction, digits: int = 6) -> str:
-    """Decimal rendering of sqrt(q) to `digits` places, zeros trimmed."""
-    return _strip_scaled(sqrt_scaled(q, digits), digits, False)
-
-
-def sqrt_fraction(q: Fraction, digits: int = 15) -> Fraction:
-    """sqrt(q) as a Fraction accurate to `digits` decimal places."""
-    return Fraction(sqrt_scaled(q, digits), 10**digits)
+    m = n * d * 10 ** (2 * DIGITS)
+    return _strip_scaled((isqrt(4 * m) + d) // (2 * d), False)
 
 
 def _digits_str(n: int) -> str:

@@ -3,18 +3,22 @@ strategies for the test suite."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.propagation import RULES_BY_CONNECTIVE
+from incalc.rational import round_half_up
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
 
@@ -396,6 +400,44 @@ def reference_random_subset(rng: random.Random, mask: int, count: int, size: int
         return drawn
     pool = ic.Incidence(mask & ~drawn if have < count else drawn, size).indices()
     return drawn ^ ic.Incidence.from_indices(rng.sample(pool, abs(have - count)), size).bits
+
+
+@contextlib.contextmanager
+def shuffled_worklist(seed: int):
+    """Within the block, the fixpoint takes its queued nodes in a seeded
+    random order: `incalc.propagation.deque` is replaced by a `deque`
+    whose `popleft` removes the item at `rng.randrange(len(queue))`.
+    Order-independence of the fixed point is checked by running under
+    this.  Fails if the block built no such queue, so that a fixpoint
+    which no longer takes its worklist from `deque` cannot pass for a
+    shuffled one."""
+    rng = random.Random(seed)
+    built = []
+
+    class ShuffledQueue(deque):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+        def popleft(self):
+            k = rng.randrange(len(self))
+            item = self[k]
+            del self[k]
+            return item
+
+    with mock.patch("incalc.propagation.deque", ShuffledQueue):
+        yield
+    assert built, "the block built no worklist through incalc.propagation.deque"
+
+
+def reference_overlap_count(kx: int, ky: int, size: int, c: Fraction) -> int:
+    """The count that `construct._overlap_count` computed through a root
+    rounded to 15 decimal places, before its range check:
+    round_half_up((kx*ky + c*root) / size), with root the square root of
+    kx(size-kx) ky(size-ky) rounded to nearest at 10^-15."""
+    variance = kx * (size - kx) * ky * (size - ky)
+    root = Fraction((isqrt(4 * variance * 10**30) + 1) // 2, 10**15)
+    return round_half_up(Fraction(kx * ky, size) + c * root / size)
 
 
 # hypothesis strategies

@@ -2,7 +2,6 @@
 [PASS]/[FAIL] line (run with `pytest -s` to see them).  Tolerances are
 stated inline; everything not marked approximate is exact."""
 
-import math
 import random
 import subprocess
 import sys
@@ -20,6 +19,7 @@ from helpers import (
     random_env,
     random_formula,
     random_space,
+    shuffled_worklist,
     sound_instance,
     arbitrary_instance,
     tight_bounds,
@@ -82,7 +82,7 @@ def test_2_probability_identities_exact():
 
 
 def test_3_correlation_reconstructs_joint():
-    with criterion("criterion 3: joint prob from correlation within 1e-6, 500 cases; c^2 <= 1; worked value to 5dp"):
+    with criterion("criterion 3: joint prob from correlation exactly, 500 cases; c^2 <= 1; worked value 0.816497"):
         rng = random.Random(303)
         a, b = ic.Atom("a"), ic.Atom("b")
         done = 0
@@ -95,16 +95,15 @@ def test_3_correlation_reconstructs_joint():
                 continue
             corr = ic.correlation(a, b, env, space)
             assert corr.c_squared <= 1
-            spread = math.sqrt(float(pa * (1 - pa) * pb * (1 - pb)))
-            rebuilt = float(pa * pb) + float(corr.decimal(12)) * spread
-            actual = float(ic.prob(ic.And(a, b), env, space))
-            assert abs(rebuilt - actual) < 1e-6
+            gap = ic.prob(ic.And(a, b), env, space) - pa * pb
+            assert gap**2 == corr.c_squared * pa * (1 - pa) * pb * (1 - pb)
+            assert corr.sign == (gap > 0) - (gap < 0)
             done += 1
         space = ic.SampleSpace.uniform(10)
         env = {"a": points(space, range(5)), "b": points(space, range(4))}
         worked = ic.correlation(a, b, env, space)
         assert worked.c_squared == F(2, 3) and worked.sign > 0
-        assert worked.decimal(5) == "0.8165"
+        assert worked.decimal() == "0.816497"
 
 
 def test_4_propagation_soundness():
@@ -166,7 +165,8 @@ def test_6_confluence_and_step_bound():
             reference = ic.propagate(assignment)
             assert reference.steps <= bound
             for seed in range(10):
-                shuffled = ic.propagate(assignment, worklist_rng=random.Random(seed))
+                with shuffled_worklist(seed):
+                    shuffled = ic.propagate(assignment)
                 assert shuffled.final == reference.final
                 assert shuffled.steps <= bound
 
@@ -192,7 +192,8 @@ def test_4_to_6_at_realistic_widths():
                     assert truth or k not in low, (sentence, k)
                     assert k in high or not truth, (sentence, k)
             for seed in range(10):
-                shuffled = ic.propagate(assignment, worklist_rng=random.Random(seed))
+                with shuffled_worklist(seed):
+                    shuffled = ic.propagate(assignment)
                 assert shuffled.final == reference.final
                 assert shuffled.steps <= bound
             if trial % 4:

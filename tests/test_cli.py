@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import io
-import random
 import shlex
 import sys
 import tempfile
@@ -19,6 +18,8 @@ from incalc import kb as kb_module
 from incalc.cli import main
 from incalc.construct import _overlap_count
 from incalc.rational import round_half_up
+
+from helpers import shuffled_worklist
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -166,9 +167,10 @@ class TestSolve:
         assignment = ic.parse_kb((DATA / "fixpoint.kb").read_text()).initial_assignment()
         assert len(assignment) == 303
         assert ic.propagate(assignment).steps == 1171
-        shuffled = [
-            ic.propagate(assignment, worklist_rng=random.Random(seed)).steps for seed in range(3)
-        ]
+        shuffled = []
+        for seed in range(3):
+            with shuffled_worklist(seed):
+                shuffled.append(ic.propagate(assignment).steps)
         assert shuffled == [1269, 1232, 1246]
 
     def test_weighted_space_matches_golden(self, capsys):
@@ -389,6 +391,49 @@ def test_constant_as_a_name_exits_two_naming_its_line(capsys, tmp_path, command,
     code, out, err = run(capsys, command, source, *extra)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# targets\nprob a = 3/2\n", "line 2: marginal for 'a' out of [0, 1]: 3/2"),
+        (
+            "prob a = 1/2\ncorr a b = -3/2\nprob b = 1/2\n",
+            "line 2: correlation for ('a', 'b') out of [-1, 1]: -3/2",
+        ),
+        (
+            "prob a = 1/2\n\ncorr a a = 1/2\n",
+            "line 3: correlation pair must name two distinct atoms: ('a', 'a')",
+        ),
+        ("prob a = 1/2\ncorr a b = 1/2\n", "line 2: correlated atom 'b' has no marginal"),
+        (
+            "prob a = 1/2\nprob b = 1\nprob c = 1/2\ncorr a c = 0\ncorr b a = 0\n",
+            "line 5: correlated atom 'b' needs a marginal strictly inside (0, 1)",
+        ),
+    ],
+    ids=["marginal", "correlation", "same-atom", "no-marginal", "degenerate"],
+)
+def test_every_targets_error_names_its_line(capsys, tmp_path, text, message):
+    targets = tmp_path / "t.targets"
+    targets.write_text(text)
+    code, out, err = run(capsys, "sample", targets, "--size", 10)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "source, command, expected",
+    [
+        ("example.kb", ["solve"], "example_solve.golden"),
+        ("example.kb", ["eval", "-f", "a & b"], "example_eval.golden"),
+        ("path.targets", ["sample", "--size", "3000", "--seed", "17"], "path_sample.golden"),
+        ("rain_wet.records", ["ingest"], "rain_wet_ingest.golden"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, source, command, expected):
+    path = tmp_path / source
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / source).read_bytes())
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert (code, out, err) == (0, golden(expected), "")
 
 
 class TestIngest:

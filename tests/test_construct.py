@@ -3,16 +3,16 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations, compress
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.construct import _random_subset, _select
-from incalc.rational import sqrt_fraction
+from incalc.construct import _overlap_count, _random_subset, _select
 
-from helpers import points, reference_ingest, reference_random_subset
+from helpers import points, reference_ingest, reference_overlap_count, reference_random_subset
 
 HALF, TWO_FIFTHS = F(1, 2), F(2, 5)
 
@@ -113,9 +113,66 @@ class TestSynthesis:
             )
             space, env = ic.incidences_from_probabilities(spec)
             joint = ic.prob(ic.parse_formula("a & b"), env, space)
-            pa, pb = F(3, 5), F(7, 20)
-            implied = pa * pb + F(-1, 4) * sqrt_fraction(pa * (1 - pa) * pb * (1 - pb))
-            assert abs(joint - implied) <= F(1, 400)
+            # The marginals quantise exactly, to 240 and 140 of 400 points,
+            # and the overlap is the implied count rounded: within half a point.
+            assert joint * 400 == reference_overlap_count(240, 140, 400, F(-1, 4))
+
+
+@st.composite
+def _overlap_cases(draw):
+    """(kx, ky, size, c) for `_overlap_count`: sizes 2 to 10^8, many of
+    them small, where a root's fraction often decides the count; some with
+    kx = ky = size/2, where the root is a perfect square and the count can
+    tie; correlations of either sign, 0 and +-1 among them."""
+    size = draw(st.integers(2, 60) | st.integers(2, 10**8), label="size")
+    if draw(st.booleans(), label="half"):
+        size += size % 2
+        kx = ky = size // 2
+    else:
+        kx = draw(st.integers(1, size - 1), label="kx")
+        ky = draw(st.integers(1, size - 1), label="ky")
+    c = draw(
+        st.sampled_from([F(-1), F(0), F(1), F(1, 2), F(-1, 2), F(1, 10), F(-3, 10)])
+        | st.fractions(-1, 1, max_denominator=10**6),
+        label="c",
+    )
+    return kx, ky, size, c
+
+
+class TestOverlapCount:
+    @settings(max_examples=500, deadline=None)
+    @given(_overlap_cases())
+    # A negative correlation whose root is not whole: the ceiling of the
+    # root, not its floor, decides these counts.
+    @example((3, 4, 5, F(-1)))
+    @example((2, 7, 10, F(-1, 2)))
+    def test_matches_the_rounded_root(self, case):
+        kx, ky, size, c = case
+        expected = reference_overlap_count(kx, ky, size, c)
+        if max(0, kx + ky - size) <= expected <= min(kx, ky):
+            assert _overlap_count(kx, ky, size, c) == expected
+        else:
+            with pytest.raises(ic.InfeasibleTargetError):
+                _overlap_count(kx, ky, size, c)
+
+    def test_matches_the_rounded_root_on_every_whole_root(self):
+        # Every case below size 200 whose root is whole, where the implied
+        # count can land exactly on a half and round up.
+        ties = 0
+        for size in range(2, 200):
+            for kx in range(1, size):
+                for ky in range(kx, size):
+                    variance = kx * (size - kx) * ky * (size - ky)
+                    root = isqrt(variance)
+                    if root * root != variance:
+                        continue
+                    for c in (F(1, 2), F(-1, 2), F(1, 10), F(-3, 10), F(1), F(-1)):
+                        expected = reference_overlap_count(kx, ky, size, c)
+                        if max(0, kx + ky - size) <= expected <= min(kx, ky):
+                            assert _overlap_count(kx, ky, size, c) == expected, (kx, ky, size, c)
+                        p, q = c.numerator, c.denominator
+                        ties += 2 * (kx * ky * q + p * root) % (2 * size * q) == size * q
+        assert ties > 0
 
 
 class TestRandomSubset:

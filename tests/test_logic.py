@@ -281,7 +281,7 @@ class TestInterning:
         assignment = ic.BoundAssignment(space)
         assignment.declare(f, upper=truth)
         for name, inc in env.items():
-            assignment.declare(ic.Atom(name), exact=inc)
+            assignment.declare(ic.Atom(name), inc, inc)
         for mode in ("fixpoint", "complete"):
             outcome = ic.propagate(assignment, mode)
             assert outcome.ok and outcome.final.bounds(f) == (truth, truth)

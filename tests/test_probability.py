@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as F
 
@@ -76,7 +75,6 @@ class TestCorrelation:
         assert c.c_squared == F(2, 3)
         assert c.sign == 1
         assert c.decimal() == "0.816497"
-        assert c.decimal(5) == "0.8165"
 
     def test_negative_correlation(self):
         space = ic.SampleSpace.uniform(4)
@@ -119,10 +117,10 @@ class TestCorrelation:
             if pa in (0, 1) or pb in (0, 1):
                 continue
             c = ic.correlation(A, B, env, space)
-            rebuilt = float(pa * pb) + float(c.decimal(12)) * math.sqrt(
-                float(pa * (1 - pa) * pb * (1 - pb))
-            )
-            assert abs(rebuilt - float(ic.prob(ic.And(A, B), env, space))) < 1e-6
+            # p(A & B) = p(A) p(B) + c * sqrt(p(A) p(~A) p(B) p(~B)), exactly.
+            gap = ic.prob(ic.And(A, B), env, space) - pa * pb
+            assert gap**2 == c.c_squared * pa * (1 - pa) * pb * (1 - pb)
+            assert c.sign == (gap > 0) - (gap < 0)
             checked += 1
 
     def test_sign_validation(self):

@@ -22,6 +22,7 @@ from helpers import (
     points,
     random_formula,
     reference_fixpoint,
+    shuffled_worklist,
     sound_instance,
     tight_bounds,
     written_weights,
@@ -271,14 +272,6 @@ class TestBoundAssignment:
                 assignment.declare(A, lower=ic.Incidence(truth & rng.getrandbits(width), width))
             assert assignment.bounds(A)[0].bits & ~truth == 0
 
-    def test_exact_shorthand(self):
-        space = u(3)
-        assignment = ic.BoundAssignment(space)
-        assignment.declare(A, exact=points(space, [1]))
-        assert assignment.bounds(A) == (points(space, [1]),) * 2
-        with pytest.raises(ValueError):
-            assignment.declare(B, exact=space.empty(), lower=space.empty())
-
     def test_dump_format(self):
         space = u(4)
         assignment = ic.BoundAssignment(space)
@@ -403,11 +396,17 @@ class TestPropagate:
             bound = 2 * width * len(assignment)
             assert reference.steps <= bound
             for seed in range(5):
-                shuffled = ic.propagate(
-                    assignment, worklist_rng=random.Random(seed)
-                )
+                with shuffled_worklist(seed):
+                    shuffled = ic.propagate(assignment)
                 assert shuffled.final == reference.final
                 assert shuffled.steps <= bound
+
+    def test_a_shuffled_worklist_must_be_built(self):
+        # Complete mode runs no worklist, so the block builds no queue
+        # through `deque` and must not pass for a shuffled run.
+        with pytest.raises(AssertionError, match="built no worklist"):
+            with shuffled_worklist(0):
+                ic.propagate(ic.BoundAssignment(u(2)), "complete")
 
 
 class TestOracle:
@@ -508,7 +507,8 @@ class TestOracle:
                 names = [f"x{j}" for j in range(n_atoms)]
                 assignment = ic.BoundAssignment(one)
                 for name in names[6:]:
-                    assignment.declare(ic.Atom(name), exact=ic.Incidence(rng.getrandbits(1), 1))
+                    inc = ic.Incidence(rng.getrandbits(1), 1)
+                    assignment.declare(ic.Atom(name), inc, inc)
                 for _ in range(8):
                     f = random_formula(rng, names, 3)
                     low, high = sorted((rng.getrandbits(1), rng.getrandbits(1)))

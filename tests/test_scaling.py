@@ -7,10 +7,13 @@ a ratio well above 4 shows a quadratic walk.  A quadratic inside one C
 call, such as `list.pop(0)`, stays invisible to this count.
 """
 
+import contextlib
+import io
 import sys
 from fractions import Fraction as F
 
 import incalc as ic
+from incalc import cli
 
 SIZES = (250, 1000)
 MAX_RATIO = 5
@@ -113,3 +116,42 @@ def test_propagating_and_dumping_a_chain_is_linear_work():
         return ic.parse_kb(_chain(n)).initial_assignment()
 
     assert _ratio(assignment, solve) <= MAX_RATIO
+
+
+def _wide_weighted_kb(directory):
+    """A function of n that writes, in `directory`, a KB of n weights
+    c/total, two n-bit atoms and one query of each kind, and returns its
+    path."""
+
+    def write(n):
+        counts = [1 + i % 7 for i in range(n)]
+        weights = " ".join(f"{c}/{sum(counts)}" for c in counts)
+        a = "".join("1" if i % 3 else "0" for i in range(n))
+        b = "".join("1" if i % 2 else "0" for i in range(n))
+        path = directory / f"wide{n}.kb"
+        path.write_text(
+            f"space weights {weights}\ninc a = {a}\ninc b = {b}\n"
+            "query prob a & b\nquery cond a given b\nquery corr a , b\n"
+        )
+        return str(path)
+
+    return write
+
+
+def _run_quietly(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+
+
+def test_evaluating_on_a_wide_weighted_kb_is_linear_work(tmp_path):
+    def evaluate(kb):
+        _run_quietly("eval", kb, "-f", "a & ~b")
+
+    assert _ratio(_wide_weighted_kb(tmp_path), evaluate) <= MAX_RATIO
+
+
+def test_querying_a_wide_weighted_kb_is_linear_work(tmp_path):
+    def query(kb):
+        _run_quietly("query", kb)
+
+    assert _ratio(_wide_weighted_kb(tmp_path), query) <= MAX_RATIO

@@ -148,11 +148,11 @@ def test_numbers_beyond_the_digit_limit_are_refused_in_our_words(command, text):
         (["solve"], "space weights 1e4300 1", "line 1: weights must sum to 1, got <4301 digits>"),
         (["solve"], "space 1e4300", "line 1: size must be <= 100000000, got <4301 digits>"),
         (["sample", "--size", "4"], "prob a = 2e4300",
-         "marginal for 'a' out of [0, 1]: <4301 digits>"),
+         "line 1: marginal for 'a' out of [0, 1]: <4301 digits>"),
         (
             ["sample", "--size", "4"],
             "prob a = 1/2\nprob b = 1/2\ncorr a b = -3e4300",
-            "correlation for ('a', 'b') out of [-1, 1]: -<4301 digits>",
+            "line 3: correlation for ('a', 'b') out of [-1, 1]: -<4301 digits>",
         ),
     ],
     ids=["weights", "space", "marginal", "correlation"],
