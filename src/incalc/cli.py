@@ -44,8 +44,16 @@ from .rational import format_prob
 
 
 def _read(path: str) -> str:
-    """An input file's text, read as UTF-8 less a leading byte-order mark."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    """An input file's text, read as UTF-8 less a leading byte-order mark.
+    A byte that is not UTF-8 is reported with its line, counted as
+    `kb.directive_lines` counts lines: each ends at '\n', '\r\n' or '\r'."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start]  # past the byte-order mark, if any
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        byte = exc.object[exc.start]
+        raise ValueError(f"line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
 
 
 def _cmd_eval(args) -> int:

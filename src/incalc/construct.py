@@ -48,7 +48,7 @@ from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
 from .logic import IDENT_RE, is_name
 from .rational import as_ratio, exact_str, round_half_up
-from .space import Incidence, SampleSpace
+from .space import FLAG_BYTES, Incidence, SampleSpace
 
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 _CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
@@ -56,7 +56,6 @@ _CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\
 _VALUES = frozenset({"0", "1", "t", "f", "true", "false"})
 # Longer words first, so that 'true' is not read as 't' + 'rue'.
 _BIT_WORDS = (("false", "0"), ("true", "1"), ("f", "0"), ("t", "1"))
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its set bits
 
 
@@ -360,7 +359,7 @@ class RecordTable:
             if not _is_flag_text(flags, width):
                 _check_rows(text, width)
                 flags = b""  # every row is well formed: there are no rows or no columns
-        rows = tuple(flags.translate(_FLAGS, b" ").split(b"\n")) if flags else ()
+        rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n")) if flags else ()
         try:
             return cls(header, rows)
         except RecordTableError as error:

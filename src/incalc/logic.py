@@ -352,16 +352,12 @@ def subformulas(*roots: Formula) -> Iterator[Formula]:
             stack.extend(reversed(g.args))
 
 
-def evaluation_order(nodes: Iterable[Formula]) -> list[Formula]:
-    """The non-atoms among `nodes`, children first, as `evaluate` takes them."""
-    return sorted((g for g in nodes if not isinstance(g, Atom)), key=_by_serial)
-
-
-def evaluate(order: list[Formula], value: dict[Formula, int], full: int) -> dict[Formula, int]:
-    """Extend `value`, which maps every atom below `order` to a bitmask,
-    to each node of `order` (from `evaluation_order`): one set operation
-    per node, `full` being the mask of all points."""
-    for g in order:
+def evaluate(nodes: Iterable[Formula], value: dict[Formula, int], full: int) -> dict[Formula, int]:
+    """Extend `value`, which maps every atom below `nodes` to a bitmask,
+    to each non-atom among `nodes`, children first: one set operation
+    per node, `full` being the mask of all points.  Every non-atom below
+    one of `nodes` must be among them or already in `value`."""
+    for g in sorted((g for g in nodes if not isinstance(g, Atom)), key=_by_serial):
         value[g] = g.apply(full, *map(value.__getitem__, g.args))
     return value
 
@@ -381,5 +377,5 @@ def incidence_of(f: Formula, env: Environment, space: SampleSpace) -> Incidence:
                     f"incidence for {g.name!r} has width {inc.width}, space has {space.size}"
                 )
             value[g] = inc.bits
-    evaluate(evaluation_order(nodes), value, space.full().bits)
+    evaluate(nodes, value, space.full().bits)
     return Incidence(value[f], space.size)

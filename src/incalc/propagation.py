@@ -78,11 +78,10 @@ from .logic import (
     Or,
     describe,
     evaluate,
-    evaluation_order,
     format_formulas,
 )
 from .rational import format_prob
-from .space import Incidence, SampleSpace
+from .space import Incidence, SampleSpace, bitstring
 
 FIXPOINT = "fixpoint"
 INCONSISTENT = "inconsistent"
@@ -188,12 +187,12 @@ class BoundAssignment:
         """One line per sentence in registration order:
         `<formula> inf=<bits> sup=<bits> p=[low, high]`.
 
-        Each distinct mask is rendered once: its bit string by `format`,
-        its weight as an integer numerator over the space's common
-        denominator.  Each distinct numerator becomes one `Fraction`,
-        rendered once by `format_prob`."""
+        Each distinct mask is rendered once: its bit string by
+        `space.bitstring`, its weight as an integer numerator over the
+        space's common denominator.  Each distinct numerator becomes one
+        `Fraction`, rendered once by `format_prob`."""
         space = self.space
-        spec, numerator, denominator = f"0{space.size}b", space._numerator, space._denominator
+        width, numerator, denominator = space.size, space._numerator, space._denominator
         probs: dict[int, str] = {}  # numerator -> its probability's rendering
         shown: dict[int, tuple[str, str]] = {}  # mask -> (bit string, probability)
         for mask in itertools.chain(self._low, self._high):
@@ -202,7 +201,7 @@ class BoundAssignment:
                 text = probs.get(n)
                 if text is None:
                     text = probs[n] = format_prob(Fraction(n, denominator))
-                shown[mask] = format(mask, spec)[::-1], text
+                shown[mask] = bitstring(mask, width), text
         lines = []
         for text, low, high in zip(format_formulas(self._position), self._low, self._high):
             (low_bits, low_p), (high_bits, high_p) = shown[low], shown[high]
@@ -449,7 +448,7 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
         while span < valuations:
             table, span = table | table << span, 2 * span
         tables[atom] = table
-    evaluate(evaluation_order(sentences), tables, every)
+    evaluate(sentences, tables, every)
     truths = [tables[f] for f in sentences]
     full = assignment._full
     groups = {every: full}  # admitted valuations -> the points admitting exactly those

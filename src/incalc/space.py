@@ -12,11 +12,12 @@ equalities rather than to within a tolerance.  A space keeps its weights
 as integer numerators over one common denominator, so that sum is an
 integer turned into a `Fraction` once.  A uniform space keeps no
 numerators, and the sum is the incidence's member count (a popcount).
-Any other space whose numerators fit in a byte, with at most
-`MAX_MASKS` distinct non-zero ones, is weighed as one popcount per
-distinct numerator n, of the incidence and the mask of the points
-weighing n; the masks are built the first time the space is weighed.
-Each distinct weight is read, scaled and rendered once.
+Any other space whose numerators fit in a byte is weighed by its bit
+planes, n = sum over j of 2^j * bit j of n: plane j is the mask of the
+points whose numerator has bit j set, and the sum is the popcounts of the
+incidence and each plane, shifted by j, over at most 8 planes built the
+first time the space is weighed.  Each distinct weight is read, scaled
+and rendered once.
 """
 
 from __future__ import annotations
@@ -37,16 +38,12 @@ from .rational import as_ratio, exact_str
 #: point: at this width a full mask is 12.5 MB and its text 100 MB.
 MAX_WIDTH = 10**8
 
-#: The most distinct non-zero numerators a space is weighed by point
-#: masks for.  At one bit per point each, that many masks take no more
-#: memory than the tuple of numerators' 8-byte pointers.
-MAX_MASKS = 64
-
 #: A message quotes a literal whole up to this many characters.
 _QUOTED = 64
 
 _DROP_BITS = str.maketrans("", "", "01")
-_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+#: '0'/'1' digits to flag bytes, the encoding of `Incidence.flags`.
+FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -81,8 +78,13 @@ def _lcm_tree(values: list[int]) -> tuple[int, list[int]]:
     return common, quotients
 
 
+def bitstring(bits: int, width: int) -> str:
+    """Mask `bits` as `width` '0'/'1' digits, point 0 first."""
+    return format(bits, f"0{width}b")[::-1]
+
+
 def _flags(bits: int, width: int) -> bytes:
-    return format(bits, f"0{width}b")[::-1].encode("ascii").translate(_FLAG_BYTES)
+    return bitstring(bits, width).encode("ascii").translate(FLAG_BYTES)
 
 
 def _check_size(size: int) -> None:
@@ -92,26 +94,20 @@ def _check_size(size: int) -> None:
         )
 
 
-def _point_masks(numerators: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """`(n, mask)` for each distinct non-zero numerator n, the mask
-    holding the points that weigh n; none when a numerator passes 255 or
-    there are more than `MAX_MASKS` of them.  The numerators become one
-    byte each, and each mask is one `translate` of those bytes to '0'/'1'
-    digits and one `int` of them."""
+def _bit_planes(numerators: tuple[int, ...]) -> tuple[int, ...]:
+    """Plane j is the mask of the points whose numerator has bit j set,
+    for each j below the largest numerator's bit length; none when a
+    numerator passes 255.  The numerators become one byte each, and each
+    plane is one `translate` of those bytes to '0'/'1' digits and one
+    `int` of them."""
     try:
         codes = bytes(numerators)[::-1]  # point 0 is the last digit
     except ValueError:  # a numerator past 255
         return ()
-    distinct = set(codes)
-    distinct.discard(0)
-    if len(distinct) > MAX_MASKS:
-        return ()
-    masks = []
-    for n in distinct:
-        table = bytearray(b"0" * 256)
-        table[n] = ord("1")
-        masks.append((n, int(codes.translate(table), 2)))
-    return tuple(masks)
+    return tuple(
+        int(codes.translate((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j)), 2)
+        for j in range(max(codes).bit_length())
+    )
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ class Incidence:
         return cls(int(text[::-1] or "0", 2), width)
 
     def to_bitstring(self) -> str:
-        return format(self.bits, f"0{self.width}b")[::-1]
+        return bitstring(self.bits, self.width)
 
     def to_point_set(self) -> str:
         """Render as a point-set literal, e.g. '{3,4}' or '{}'."""
@@ -269,8 +265,8 @@ class SampleSpace:
     Equal weights merge only once they are known to be read alike: a list
     that is not all `str`, all `int` or all `Fraction` is first read
     whole, so that no float hides behind an equal `Fraction`.
-    The first weighing builds the point masks `_numerator` weighs by
-    (`_point_masks`), a cache that equality and hashing never read.
+    The first weighing builds the bit planes `_numerator` weighs by
+    (`_bit_planes`), a cache that equality and hashing never read.
     `from_counts` builds a space of observed frequencies from integer
     counts over one total, reduced by one `gcd`.  Both hand their
     numerators to `_keep`, which checks them and decides how they are
@@ -398,15 +394,15 @@ class SampleSpace:
 
     def _numerator(self, bits: int) -> int:
         """The weight of the points in mask `bits`, times the common
-        denominator: one popcount when the space is uniform, one per
-        distinct numerator when it has point masks, and otherwise one
-        integer sum over the member points.  `weight_of` and
+        denominator: one popcount when the space is uniform, one per bit
+        plane (at most 8) when every numerator fits in a byte, and
+        otherwise one integer sum over the member points.  `weight_of` and
         `BoundAssignment.dump` both weigh masks here."""
         if self._numerators is None:
             return bits.bit_count()
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = _point_masks(self._numerators)
-        if masks:
-            return sum([n * (bits & mask).bit_count() for n, mask in masks])
+        planes = self._masks
+        if planes is None:
+            planes = self._masks = _bit_planes(self._numerators)
+        if planes:
+            return sum([(bits & plane).bit_count() << j for j, plane in enumerate(planes)])
         return sum(compress(self._numerators, _flags(bits, self._size)))

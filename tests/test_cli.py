@@ -107,6 +107,14 @@ class TestQuery:
         assert code == 0 and err == ""
         assert out == golden("example_query.golden")
 
+    def test_many_distinct_byte_weights_match_golden(self, capsys):
+        # 300 points whose numerators take 182 distinct values below 256.
+        # The golden was recorded from the per-point sum, which weighed
+        # every space with more than 64 distinct numerators.
+        code, out, err = run(capsys, "query", DATA / "weighted_query.kb")
+        assert code == 0 and err == ""
+        assert out == golden("weighted_query.golden")
+
     def test_degenerate_correlation_is_a_data_error(self, capsys, tmp_path):
         kb = tmp_path / "degenerate.kb"
         kb.write_text(
@@ -434,6 +442,28 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, source, command,
     path.write_bytes(b"\xef\xbb\xbf" + (DATA / source).read_bytes())
     code, out, err = run(capsys, command[0], path, *command[1:])
     assert (code, out, err) == (0, golden(expected), "")
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "command, lines, bad_line",
+    [
+        (["query"], ["space 2", "inc a = 10", "# caf\xe9 au lait", "query prob a"], 3),
+        (["sample", "--size", "4"], ["prob a = 1/2", "", "prob b = 1/4 # \xe9t\xe9"], 3),
+        (["ingest"], ["# rain and wet", "rain wet", "1 1", "0 1 # \xe9t\xe9", "1 0"], 4),
+    ],
+    ids=["kb", "targets", "records"],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(
+    capsys, tmp_path, bom, end, command, lines, bad_line
+):
+    # Latin-1 text: each 'é' is the one byte 0xe9, which no UTF-8 text holds.
+    path = tmp_path / "input"
+    path.write_bytes(bom + end.join(lines).encode("latin-1") + end.encode())
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    message = f"line {bad_line}: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestIngest:

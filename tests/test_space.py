@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc import space as space_module
-from incalc.space import MAX_MASKS, MAX_WIDTH, _lcm_tree
+from incalc.space import MAX_WIDTH, _lcm_tree
 from incalc.rational import as_ratio
 from helpers import incidences, load_script, random_space, reference_weight_of, written_weights
 
@@ -40,14 +40,19 @@ def repeated_weights(draw):
 def counted_spaces(draw):
     """A space of integer counts over their total, built by `__init__`
     from `(count, total)` pairs or by `from_counts`, with the counts.
-    Widths run to 300 and include 10^4; the counts take up to 70
-    distinct values, about MAX_MASKS, among them 0, 255 and 256 and some
-    past a byte."""
+    Widths run to 300 and include 10^4; the counts take up to 255
+    distinct values.  Half the time every count fits in a byte, 255 often
+    among them; otherwise they include 255, 256 and values past a byte."""
     width = draw(st.integers(1, 300) | st.just(10_000))
-    kinds = draw(st.sampled_from([1, 2, 7, MAX_MASKS, MAX_MASKS + 1]) | st.integers(1, 70))
+    kinds = draw(st.sampled_from([1, 2, 7, 8, 9, 200, 255]) | st.integers(1, 255))
     kinds = min(width, kinds)
-    value = st.sampled_from([0, 1, 255, 256]) | st.integers(0, 300) | st.integers(257, 2**70)
-    pool = draw(st.lists(value, min_size=kinds, max_size=kinds, unique=True))
+    if draw(st.booleans()):
+        pool = draw(st.permutations(range(256)))[:kinds]
+        if draw(st.booleans()) and 255 not in pool:
+            pool[-1] = 255
+    else:
+        value = st.sampled_from([0, 1, 255, 256]) | st.integers(0, 300) | st.integers(257, 2**70)
+        pool = draw(st.lists(value, min_size=kinds, max_size=kinds, unique=True))
     counts = [pool[k % kinds] for k in range(width)]
     draw(st.randoms(use_true_random=False)).shuffle(counts)
     if not any(counts):
@@ -414,19 +419,23 @@ class TestWeighing:
         for bits in masks:
             inc = ic.Incidence(bits, space.size)
             assert space.weight_of(inc) == reference_weight_of(weights, inc)
+        if not space.is_uniform:  # bit planes exactly when every numerator fits in a byte
+            assert bool(space._masks) == (max(space._numerators) < 256)
 
     @pytest.mark.parametrize(
         "numerators",
         [
             [255, 1],
             [0, 3, 0, 255, 2],
-            list(range(1, MAX_MASKS + 1)) * 3,
-            [0] + list(range(1, MAX_MASKS + 1)),
+            list(range(1, 256)),
+            [0] + list(range(1, 256)) * 3,
+            [k * 37 % 200 + 56 for k in range(1000)],  # 200 distinct values
         ],
     )
     def test_a_qualifying_space_is_weighed_by_point_masks(self, numerators, monkeypatch):
-        # Numerators that fit in a byte, at most MAX_MASKS of them non-zero:
-        # weighing counts mask bits and never reads a point's flag.
+        # Numerators that fit in a byte, however many distinct: weighing
+        # counts the bits of one point mask per bit plane, at most 8, and
+        # never reads a point's flag.
         def refused(*args):
             raise AssertionError("weighed point by point")
 
@@ -439,11 +448,9 @@ class TestWeighing:
                 inc = ic.Incidence(rng.getrandbits(space.size), space.size)
                 assert space.weight_of(inc) == reference_weight_of(weights, inc)
             assert space.weight_of(space.full()) == 1
+            assert len(space._masks) == max(numerators).bit_length() <= 8
 
-    @pytest.mark.parametrize(
-        "numerators",
-        [[256, 1], [2**4000, 1, 3], list(range(1, MAX_MASKS + 2))],
-    )
+    @pytest.mark.parametrize("numerators", [[256, 1], [2**4000, 1, 3]])
     def test_any_other_space_is_weighed_point_by_point(self, numerators, monkeypatch):
         calls = []
         flags = space_module._flags
