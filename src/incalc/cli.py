@@ -86,7 +86,9 @@ def _cmd_solve(args) -> int:
     kb = parse_kb(_read(args.kb))
     mode = "complete" if args.complete else "fixpoint"
     outcome = propagate(kb.initial_assignment(), mode)
-    print(outcome.final.dump())
+    dump = outcome.final.dump()
+    if dump:
+        print(dump)
     if outcome.ok:
         print("CONSISTENT")
         return 0
@@ -138,7 +140,8 @@ _COMMANDS = {
                 ["--complete"],
                 {
                     "action": "store_true",
-                    "help": "exact bounds from all 2^atoms valuations (any width; limited atoms)",
+                    "help": "exact bounds from all 2^atoms valuations"
+                    " (any width; at most 128 MB of truth tables)",
                 },
             ),
         ],

@@ -51,8 +51,9 @@ point.  Every node is evaluated once on a 2^atoms-bit truth table, and
 the points are split into groups admitting equal sets of valuations,
 which number at most the width.  The cost is the number of groups times
 the number of distinct registered nodes, in operations on 2^atoms-bit
-sets; each table takes 128 KB at the limit of MAX_ATOMS = 20 atoms, and
-all of them together at most MAX_TABLE_BITS.
+sets, and all the tables together take at most MAX_TABLE_BITS.  Every
+atom is a registered node with its own table, so that budget alone
+refuses 26 or more atoms.
 
 Sentences are interned (see `incalc.logic`), so a subterm shared by many
 sentences, or used twice in one, is one entry with one pair of bounds.
@@ -86,14 +87,9 @@ from .space import Incidence, SampleSpace, bitstring
 FIXPOINT = "fixpoint"
 INCONSISTENT = "inconsistent"
 
-#: Complete mode refuses instances with more atoms than this: it holds
-#: one 2^atoms-bit truth table per registered node, 128 KB each at 20
-#: atoms.
-MAX_ATOMS = 20
-
-#: Complete mode refuses an instance as soon as its truth tables, with
-#: one 2^atoms-bit set of admitted valuations per group of points, would
-#: take more bits than this: 128 MB, or 1024 tables at 20 atoms.
+#: Complete mode refuses an instance as soon as its truth tables, one
+#: per registered node, with one 2^atoms-bit set of admitted valuations
+#: per group of points, would take more bits than this: 128 MB.
 MAX_TABLE_BITS = 1 << 30
 
 
@@ -317,11 +313,6 @@ RULES: tuple[Rule, ...] = (
          lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_lo) | b_hi),
 )
 
-RULES_BY_CONNECTIVE: dict[type, tuple[Rule, ...]] = {
-    kind: tuple(r for r in RULES if r.connective is kind)
-    for kind in (Not, And, Or, Implies)
-}
-
 
 @dataclass(frozen=True)
 class PropagationOutcome:
@@ -432,12 +423,6 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     """
     sentences = assignment.sentences()
     atoms = [f for f in sentences if isinstance(f, Atom)]
-    if len(atoms) > MAX_ATOMS:
-        raise InstanceTooLargeError(
-            f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS} for the exact envelope,"
-            f" whose truth tables take 2^atoms bits per registered sentence"
-            f" ({(1 << MAX_ATOMS) // 8192} KB at {MAX_ATOMS} atoms)"
-        )
     _check_table_bits(len(sentences), len(atoms))
     valuations = 1 << len(atoms)
     every = (1 << valuations) - 1
@@ -496,9 +481,8 @@ def _check_table_bits(tables: int, atoms: int) -> None:
     in `tables` sets of 2^atoms valuations."""
     if tables << atoms > MAX_TABLE_BITS:
         raise InstanceTooLargeError(
-            f"the exact envelope needs {tables} tables of 2^{atoms} bits"
-            f" (truth tables and admitted sets), over its limit of"
-            f" {MAX_TABLE_BITS >> 23} MB ({MAX_TABLE_BITS >> MAX_ATOMS} tables at {MAX_ATOMS} atoms)"
+            f"the exact envelope over {atoms} atoms needs {tables} tables of 2^{atoms} bits"
+            f" (truth tables and admitted sets), over its limit of {MAX_TABLE_BITS >> 23} MB"
         )
 
 
@@ -513,11 +497,11 @@ def propagate(initial: BoundAssignment, mode: str = "fixpoint") -> PropagationOu
     bounds become exactly the envelope of the legal assignments, computed
     over the groups of points that admit equal sets of valuations, at a
     cost of the groups times the registered nodes in operations on
-    2^atoms-bit truth tables.
-    Instances with more than MAX_ATOMS (20) atoms raise
-    InstanceTooLargeError, whatever their width, as do those whose truth
-    tables, one per registered node, and admitted sets, one per group,
-    would take more than MAX_TABLE_BITS (128 MB, 1024 tables at 20 atoms).
+    2^atoms-bit truth tables.  Instances whose truth tables, one per
+    registered node (so one per atom at least), and admitted sets, one
+    per group, would take more than MAX_TABLE_BITS (128 MB) raise
+    InstanceTooLargeError.  The truth tables are counted before any is
+    built, so 26 or more atoms are refused at once, whatever the width.
 
     A lower bound escaping its upper bound is reported eagerly via the
     outcome's culprit, and propagation stops there.  Before the updates

@@ -17,10 +17,16 @@ from unittest import mock
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.propagation import RULES_BY_CONNECTIVE
+from incalc.propagation import RULES
 from incalc.rational import round_half_up
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
+
+#: The rule catalog grouped by connective, in catalog order.
+RULES_BY_CONNECTIVE = {
+    kind: tuple(r for r in RULES if r.connective is kind)
+    for kind in (ic.Not, ic.And, ic.Or, ic.Implies)
+}
 
 #: The brute-force oracle refuses instances where width * atoms exceeds this.
 ORACLE_GUARD_BITS = 24

@@ -205,6 +205,26 @@ class TestSolve:
         assert out == golden("contradiction_solve.golden")
         assert out.rstrip().splitlines()[-1] == "INCONSISTENT: a"
 
+    @pytest.mark.parametrize("kb", ["chain", "fixpoint"])
+    def test_complete_matches_golden(self, capsys, kb):
+        # The exact envelope, which differs from the fixpoint's bounds on
+        # both KBs.
+        code, out, err = run(capsys, "solve", DATA / f"{kb}.kb", "--complete")
+        assert code == 0 and err == ""
+        assert out == golden(f"{kb}_complete.golden")
+
+    def test_complete_contradiction_exits_one(self, capsys):
+        code, out, err = run(capsys, "solve", DATA / "contradiction.kb", "--complete")
+        assert code == 1 and err == ""
+        assert out == golden("contradiction_complete.golden")
+        assert out.rstrip().splitlines()[-1] == "INCONSISTENT: ~a"
+
+    @pytest.mark.parametrize("mode", [[], ["--complete"]])
+    def test_no_registered_sentence_prints_only_the_verdict(self, capsys, tmp_path, mode):
+        kb = tmp_path / "empty.kb"
+        kb.write_text("space 1\n")
+        assert run(capsys, "solve", kb, *mode) == (0, "CONSISTENT\n", "")
+
     def test_complete_tightens_past_the_fixpoint(self, capsys, tmp_path):
         # Whether a holds at the single point is open, but both cases
         # force b there (one through the disjunction, one through the

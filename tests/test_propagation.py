@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.cli import main
-from incalc.propagation import MAX_ATOMS, MAX_TABLE_BITS, RULES, RULES_BY_CONNECTIVE
+from incalc.propagation import MAX_TABLE_BITS, RULES
 from incalc.rational import format_prob
 from helpers import (
     ATOMS,
+    RULES_BY_CONNECTIVE,
     arbitrary_instance,
     enumerate_legal,
     formulas_st,
@@ -451,10 +452,10 @@ class TestOracle:
                 assert outcome.ok
                 assert outcome.final == tight
 
-    def test_guard_refuses_large_instances(self, tmp_path, capsys):
+    def test_guard_refuses_large_instances(self):
         # The brute-force oracle guards width * atoms; complete mode
-        # guards the atom count alone: MAX_ATOMS (20) atoms pass at any
-        # width, one more is refused at width 1.
+        # guards only the bits of its tables, which do not grow with the
+        # width: 20 atoms pass at width 1 and at width 4096.
         space = u(10)
         assignment = ic.BoundAssignment(space)
         assignment.declare(ic.parse_formula("a & b & c"))
@@ -471,38 +472,31 @@ class TestOracle:
         assert outcome.ok
         assert outcome.final.bounds(ic.parse_formula("c | d"))[0] == points(wide, [7])
 
-        assert MAX_ATOMS == 20
-        at_limit = ic.parse_formula(" | ".join(f"x{j}" for j in range(MAX_ATOMS)))
+        at_20 = ic.parse_formula(" | ".join(f"x{j}" for j in range(20)))
         for space in (u(1), wide):
             assignment = ic.BoundAssignment(space)
-            assignment.declare(at_limit, lower=points(space, [0]))
+            assignment.declare(at_20, lower=points(space, [0]))
             outcome = ic.propagate(assignment, "complete")
-            assert outcome.ok and outcome.final.bounds(at_limit)[0] == points(space, [0])
-
-        too_many = " & ".join(f"x{j}" for j in range(MAX_ATOMS + 1))
-        assignment = ic.BoundAssignment(u(1))
-        assignment.declare(ic.parse_formula(too_many))
-        with pytest.raises(ic.InstanceTooLargeError):
-            ic.propagate(assignment, "complete")
-        kb = tmp_path / "many_atoms.kb"
-        kb.write_text(f"space 1\nbounds ({too_many}) inf {{}} sup {{0}}\n")
-        assert main(["solve", str(kb), "--complete"]) == 2
-        assert "atoms" in capsys.readouterr().err
+            assert outcome.ok and outcome.final.bounds(at_20)[0] == points(space, [0])
 
     def test_readme_states_the_limits(self):
+        # One budget: MAX_TABLE_BITS, stated in MB, in tables at 20 and
+        # 25 atoms, and as the fewest atoms whose own tables exceed it.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        stated = re.findall(r"more than (\d+) atoms\s+are refused", readme)
-        assert stated == [str(MAX_ATOMS)]
-        budget = re.findall(r"more than (\d+) MB:.*?at most (\d+) tables", readme, re.S)
-        assert budget == [(str(MAX_TABLE_BITS >> 23), str(MAX_TABLE_BITS >> MAX_ATOMS))]
+        stated = re.findall(r"more than (\d+) MB\s+are refused", readme)
+        assert stated == [str(MAX_TABLE_BITS >> 23)]
+        tables = re.findall(r"at most (\d+) tables\s+fit at 20 atoms\s+and (\d+) at 25", readme)
+        assert tables == [(str(MAX_TABLE_BITS >> 20), str(MAX_TABLE_BITS >> 25))]
+        refused = re.findall(r"(\d+) or more atoms\s+are always refused", readme)
+        assert refused == [str(next(n for n in itertools.count(1) if n << n > MAX_TABLE_BITS))]
 
     def test_complete_mode_matches_oracle_past_the_old_atom_limit(self):
-        # Width-1 instances with 17-20 atoms, all but six of them pinned
+        # Width-1 instances with 17-23 atoms, all but six of them pinned
         # to a random exact value, so the oracle enumerates 2^6 cases.
         rng = random.Random(83)
         one = u(1)
         statuses = Counter()
-        for n_atoms in (17, 18, 19, 20):
+        for n_atoms in range(17, 24):
             for _ in range(3):
                 names = [f"x{j}" for j in range(n_atoms)]
                 assignment = ic.BoundAssignment(one)
@@ -523,6 +517,33 @@ class TestOracle:
                 else:
                     assert outcome.ok and outcome.final == tight
         assert statuses[ic.INCONSISTENT] and statuses[ic.FIXPOINT]
+
+    def test_complete_mode_solves_25_atoms_within_the_budget(self):
+        # 25 atoms and 2 compound nodes: 27 truth tables of 2^25 bits and
+        # one group fit in 32.  Whether x0 holds is open, but both cases
+        # force x24 (one through the disjunction, one through the
+        # implication); the 23 other atoms are pinned and touch nothing.
+        # Past the oracle's guard, so the oracle sees the instance less
+        # the pinned atoms, which cannot change the other bounds.
+        rng = random.Random(29)
+        one = u(1)
+        x0, x24 = ic.Atom("x0"), ic.Atom("x24")
+        pinned = {ic.Atom(f"x{j}"): ic.Incidence(rng.getrandbits(1), 1) for j in range(1, 24)}
+        assignment, small = ic.BoundAssignment(one), ic.BoundAssignment(one)
+        for f in (ic.Or(x0, x24), ic.Implies(x0, x24)):
+            assignment.declare(f, one.full(), one.full())
+            small.declare(f, one.full(), one.full())
+        for atom, inc in pinned.items():
+            assignment.declare(atom, inc, inc)
+        assert len([f for f in assignment if isinstance(f, ic.Atom)]) == 25
+        outcome = ic.propagate(assignment, "complete")
+        assert outcome.ok
+        tight = tight_bounds(small)
+        assert tight.bounds(x24) == (one.full(), one.full())
+        assert tight.bounds(x0) == (one.empty(), one.full())
+        for f in assignment:
+            expected = (pinned[f], pinned[f]) if f in pinned else tight.bounds(f)
+            assert outcome.final.bounds(f) == expected
 
     def test_complete_mode_matches_oracle_at_each_point_of_a_wide_space(self):
         # Complete mode treats the points together; the oracle sees one
@@ -631,18 +652,38 @@ class TestEnvelopeGroups:
 
         monkeypatch.setattr(ic.propagation, "evaluate", evaluate)
         chain = ic.Atom("x0")
-        for j in range(MAX_TABLE_BITS >> MAX_ATOMS):
-            chain = ic.Implies(ic.Atom(f"x{j % MAX_ATOMS}"), chain)
+        for j in range(MAX_TABLE_BITS >> 20):
+            chain = ic.Implies(ic.Atom(f"x{j % 20}"), chain)
         for space in (u(1), u(4096)):
             assignment = ic.BoundAssignment(space)
             assignment.declare(chain, lower=space.full())
-            assert len(assignment) > MAX_TABLE_BITS >> MAX_ATOMS
+            assert len(assignment) > MAX_TABLE_BITS >> 20
             with pytest.raises(ic.InstanceTooLargeError, match="128 MB"):
                 ic.propagate(assignment, "complete")
         kb = tmp_path / "chain.kb"
         kb.write_text(f"space 1\nbounds {ic.format_formula(chain)} inf 1 sup 1\n")
         assert main(["solve", str(kb), "--complete"]) == 2
         assert "128 MB" in capsys.readouterr().err
+
+    def test_table_budget_refuses_26_atoms_before_evaluating(self, tmp_path, capsys, monkeypatch):
+        # The atoms' own tables take 26 * 2^26 bits, past the 2^30 of
+        # the budget, whatever the other nodes and the width.
+        def evaluate(*args):
+            raise AssertionError("truth tables built past the budget")
+
+        monkeypatch.setattr(ic.propagation, "evaluate", evaluate)
+        atoms = [f"x{j}" for j in range(26)]
+        for space in (u(1), u(4096)):
+            assignment = ic.BoundAssignment(space)
+            for name in atoms:
+                assignment.declare(ic.Atom(name))
+            with pytest.raises(ic.InstanceTooLargeError, match="26 atoms needs 26 tables"):
+                ic.propagate(assignment, "complete")
+        kb = tmp_path / "many_atoms.kb"
+        kb.write_text(f"space 1\nbounds ({' & '.join(atoms)}) inf {{}} sup {{0}}\n")
+        assert main(["solve", str(kb), "--complete"]) == 2
+        err = capsys.readouterr().err
+        assert "26 atoms" in err and "128 MB" in err
 
     def test_table_budget_counts_groups_of_points(self, monkeypatch):
         # Two atoms, three nodes: a, b and a & b.  Points 0-4 admit five
