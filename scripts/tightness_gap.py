@@ -1,7 +1,7 @@
 """How often does plain fixpoint propagation stop short of the exact
 envelope, and by how much?
 
-Generates random small bound instances, runs the fixpoint rules and the
+Generates random small bound instances, runs the plain fixpoint and the
 exact-envelope complete mode, and compares both against brute-force
 enumeration (`tight_bounds` in tests/helpers.py).  Complete mode must
 agree with enumeration (if it does not, that is a bug, and the script

@@ -42,6 +42,7 @@ _BOUNDS_RE = re.compile(
     r"bounds\s+(?P<target>.+?)\s+inf\s+(?P<low>\{[^}]*\}|[01]+)\s+sup\s+(?P<high>\{[^}]*\}|[01]+)"
 )
 _FORMULA_RE = re.compile(rf"formula\s+({IDENT_RE.pattern})\s*=\s*(.+)")
+_QUERY_RE = re.compile(r"query\s+(prob|cond|corr)\s+(.+)")
 
 
 @dataclass(frozen=True)
@@ -207,25 +208,24 @@ def _holds_atom(sentence: Formula, atom: Atom) -> bool:
 
 
 def _parse_query(kb: KnowledgeBase, line: str) -> None:
-    body = line.split(None, 1)[1] if len(line.split(None, 1)) == 2 else ""
-    if body.startswith("prob "):
-        kb.queries.append(Query("prob", kb.resolve(body[5:])))
-    elif body.startswith("cond "):
-        rest = body[5:]
+    m = _QUERY_RE.fullmatch(line)
+    if not m:
+        raise KBError("expected `query prob|cond|corr ...`")
+    kind, rest = m.groups()
+    if kind == "prob":
+        kb.queries.append(Query("prob", kb.resolve(rest)))
+    elif kind == "cond":
         m = re.search(r"\bgiven\b", rest)
         if not m:
             raise KBError("expected `query cond <formula> given <formula>`")
         kb.queries.append(
             Query("cond", kb.resolve(rest[: m.start()]), kb.resolve(rest[m.end() :]))
         )
-    elif body.startswith("corr "):
-        rest = body[5:]
+    else:
         if "," not in rest:
             raise KBError("expected `query corr <formula> , <formula>`")
         left, right = rest.split(",", 1)
         kb.queries.append(Query("corr", kb.resolve(left), kb.resolve(right)))
-    else:
-        raise KBError("expected `query prob|cond|corr ...`")
 
 
 def kb_fragment(space: SampleSpace, env: dict[str, Incidence]) -> str:

@@ -5,34 +5,37 @@ sentence S carries a pair (lower, upper) with the guarantee
 
     lower(S)  is a subset of  i(S)  is a subset of  upper(S)
 
-for the unknown true incidence i(S).  Local rules transfer information
-between a compound sentence and its direct parts: each rule either raises
-a lower bound (by union) or cuts an upper bound (by intersection), so
-bounds only ever tighten.  Repeating the rules to a fixed point is
-confluent: the final assignment does not depend on the order of work,
-which the tests check by running the fixpoint on shuffled worklists.
+for the unknown true incidence i(S).  Throughout, w is the whole space,
+\\ is set difference, and the axioms fix i(~A) = w \\ i(A),
+i(A & B) = i(A) & i(B), i(A | B) = i(A) | i(B), and
+i(A -> B) = (w \\ i(A)) | i(B).
 
-Soundness of every rule is a one-line set inclusion; see the `note` field
-on each catalog entry.  Throughout, w is the whole space, \\ is set
-difference, and the axioms fix i(~A) = w \\ i(A), i(A & B) = i(A) & i(B),
-i(A | B) = i(A) | i(B), and i(A -> B) = (w \\ i(A)) | i(B).
+Every connective is truth functional, so bounds travel between a
+compound node C = op(A, B) and its operands by one update, read off op's
+truth table (its `apply` at one point), which is generalised arc
+consistency on C = op(A, B) (Mackworth 1977).  At each point a node may
+be 0 outside its lower bound and may be 1 inside its upper bound; a
+value stays possible where some row (x, y, op(x, y)) of the table
+through it has all three of its values possible.  That is the update's
+soundness: at a legal assignment's point, the values of A, B and C form
+a row of the table, and each of them is possible since the bounds hold
+there, so a value removed because no row through it has all three of
+its values possible is one that no legal assignment uses.  Removing 0
+raises a lower bound (by union) and removing 1 cuts an upper bound (by
+intersection), so bounds only ever tighten.  Repeating the updates to a
+fixed point is confluent: the final assignment does not depend on the
+order of work, which the tests check by running the fixpoint on shuffled
+worklists.
 
-Every connective is truth functional, so the fixpoint runs no rule one
-at a time: one update per compound node C = op(A, B), read off op's
-truth table (its `apply` at one point), takes C and its operands to
-their local closure, which is generalised arc consistency on C = op(A, B)
-(Mackworth 1977).  At each point a node may be 0 outside its lower bound
-and may be 1 inside its upper bound; a value stays possible where some
-row (x, y, op(x, y)) of the table through it has all three of its values
-possible.  The update works each row on whole masks, a few int
-operations, and writes back A's bounds, then B's, then C's, so a shared
-operand (`a & a`, `~a`) needs no special case.  Closing one node's rules
-gives the same bounds, as the tests check for every state of the three
-nodes at widths 1 and 2.  The fixpoint loop works on two lists of
-bitmasks indexed by registration position, with child and parent
-positions computed once per call.  A compound node's plan is its
-operands' positions, read from its first and last argument, and its
-connective's truth table.  The worklist is a FIFO queue (a `deque`, so
+The update works each row on whole masks, a few int operations, and
+writes back A's bounds, then B's, then C's, so a shared operand
+(`a & a`, `~a`) needs no special case.  It takes the three nodes to
+their local closure, as the tests check against a catalog of one-line
+set inclusions for every state of the three nodes at widths 1 and 2.
+The fixpoint loop works on two lists of bitmasks indexed by
+registration position, with child and parent positions computed once
+per call.  A compound node's plan is its operands' positions, read from
+its first and last argument, and its connective's truth table.  The worklist is a FIFO queue (a `deque`, so
 taking the next node costs O(1) however many are queued), each node in
 it at most once; an update that changes a node's bounds wakes that node,
 when compound, and its parents, all but the node that ran it, which the
@@ -65,7 +68,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import InstanceTooLargeError, UnknownSentenceError, WidthMismatchError
 from .logic import (
@@ -228,90 +230,6 @@ def check_consistency(assignment: BoundAssignment) -> Formula | None:
         if low & ~high:
             return sentence
     return None
-
-
-# --- the rule catalog ----------------------------------------------------
-#
-# One Rule per direction of information flow at a connective.  `compute`
-# receives the whole-space mask and the bounds of the compound C and of
-# its operands A and B as int bitmasks, `(full, c_lo, c_hi, a_lo, a_hi,
-# b_lo, b_hi)` (for a unary C, B's bounds are A's and go unused), and
-# returns the mask to merge into the target's bound.  A complement is
-# `full ^ x`, which stays inside the space.  The fixpoint does not run
-# these rules: each connective's rules, closed at one node, give exactly
-# its update's bounds, so the catalog is the soundness argument for the
-# update and its oracle in the tests, and the order of its entries
-# affects no result.
-
-
-@dataclass(frozen=True)
-class Rule:
-    connective: type
-    target: str  # "left" | "right" | "self"
-    action: str  # "raise" | "cut"
-    note: str
-    compute: Callable[[int, int, int, int, int, int, int], int]
-
-
-RULES: tuple[Rule, ...] = (
-    # C = ~A
-    Rule(Not, "left", "raise", "i(C) <= sup(C), so w \\ sup(C) <= w \\ i(C) = i(A)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_hi),
-    Rule(Not, "left", "cut", "inf(C) <= i(C) = w \\ i(A), so i(A) <= w \\ inf(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_lo),
-    Rule(Not, "self", "raise", "i(A) <= sup(A), so w \\ sup(A) <= w \\ i(A) = i(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ a_hi),
-    Rule(Not, "self", "cut", "inf(A) <= i(A), so i(C) = w \\ i(A) <= w \\ inf(A)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ a_lo),
-    # C = A & B
-    Rule(And, "left", "raise", "inf(C) <= i(C) = i(A) & i(B) <= i(A)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo),
-    Rule(And, "left", "cut",
-         "a point of i(A) lies in i(A & B) or outside i(B): "
-         "i(A) <= i(C) | (w \\ i(B)) <= sup(C) | (w \\ inf(B))",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi | (full ^ b_lo)),
-    Rule(And, "right", "raise", "inf(C) <= i(C) = i(A) & i(B) <= i(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo),
-    Rule(And, "right", "cut",
-         "mirror image: i(B) <= i(C) | (w \\ i(A)) <= sup(C) | (w \\ inf(A))",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi | (full ^ a_lo)),
-    Rule(And, "self", "raise", "inf(A) & inf(B) <= i(A) & i(B) = i(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_lo & b_lo),
-    Rule(And, "self", "cut", "i(C) = i(A) & i(B) <= sup(A) & sup(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_hi & b_hi),
-    # C = A | B
-    Rule(Or, "left", "raise",
-         "a point of i(C) outside i(B) must lie in i(A): "
-         "inf(C) & (w \\ sup(B)) <= i(C) \\ i(B) <= i(A)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & (full ^ b_hi)),
-    Rule(Or, "left", "cut", "i(A) <= i(A) | i(B) = i(C) <= sup(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
-    Rule(Or, "right", "raise",
-         "mirror image: inf(C) & (w \\ sup(A)) <= i(C) \\ i(A) <= i(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & (full ^ a_hi)),
-    Rule(Or, "right", "cut", "i(B) <= i(A) | i(B) = i(C) <= sup(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
-    Rule(Or, "self", "raise", "inf(A) | inf(B) <= i(A) | i(B) = i(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_lo | b_lo),
-    Rule(Or, "self", "cut", "i(C) = i(A) | i(B) <= sup(A) | sup(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_hi | b_hi),
-    # C = A -> B, i.e. i(C) = (w \ i(A)) | i(B)
-    Rule(Implies, "left", "raise", "w \\ i(C) = i(A) \\ i(B) <= i(A), and w \\ sup(C) <= w \\ i(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_hi),
-    Rule(Implies, "left", "cut",
-         "a point of i(A) inside i(C) lies in i(B), one outside i(C) is outside inf(C): "
-         "i(A) <= (w \\ inf(C)) | sup(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ c_lo) | b_hi),
-    Rule(Implies, "right", "raise",
-         "detachment: a point in both i(C) and i(A) lies in i(B), so inf(C) & inf(A) <= i(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & a_lo),
-    Rule(Implies, "right", "cut", "i(B) <= (w \\ i(A)) | i(B) = i(C) <= sup(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
-    Rule(Implies, "self", "raise", "(w \\ sup(A)) | inf(B) <= (w \\ i(A)) | i(B) = i(C)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_hi) | b_lo),
-    Rule(Implies, "self", "cut", "i(C) = (w \\ i(A)) | i(B) <= (w \\ inf(A)) | sup(B)",
-         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_lo) | b_hi),
-)
 
 
 @dataclass(frozen=True)
@@ -502,6 +420,9 @@ def propagate(initial: BoundAssignment, mode: str = "fixpoint") -> PropagationOu
     per group, would take more than MAX_TABLE_BITS (128 MB) raise
     InstanceTooLargeError.  The truth tables are counted before any is
     built, so 26 or more atoms are refused at once, whatever the width.
+    The budget counts bits, and memory runs higher: an int keeps 30 bits
+    per 32-bit digit, and the splits build transient sets (22 atoms, 64
+    nodes: 65 tables counted, a tracemalloc peak of 73.6 tables).
 
     A lower bound escaping its upper bound is reported eagerly via the
     outcome's culprit, and propagation stops there.  Before the updates

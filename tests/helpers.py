@@ -9,18 +9,103 @@ import itertools
 import random
 import re
 from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.propagation import RULES
+from incalc import And, Implies, Not, Or
 from incalc.rational import round_half_up
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
+
+# --- the rule catalog ----------------------------------------------------
+#
+# One Rule per direction of information flow at a connective.  `compute`
+# receives the whole-space mask and the bounds of the compound C and of
+# its operands A and B as int bitmasks, `(full, c_lo, c_hi, a_lo, a_hi,
+# b_lo, b_hi)` (for a unary C, B's bounds are A's and go unused), and
+# returns the mask to merge into the target's bound.  A complement is
+# `full ^ x`, which stays inside the space.  `incalc.propagate` does not
+# run these rules: each connective's rules, closed at one node, give
+# exactly its update's bounds, so the catalog is an independent soundness
+# oracle for the update, and the order of its entries affects no result.
+
+
+@dataclass(frozen=True)
+class Rule:
+    connective: type
+    target: str  # "left" | "right" | "self"
+    action: str  # "raise" | "cut"
+    note: str
+    compute: Callable[[int, int, int, int, int, int, int], int]
+
+
+RULES: tuple[Rule, ...] = (
+    # C = ~A
+    Rule(Not, "left", "raise", "i(C) <= sup(C), so w \\ sup(C) <= w \\ i(C) = i(A)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_hi),
+    Rule(Not, "left", "cut", "inf(C) <= i(C) = w \\ i(A), so i(A) <= w \\ inf(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_lo),
+    Rule(Not, "self", "raise", "i(A) <= sup(A), so w \\ sup(A) <= w \\ i(A) = i(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ a_hi),
+    Rule(Not, "self", "cut", "inf(A) <= i(A), so i(C) = w \\ i(A) <= w \\ inf(A)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ a_lo),
+    # C = A & B
+    Rule(And, "left", "raise", "inf(C) <= i(C) = i(A) & i(B) <= i(A)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo),
+    Rule(And, "left", "cut",
+         "a point of i(A) lies in i(A & B) or outside i(B): "
+         "i(A) <= i(C) | (w \\ i(B)) <= sup(C) | (w \\ inf(B))",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi | (full ^ b_lo)),
+    Rule(And, "right", "raise", "inf(C) <= i(C) = i(A) & i(B) <= i(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo),
+    Rule(And, "right", "cut",
+         "mirror image: i(B) <= i(C) | (w \\ i(A)) <= sup(C) | (w \\ inf(A))",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi | (full ^ a_lo)),
+    Rule(And, "self", "raise", "inf(A) & inf(B) <= i(A) & i(B) = i(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_lo & b_lo),
+    Rule(And, "self", "cut", "i(C) = i(A) & i(B) <= sup(A) & sup(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_hi & b_hi),
+    # C = A | B
+    Rule(Or, "left", "raise",
+         "a point of i(C) outside i(B) must lie in i(A): "
+         "inf(C) & (w \\ sup(B)) <= i(C) \\ i(B) <= i(A)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & (full ^ b_hi)),
+    Rule(Or, "left", "cut", "i(A) <= i(A) | i(B) = i(C) <= sup(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
+    Rule(Or, "right", "raise",
+         "mirror image: inf(C) & (w \\ sup(A)) <= i(C) \\ i(A) <= i(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & (full ^ a_hi)),
+    Rule(Or, "right", "cut", "i(B) <= i(A) | i(B) = i(C) <= sup(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
+    Rule(Or, "self", "raise", "inf(A) | inf(B) <= i(A) | i(B) = i(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_lo | b_lo),
+    Rule(Or, "self", "cut", "i(C) = i(A) | i(B) <= sup(A) | sup(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: a_hi | b_hi),
+    # C = A -> B, i.e. i(C) = (w \ i(A)) | i(B)
+    Rule(Implies, "left", "raise", "w \\ i(C) = i(A) \\ i(B) <= i(A), and w \\ sup(C) <= w \\ i(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: full ^ c_hi),
+    Rule(Implies, "left", "cut",
+         "a point of i(A) inside i(C) lies in i(B), one outside i(C) is outside inf(C): "
+         "i(A) <= (w \\ inf(C)) | sup(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ c_lo) | b_hi),
+    Rule(Implies, "right", "raise",
+         "detachment: a point in both i(C) and i(A) lies in i(B), so inf(C) & inf(A) <= i(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_lo & a_lo),
+    Rule(Implies, "right", "cut", "i(B) <= (w \\ i(A)) | i(B) = i(C) <= sup(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: c_hi),
+    Rule(Implies, "self", "raise", "(w \\ sup(A)) | inf(B) <= (w \\ i(A)) | i(B) = i(C)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_hi) | b_lo),
+    Rule(Implies, "self", "cut", "i(C) = (w \\ i(A)) | i(B) <= (w \\ inf(A)) | sup(B)",
+         lambda full, c_lo, c_hi, a_lo, a_hi, b_lo, b_hi: (full ^ a_lo) | b_hi),
+)
+
 
 #: The rule catalog grouped by connective, in catalog order.
 RULES_BY_CONNECTIVE = {

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import random
 import shlex
 import sys
 import tempfile
@@ -122,6 +123,18 @@ class TestQuery:
         )
         code, _, err = run(capsys, "query", kb)
         assert code == 2 and "correlation" in err
+
+    @pytest.mark.parametrize("gap", ["\t", "  "], ids=["tab", "two-spaces"])
+    @pytest.mark.parametrize(
+        "kind, rest", [("prob", "a & b"), ("cond", "a given b"), ("corr", "a , b")]
+    )
+    def test_any_whitespace_may_follow_the_kind(self, capsys, tmp_path, gap, kind, rest):
+        outputs = []
+        for sep in (" ", gap):
+            kb = tmp_path / f"{len(outputs)}.kb"
+            kb.write_text(f"space 4\ninc a = 0110\ninc b = 0011\nquery {kind}{sep}{rest}\n")
+            outputs.append(run(capsys, "query", kb))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
 
 class TestSolve:
@@ -462,6 +475,64 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, source, command,
     path.write_bytes(b"\xef\xbb\xbf" + (DATA / source).read_bytes())
     code, out, err = run(capsys, command[0], path, *command[1:])
     assert (code, out, err) == (0, golden(expected), "")
+
+
+def workflow_checks():
+    """(golden, exit code, incalc arguments) for each `check` line of the
+    console-script step in the tier-1 workflow, in the order it runs them."""
+    lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    checks = [shlex.split(line) for line in lines if line.strip().startswith("check ")]
+    return [(words[1], int(words[2]), words[3:]) for words in checks]
+
+
+WORKFLOW_CHECKS = workflow_checks()
+
+
+def test_the_workflow_checks_every_golden_once():
+    checked = sorted(name for name, _, _ in WORKFLOW_CHECKS)
+    assert checked == sorted(path.name for path in DATA.glob("*.golden"))
+
+
+@pytest.mark.parametrize(
+    "name, code, argv", WORKFLOW_CHECKS, ids=[name for name, _, _ in WORKFLOW_CHECKS]
+)
+def test_each_workflow_check_passes_in_process(capsys, monkeypatch, name, code, argv):
+    # As the step runs it, from tests/data: the exit code and every byte.
+    monkeypatch.chdir(DATA)
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+#: What a mutant's edits write: the separators, operators, brackets and
+#: digits of the KB, targets and records formats, and one letter.
+FUZZ_ALPHABET = " \t\n\r#=&|~()-><{},./01a"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """`text` after 1 to 4 edits, each deleting, replacing or inserting
+    one character at a random place."""
+    for _ in range(rng.randint(1, 4)):
+        k, edit = rng.randrange(len(text) + 1), rng.randrange(3)
+        put = rng.choice(FUZZ_ALPHABET) if edit else ""  # 0 deletes
+        text = text[:k] + put + text[k + (edit < 2) :]  # 2 inserts
+    return text
+
+
+def test_mutated_inputs_exit_zero_one_or_two(capsys, monkeypatch, tmp_path):
+    # 2,000 seeded mutants of the workflow checks' input files, each run
+    # with its check's arguments: any input, however broken, is a result
+    # or a data error, never an internal error.
+    rng = random.Random(11)
+    sources = {argv[1]: (DATA / argv[1]).read_text(encoding="utf-8")
+               for _, _, argv in WORKFLOW_CHECKS}
+    monkeypatch.chdir(tmp_path)
+    for n in range(2000):
+        argv = WORKFLOW_CHECKS[n % len(WORKFLOW_CHECKS)][2]
+        text = mutate(rng, sources[argv[1]])
+        (tmp_path / argv[1]).write_text(text, encoding="utf-8")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "internal error:" not in err, (argv, text)
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])

@@ -92,6 +92,7 @@ class TestParseKB:
             ("space 2\nquery cond a b\n", 2, "given"),
             ("space 2\nquery corr a b\n", 2, ","),
             ("space 2\nquery guess a\n", 2, "prob|cond|corr"),
+            ("space 2\nquery prob(a)\n", 2, "prob|cond|corr"),
             ("space x\n", 1, None),
             ("space 1/2\n", 1, "space size must be a whole number, got '1/2'"),
             ("space 2.5\n", 1, "space size must be a whole number, got '2.5'"),

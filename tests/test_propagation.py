@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc.cli import main
-from incalc.propagation import MAX_TABLE_BITS, RULES
+from incalc.propagation import MAX_TABLE_BITS
 from incalc.rational import format_prob
 from helpers import (
     ATOMS,
+    RULES,
     RULES_BY_CONNECTIVE,
     arbitrary_instance,
     enumerate_legal,
