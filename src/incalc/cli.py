@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .construct import (
     RecordTable,
@@ -48,7 +47,8 @@ def _read(path: str) -> str:
     A byte that is not UTF-8 is reported with its line, counted as
     `kb.directive_lines` counts lines: each ends at '\n', '\r\n' or '\r'."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         before = exc.object[: exc.start]  # past the byte-order mark, if any
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")

@@ -33,21 +33,20 @@ controlled.
 """
 from __future__ import annotations
 
-import random
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
 from .logic import IDENT_RE, is_name
 from .rational import as_ratio, exact_str, round_half_up
+from .record import Frozen
 from .space import FLAG_BYTES, Incidence, SampleSpace
 
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
@@ -59,27 +58,32 @@ _BIT_WORDS = (("false", "0"), ("true", "1"), ("f", "0"), ("t", "1"))
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its set bits
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(Frozen):
     """Targets for synthesis: marginal probabilities per atom, optional
     pairwise correlations (keyed by unordered atom pair), a space size,
     and the seed that makes placement reproducible.  Each target is read
-    by `rational.as_ratio` (no float) and kept a `Fraction`."""
+    by `rational.as_ratio` (no float) and kept a `Fraction`, in new dicts,
+    so the default `{}` is never changed."""
 
-    marginals: Mapping[str, Fraction]
-    size: int
-    correlations: Mapping[tuple[str, str], Fraction] = field(default_factory=dict)
-    seed: int = 0
+    __slots__ = ("marginals", "size", "correlations", "seed")
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        marginals = {name: _marginal(name, p) for name, p in self.marginals.items()}
-        object.__setattr__(self, "marginals", marginals)
-        correlations = {}
-        for pair, c in self.correlations.items():
-            _add_correlation(correlations, pair, c, marginals)
-        object.__setattr__(self, "correlations", correlations)
+    def __init__(
+        self,
+        marginals: Mapping[str, Fraction],
+        size: int,
+        correlations: Mapping[tuple[str, str], Fraction] = {},
+        seed: int = 0,
+    ):
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        checked = {name: _marginal(name, p) for name, p in marginals.items()}
+        pairs = {}
+        for pair, c in correlations.items():
+            _add_correlation(pairs, pair, c, checked)
+        object.__setattr__(self, "marginals", checked)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "correlations", pairs)
+        object.__setattr__(self, "seed", seed)
 
 
 def _marginal(name: str, p) -> Fraction:
@@ -141,8 +145,9 @@ def _overlap_count(kx: int, ky: int, size: int, c: Fraction) -> int:
     return count
 
 
-def _random_subset(rng: random.Random, mask: int, count: int, size: int) -> int:
-    """A uniformly random `count`-subset of `mask`'s points, as a mask.
+def _random_subset(rng, mask: int, count: int, size: int) -> int:
+    """A uniformly random `count`-subset of `mask`'s points, as a mask,
+    drawn from the `random.Random` `rng`.
 
     Each point is first kept with probability share/2^digits, at most
     count/|mask| and within 2^-digits of it: `digits` random words of
@@ -249,6 +254,8 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
     `InfeasibleTargetError` naming a pair that closes a cycle of pairs.
     Deterministic for a fixed seed.
     """
+    import random  # only synthesis draws, so no other command loads it
+
     size = spec.size
     space = SampleSpace.uniform(size)
     rng = random.Random(spec.seed)
@@ -295,8 +302,7 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
     return space, env
 
 
-@dataclass(frozen=True)
-class RecordTable:
+class RecordTable(Frozen):
     """A rectangular table of boolean observations, one row per record.
 
     Each row is kept as flag bytes, one byte per column, 1 for true and 0
@@ -304,27 +310,27 @@ class RecordTable:
     those bytes or as any sequence of bools or 0/1; any other value is
     refused with an error naming its 1-based row."""
 
-    columns: tuple[str, ...]
-    rows: tuple[bytes, ...]
+    __slots__ = ("columns", "rows")
 
-    def __post_init__(self):
-        if not self.columns:
+    def __init__(self, columns: tuple[str, ...], rows: tuple[bytes, ...]):
+        if not columns:
             raise RecordTableError("table has no columns")
-        for name in self.columns:
+        for name in columns:
             if not is_name(name):
                 raise RecordTableError(f"bad column name: {name!r}")
-        if len(set(self.columns)) != len(self.columns):
+        if len(set(columns)) != len(columns):
             raise RecordTableError("duplicate column names")
-        rows = tuple(self.rows)
+        rows = tuple(rows)
         if not rows:
             raise RecordTableError("table has no rows")
         if set(map(type, rows)) != {bytes} or b"".join(rows).translate(None, b"\0\1"):
             rows = tuple(_flag_row(number, row) for number, row in enumerate(rows, 1))
-        object.__setattr__(self, "rows", rows)
-        width = len(self.columns)
+        width = len(columns)
         if set(map(len, rows)) != {width}:
             row = next(row for row in rows if len(row) != width)
             raise RecordTableError(f"row has {len(row)} values, expected {width}")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_text(cls, text: str) -> "RecordTable":

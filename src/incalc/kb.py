@@ -26,15 +26,15 @@ attaches the line number to every directive's error in one place.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterator
 
 from .errors import IncalcError, KBError
 from .logic import IDENT_RE, Atom, Formula, is_name, parse_formula
 from .propagation import BoundAssignment
 from .rational import as_ratio
+from .record import Frozen, Record
 from .space import Incidence, SampleSpace, parse_incidence_text
 
 _INC_RE = re.compile(rf"inc\s+({IDENT_RE.pattern})\s*=\s*(.+)")
@@ -45,22 +45,33 @@ _FORMULA_RE = re.compile(rf"formula\s+({IDENT_RE.pattern})\s*=\s*(.+)")
 _QUERY_RE = re.compile(r"query\s+(prob|cond|corr)\s+(.+)")
 
 
-@dataclass(frozen=True)
-class Query:
-    kind: str  # "prob" | "cond" | "corr"
-    f: Formula
-    g: Formula | None = None
+class Query(Frozen):
+    __slots__ = ("kind", "f", "g")
+
+    def __init__(self, kind: str, f: Formula, g: Formula | None = None):
+        object.__setattr__(self, "kind", kind)  # "prob" | "cond" | "corr"
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
 
-@dataclass
-class KnowledgeBase:
-    space: SampleSpace
-    incidences: dict[str, Incidence] = field(default_factory=dict)
-    bounds: list[tuple[Formula, Incidence, Incidence]] = field(default_factory=list)
-    formulas: dict[str, Formula] = field(default_factory=dict)
-    queries: list[Query] = field(default_factory=list)
-    # The atom names below the `formula` definitions read so far.
-    _defined_atoms: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+class KnowledgeBase(Record):
+    __slots__ = ("space", "incidences", "bounds", "formulas", "queries", "_defined_atoms")
+
+    def __init__(
+        self,
+        space: SampleSpace,
+        incidences: dict[str, Incidence] | None = None,
+        bounds: list[tuple[Formula, Incidence, Incidence]] | None = None,
+        formulas: dict[str, Formula] | None = None,
+        queries: list[Query] | None = None,
+    ):
+        self.space = space
+        self.incidences = {} if incidences is None else incidences
+        self.bounds = [] if bounds is None else bounds
+        self.formulas = {} if formulas is None else formulas
+        self.queries = [] if queries is None else queries
+        # The atom names below the `formula` definitions read so far.
+        self._defined_atoms = set()
 
     def environment(self) -> dict[str, Incidence]:
         """The exact incidences, for truth-functional evaluation."""

@@ -39,8 +39,8 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,

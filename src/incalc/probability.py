@@ -8,7 +8,6 @@ hold as exact equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -17,6 +16,7 @@ from .errors import (
 )
 from .logic import Environment, Formula, incidence_of
 from .rational import sqrt_decimal_str
+from .record import Frozen
 from .space import SampleSpace
 
 
@@ -35,8 +35,7 @@ def cond_prob(f: Formula, given: Formula, env: Environment, space: SampleSpace) 
     return joint / base
 
 
-@dataclass(frozen=True)
-class Correlation:
+class Correlation(Frozen):
     """A correlation coefficient kept exact as long as possible.
 
     c itself is generally irrational, so we carry its square as an exact
@@ -44,16 +43,17 @@ class Correlation:
     at `rational.DIGITS` places without going through floats.
     """
 
-    c_squared: Fraction
-    sign: int
+    __slots__ = ("c_squared", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or 1, got {self.sign}")
-        if self.c_squared < 0:
+    def __init__(self, c_squared: Fraction, sign: int):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0, or 1, got {sign}")
+        if c_squared < 0:
             raise ValueError("c_squared cannot be negative")
-        if (self.c_squared == 0) != (self.sign == 0):
+        if (c_squared == 0) != (sign == 0):
             raise ValueError("sign must be 0 exactly when c_squared is 0")
+        object.__setattr__(self, "c_squared", c_squared)
+        object.__setattr__(self, "sign", sign)
 
     def decimal(self) -> str:
         if self.sign == 0:

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, UnknownSentenceError, WidthMismatchError
@@ -84,6 +83,7 @@ from .logic import (
     format_formulas,
 )
 from .rational import format_prob
+from .record import Frozen
 from .space import Incidence, SampleSpace, bitstring
 
 FIXPOINT = "fixpoint"
@@ -232,8 +232,7 @@ def check_consistency(assignment: BoundAssignment) -> Formula | None:
     return None
 
 
-@dataclass(frozen=True)
-class PropagationOutcome:
+class PropagationOutcome(Frozen):
     """Result of `propagate`: final bounds, status, the culprit of an
     inconsistency, and the number of strict bound changes the updates
     made (each one either adds points to a lower bound or removes points
@@ -242,10 +241,13 @@ class PropagationOutcome:
     its `steps` is 0; when it finds no legal assignment, `final` is the
     declared bounds."""
 
-    status: str
-    culprit: Formula | None
-    final: BoundAssignment
-    steps: int
+    __slots__ = ("status", "culprit", "final", "steps")
+
+    def __init__(self, status: str, culprit: Formula | None, final: BoundAssignment, steps: int):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "culprit", culprit)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def ok(self) -> bool:

@@ -22,15 +22,15 @@ and rendered once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import floordiv, index
-from typing import Iterable
 
 from .errors import WidthMismatchError
 from .rational import as_ratio, exact_str
+from .record import Frozen
 
 
 #: The most points a space may have.  An incidence is a bitmask with one
@@ -110,18 +110,18 @@ def _bit_planes(numerators: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(Frozen):
     """A subset of a sample space's points, as a bitmask bounded by width."""
 
-    bits: int
-    width: int
+    __slots__ = ("bits", "width")
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError(f"bitmask out of range for width {self.width}")
+    def __init__(self, bits: int, width: int):
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        if not (bits >= 0 and bits.bit_length() <= width):
+            raise ValueError(f"bitmask out of range for width {width}")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "width", width)
 
     @classmethod
     def empty(cls, width: int) -> "Incidence":

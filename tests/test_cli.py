@@ -3,6 +3,7 @@ import contextlib
 import io
 import random
 import shlex
+import subprocess
 import sys
 import tempfile
 import time
@@ -75,6 +76,12 @@ class TestEval:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", DATA / "no_such.kb", "-f", "a")
         assert code == 2 and err.startswith("error:")
+
+    def test_a_read_error_names_the_path_as_typed(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA)
+        code, out, err = run(capsys, "solve", "./missing.kb")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: './missing.kb'\n"
 
     def test_huge_width_is_a_data_error(self, capsys, tmp_path):
         # Refused while parsing the space line, before any point exists.
@@ -804,3 +811,31 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == golden("example_query.golden")
+
+
+# Run with -S: a site-packages `.pth` hook may import modules before any
+# user code does.
+START_UP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+unwanted = ("dataclasses", "inspect", "typing", "pathlib", "random")
+def loaded():
+    return [name for name in unwanted if name in sys.modules]
+import incalc.cli
+after_cli = loaded()
+import incalc
+after_package = loaded()
+code = incalc.cli.main(["sample", "path.targets", "--size", "30"])
+print(after_cli, after_package, code, loaded(), file=sys.stderr)
+"""
+
+
+def test_start_up_loads_no_module_the_command_does_not_use():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        cwd=DATA,
+    )
+    assert proc.stderr == "[] [] 0 ['random']\n"
+    assert proc.stdout.startswith("space 30\n")
