@@ -8,13 +8,16 @@ given target marginals and pairwise correlations it synthesises a uniform
 space and atom incidences realising them as closely as integer point
 counts allow.
 
-A records table is read as one text, not row by row: `RecordTable.from_text`
-rewrites the value words to '0'/'1' with whole-text replacements, checks the
-shape of the whole table with two strided slices, and keeps each row as flag
-bytes (one byte per column, the encoding of `Incidence.flags`).  The check
-runs on the rows as written; only a table that fails it has each row's
-separators normalised to single spaces and is checked again, and only a table
-that fails both is walked line by line, to name its first bad line.
+A records table is read as one text, not row by row.  A clean text, with no
+'#', no '\\r' and content on its first line, is read as it stands: that line
+is the header and the rest are the rows.  Any other text, and a clean one
+whose rows fail, is read from the lines of `kb.directive_lines`.  The shape of
+the rows is checked with two strided slices: as written, then with the value
+words rewritten to '0'/'1' by whole-text replacements, then with each row's
+separators normalised to single spaces, each step only if the one before
+fails.  Only rows that fail all three are walked line by line, to name the
+first bad line.  Each row is kept as flag bytes (one byte per column, the
+encoding of `Incidence.flags`).
 `incidences_from_records` folds equal rows with a `Counter` over those bytes,
 builds the space from the counts (`SampleSpace.from_counts`) and reads column
 c as every width-th byte of the distinct rows.
@@ -336,34 +339,30 @@ class RecordTable(Frozen):
     def from_text(cls, text: str) -> "RecordTable":
         """Parse a whitespace/comma separated table: a header line of
         column names, then one line per record with values in
-        {0, 1, t, f, true, false} (case-insensitive).  Lines are read by
-        `kb.directive_lines`: '#' starts a comment, blank lines are
+        {0, 1, t, f, true, false} (case-insensitive).  Lines are read as
+        by `kb.directive_lines`: '#' starts a comment, blank lines are
         skipped, and an error in the header or a row names its 1-based
         line.  The rows are read as one text (see the module docstring).
-        The whole-text check runs first on the rows as written, which a
-        table with single-space separators passes; a table that fails it
-        is checked again once its separators are normalised, and only a
-        table that fails both is walked line by line, for its first bad
-        line."""
-        lines = directive_lines(text)
-        first = next(lines, None)
-        if first is None:
-            raise RecordTableError("table has no header line")
-        header_lineno, header = first[0], tuple(first[1].replace(",", " ").split())
-        width = len(header)
-        body = "\n".join(map(itemgetter(1), lines)).lower().replace(",", " ")
-        # Each word becomes one character, so a token of two or more values
-        # run together, like 'tf', stays too long to pass for one value.
-        for word, bit in _BIT_WORDS:
-            body = body.replace(word, bit)
-        flags = body.encode("ascii", "replace")
-        if not _is_flag_text(flags, width):
-            # A body that passes has single separators already, so only one
-            # that fails can change when its separators are normalised.
-            body = "\n".join(map(" ".join, map(str.split, body.split("\n"))))
-            flags = body.encode("ascii", "replace")
-            if not _is_flag_text(flags, width):
-                _check_rows(text, width)
+        A clean text, with no '#', no '\\r' and content on its first
+        line, is read as it stands: that line is the header and the rest,
+        less one final '\\n', the rows.  A text that is not clean, or
+        whose rows fail `_flag_text` as they stand, is read again from
+        `directive_lines`; only rows that fail there too are walked line
+        by line, for their first bad line."""
+        first, _, body = text.partition("\n")
+        flags = None
+        if first.strip() and "#" not in text and "\r" not in text:
+            header_lineno, header = 1, tuple(first.replace(",", " ").split())
+            flags = _flag_text(body.removesuffix("\n"), len(header))
+        if flags is None:
+            lines = directive_lines(text)
+            first = next(lines, None)
+            if first is None:
+                raise RecordTableError("table has no header line")
+            header_lineno, header = first[0], tuple(first[1].replace(",", " ").split())
+            flags = _flag_text("\n".join(map(itemgetter(1), lines)), len(header))
+            if flags is None:
+                _check_rows(text, len(header))
                 flags = b""  # every row is well formed: there are no rows or no columns
         rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n")) if flags else ()
         try:
@@ -384,6 +383,30 @@ def _flag_row(number: int, row) -> bytes:
         if not isinstance(value, int) or value not in (0, 1):
             raise RecordTableError(f"row {number} holds {value!r}, not a bool or 0/1")
     return bytes(values)
+
+
+def _flag_text(body: str, width: int) -> bytes | None:
+    """The rows of `body` as '0'/'1' values, each line `width` of them
+    separated by single spaces (ASCII bytes), or None if that fails.
+    `body` is checked as written, then with its value words rewritten to
+    '0'/'1' and its commas to spaces, then with each line's separators
+    normalised to single spaces; each step runs only if the one before
+    fails, so a '0'/'1' table written with single spaces pays one check."""
+    flags = body.encode("ascii", "replace")
+    if _is_flag_text(flags, width):
+        return flags
+    body = body.lower().replace(",", " ")
+    # Each word becomes one character, so a token of two or more values
+    # run together, like 'tf', stays too long to pass for one value.
+    for word, bit in _BIT_WORDS:
+        body = body.replace(word, bit)
+    flags = body.encode("ascii", "replace")
+    if _is_flag_text(flags, width):
+        return flags
+    # A line with edge or repeated separators fails the check above, and
+    # only such a line changes here.
+    flags = "\n".join(map(" ".join, map(str.split, body.split("\n")))).encode("ascii", "replace")
+    return flags if _is_flag_text(flags, width) else None
 
 
 def _is_flag_text(flags: bytes, width: int) -> bool:

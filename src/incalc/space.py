@@ -168,8 +168,10 @@ class Incidence(Frozen):
         return bitstring(self.bits, self.width)
 
     def to_point_set(self) -> str:
-        """Render as a point-set literal, e.g. '{3,4}' or '{}'."""
-        return "{" + ",".join(str(k) for k in self.indices()) + "}"
+        """Render as a point-set literal, e.g. '{3,4}' or '{}'.  One '%d'
+        format over all the members, with no Python step per point."""
+        members = self.indices()
+        return "{" + ",".join(["%d"] * len(members)) % members + "}"
 
     def flags(self) -> bytes:
         """One byte per point, point 0 first: 1 for a member, 0 otherwise."""

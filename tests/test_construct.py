@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
+from incalc import construct
 from incalc.construct import _overlap_count, _random_subset, _select
 
 from helpers import points, reference_ingest, reference_overlap_count, reference_random_subset
@@ -465,6 +466,47 @@ class TestRecordTable:
         for separator in (" ", ", ", "\t", "   ", " \t , "):
             for spelling in (("0", "1"), words):
                 assert ingest_fragment(written_table(rows, separator, spelling)) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a b\n1 0\n\n0 1\n",
+            "a b\n1 0\n \t \n0 1\n",
+            "a b\n1 0  \n0 1\n",
+            "\na b\n1 0\n0 1\n",
+            "a b\n",
+            "a b\n1 0\n0 1",
+            "a b\ntrue F\n0 1\n",
+            "a b\n1 0\n\n1\n",
+            "a b\n\n1 0\n0 maybe\n",
+        ],
+        ids=[
+            "blank line between rows",
+            "whitespace-only line",
+            "trailing spaces",
+            "blank first line",
+            "header only",
+            "no final newline",
+            "true and F",
+            "short row after a blank line",
+            "bad value after a blank line",
+        ],
+    )
+    def test_a_text_without_comments_reads_as_the_per_row_reference(self, text):
+        assert outcome(ingest_fragment, text) == outcome(reference_ingest, text)
+
+    def test_only_a_text_with_a_comment_goes_through_the_line_scanner(self, monkeypatch):
+        class Scanned(Exception):
+            pass
+
+        def scan(text):
+            raise Scanned
+
+        monkeypatch.setattr(construct, "directive_lines", scan)
+        text = "a b\n1 0\n0 1\n1 0\n"
+        assert ic.RecordTable.from_text(text).rows == (b"\1\0", b"\0\1", b"\1\0")
+        with pytest.raises(Scanned):
+            ic.RecordTable.from_text("a b\n1 0\n# a comment\n0 1\n1 0\n")
 
 
 class TestParseTargets:

@@ -12,6 +12,8 @@ import io
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 import incalc as ic
 from incalc import cli
 
@@ -76,10 +78,13 @@ def test_building_the_assignment_of_many_bounds_is_linear_work():
     assert _ratio(kb, ic.KnowledgeBase.initial_assignment) <= MAX_RATIO
 
 
-def test_ingesting_records_is_linear_work():
+# A clean table is read as it stands; a comment sends it through
+# `kb.directive_lines`.
+@pytest.mark.parametrize("comment", ["", "# three flags a row\n"], ids=["clean", "commented"])
+def test_ingesting_records_is_linear_work(comment):
     def records(n):
         rows = "".join(f"{i & 1} {i >> 1 & 1} {i >> 2 & 1}\n" for i in range(n))
-        return f"a b c\n{rows}"
+        return f"{comment}a b c\n{rows}"
 
     def ingest(text):
         ic.incidences_from_records(ic.RecordTable.from_text(text))

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incalc as ic
@@ -145,6 +145,17 @@ class TestIncidence:
         assert inc.count() == 2
         assert inc.indices() == (1, 3)
         assert inc.to_point_set() == "{1,3}"
+
+    @given(
+        (st.integers(1, 300) | st.just(10**4)).flatmap(
+            lambda w: incidences(w)
+            | st.sampled_from([ic.Incidence(0, w), ic.Incidence((1 << w) - 1, w)])
+        )
+    )
+    @example(ic.Incidence(0, 10**4))
+    @example(ic.Incidence((1 << 10**4) - 1, 10**4))
+    def test_point_set_lists_the_members_in_order(self, inc):
+        assert inc.to_point_set() == "{" + ",".join(map(str, inc.indices())) + "}"
 
     def test_width_mismatch_raises(self):
         with pytest.raises(ic.WidthMismatchError):

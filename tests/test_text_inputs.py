@@ -216,8 +216,9 @@ class TestDirectiveLines:
             for path in sorted((SRC / "incalc").glob("*.py"))
             for name in line_split_callers(ast.parse(path.read_text()))
         ]
-        # `from_text` splits only the text it joined from directive_lines' lines.
-        assert callers == ["construct.from_text", "kb.directive_lines"]
+        # `_flag_text` splits only rows joined from directive_lines' lines
+        # or rows of a text that holds no '\r'.
+        assert callers == ["construct._flag_text", "kb.directive_lines"]
 
     def test_callers_are_found_in_methods_and_at_module_level(self):
         tree = ast.parse(
