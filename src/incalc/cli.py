@@ -38,7 +38,7 @@ from .errors import IncalcError
 from .kb import kb_fragment, parse_kb
 from .logic import format_formula, incidence_of
 from .probability import cond_prob, correlation, prob
-from .propagation import propagate
+from .propagation import MAX_TABLE_BITS, propagate
 from .rational import format_prob
 
 
@@ -141,7 +141,7 @@ _COMMANDS = {
                 {
                     "action": "store_true",
                     "help": "exact bounds from all 2^atoms valuations"
-                    " (any width; at most 128 MB of truth tables)",
+                    f" (any width; at most {MAX_TABLE_BITS >> 23} MB of truth tables)",
                 },
             ),
         ],

@@ -55,9 +55,9 @@ from .space import FLAG_BYTES, Incidence, SampleSpace
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 _CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 
-_VALUES = frozenset({"0", "1", "t", "f", "true", "false"})
 # Longer words first, so that 'true' is not read as 't' + 'rue'.
 _BIT_WORDS = (("false", "0"), ("true", "1"), ("f", "0"), ("t", "1"))
+_VALUES = frozenset({"0", "1", *dict(_BIT_WORDS)})
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its set bits
 
 
@@ -308,10 +308,12 @@ def incidences_from_probabilities(spec: TargetSpec) -> tuple[SampleSpace, dict[s
 class RecordTable(Frozen):
     """A rectangular table of boolean observations, one row per record.
 
-    Each row is kept as flag bytes, one byte per column, 1 for true and 0
-    for false (the encoding of `Incidence.flags`).  A row may be given as
-    those bytes or as any sequence of bools or 0/1; any other value is
-    refused with an error naming its 1-based row."""
+    Each row is flag bytes, one byte per column, 1 for true and 0 for
+    false (the encoding of `Incidence.flags`); `bytes(row)` makes them
+    from a row of bools.  The rows are checked in one pass over their
+    join on '\\n', which must hold a line end every width + 1 bytes and
+    no other byte but 0 and 1.  Only rows that fail are walked, to name
+    the first bad one by its 1-based number."""
 
     __slots__ = ("columns", "rows")
 
@@ -326,12 +328,20 @@ class RecordTable(Frozen):
         rows = tuple(rows)
         if not rows:
             raise RecordTableError("table has no rows")
-        if set(map(type, rows)) != {bytes} or b"".join(rows).translate(None, b"\0\1"):
-            rows = tuple(_flag_row(number, row) for number, row in enumerate(rows, 1))
-        width = len(columns)
-        if set(map(len, rows)) != {width}:
-            row = next(row for row in rows if len(row) != width)
-            raise RecordTableError(f"row has {len(row)} values, expected {width}")
+        width, line_ends = len(columns), b"\n" * (len(rows) - 1)
+        data = b"\n".join(rows) if set(map(type, rows)) == {bytes} else b""
+        if not (
+            len(data) == len(rows) * (width + 1) - 1
+            and data[width :: width + 1] == line_ends == data.translate(None, b"\0\1")
+        ):
+            # A row that is not bytes leaves `data` empty, too short for
+            # any table; rows that are all `width` flag bytes pass, so
+            # this walk raises.
+            for number, row in enumerate(rows, 1):
+                if type(row) is not bytes or row.translate(None, b"\0\1"):
+                    raise RecordTableError(f"row {number} is not flag bytes: {row!r}")
+                if len(row) != width:
+                    raise RecordTableError(f"row {number} has {len(row)} values, expected {width}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "rows", rows)
 
@@ -371,18 +381,6 @@ class RecordTable(Frozen):
             if "column" not in str(error):
                 raise
             raise RecordTableError(f"line {header_lineno}: {error}") from None
-
-
-def _flag_row(number: int, row) -> bytes:
-    """Row `number` as flag bytes; refuses any value but a bool or 0/1."""
-    try:
-        values = tuple(row)
-    except TypeError:
-        raise RecordTableError(f"row {number} is not a sequence of values: {row!r}") from None
-    for value in values:
-        if not isinstance(value, int) or value not in (0, 1):
-            raise RecordTableError(f"row {number} holds {value!r}, not a bool or 0/1")
-    return bytes(values)
 
 
 def _flag_text(body: str, width: int) -> bytes | None:

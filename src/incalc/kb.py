@@ -55,7 +55,7 @@ class Query(Frozen):
 
 
 class KnowledgeBase(Record):
-    __slots__ = ("space", "incidences", "bounds", "formulas", "queries", "_defined_atoms")
+    __slots__ = ("space", "incidences", "bounds", "formulas", "queries")
 
     def __init__(
         self,
@@ -70,8 +70,6 @@ class KnowledgeBase(Record):
         self.bounds = [] if bounds is None else bounds
         self.formulas = {} if formulas is None else formulas
         self.queries = [] if queries is None else queries
-        # The atom names below the `formula` definitions read so far.
-        self._defined_atoms = set()
 
     def environment(self) -> dict[str, Incidence]:
         """The exact incidences, for truth-functional evaluation."""
@@ -115,6 +113,7 @@ def directive_lines(text: str) -> Iterator[tuple[int, str]]:
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse KB text; raises KBError with a 1-based line number."""
     kb: KnowledgeBase | None = None
+    defined_atoms: set[str] = set()  # atom names below the definitions so far
     for lineno, line in directive_lines(text):
         word = line.split(None, 1)[0]
         try:
@@ -129,7 +128,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             elif word == "bounds":
                 _parse_bounds(kb, line)
             elif word == "formula":
-                _parse_formula_def(kb, line)
+                _parse_formula_def(kb, line, defined_atoms)
             elif word == "query":
                 _parse_query(kb, line)
             else:
@@ -177,7 +176,7 @@ def _parse_bounds(kb: KnowledgeBase, line: str) -> None:
     kb.bounds.append((target, low, high))
 
 
-def _parse_formula_def(kb: KnowledgeBase, line: str) -> None:
+def _parse_formula_def(kb: KnowledgeBase, line: str, defined_atoms: set[str]) -> None:
     m = _FORMULA_RE.fullmatch(line)
     if not m:
         raise KBError("expected `formula <name> = <formula>`")
@@ -196,9 +195,9 @@ def _parse_formula_def(kb: KnowledgeBase, line: str) -> None:
     # earlier definition that the line names, as after `formula c = b & x`,
     # `formula b = c | x` refers to itself; only such a name needs a walk.
     atoms = {t for t in IDENT_RE.findall(text) if t not in kb.formulas and is_name(t)}
-    if name in atoms or name in kb._defined_atoms and _holds_atom(sentence, Atom(name)):
+    if name in atoms or name in defined_atoms and _holds_atom(sentence, Atom(name)):
         raise KBError(f"formula {name!r} refers to itself")
-    kb._defined_atoms |= atoms
+    defined_atoms |= atoms
     kb.formulas[name] = sentence
 
 

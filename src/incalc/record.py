@@ -1,13 +1,12 @@
 """The base of the package's value classes.
 
 Each class names its fields in `__slots__`, in the order its constructor
-takes them.  A slot whose name starts with '_' is private state, left out
-of equality, hashing and repr.  Two values are equal when they are of the
-same class and their fields are equal, and a value's repr is its class
-name with each field as `name=repr(value)`.  A `Frozen` value sets its
-fields once, in `__init__` through `object.__setattr__`; it hashes by its
-fields, refuses assignment and deletion with `AttributeError`, and is
-copied and pickled by calling its constructor on its fields again.
+takes them.  Two values are equal when they are of the same class and
+their fields are equal, and a value's repr is its class name with each
+field as `name=repr(value)`.  A `Frozen` value sets its fields once, in
+`__init__` through `object.__setattr__`; it hashes by its fields, refuses
+assignment and deletion with `AttributeError`, and is copied and pickled
+by calling its constructor on its fields again.
 """
 
 
@@ -15,7 +14,7 @@ class Record:
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -23,7 +22,7 @@ class Record:
         return self._fields() == other._fields()
 
     def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
 

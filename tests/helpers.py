@@ -219,10 +219,6 @@ def arbitrary_instance(rng: random.Random, *, width: int, atoms, n_sentences: in
     return space, assignment
 
 
-def truth_of(assignment: ic.BoundAssignment, env, f: ic.Formula) -> ic.Incidence:
-    return ic.incidence_of(f, env, assignment.space)
-
-
 def atom_names(*roots: ic.Formula) -> set[str]:
     """The names of the atoms below `roots`, by a walk of every node."""
     return {g.name for g in ic.subformulas(*roots) if isinstance(g, ic.Atom)}
@@ -455,7 +451,7 @@ def reference_ingest(text: str) -> str:
     if header is None:
         raise ic.RecordTableError("table has no header line")
     try:
-        ic.RecordTable(header, tuple(rows))
+        ic.RecordTable(header, tuple(map(bytes, rows)))
     except ic.RecordTableError as error:
         if "column" not in str(error):
             raise

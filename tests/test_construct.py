@@ -48,6 +48,11 @@ class TestTargetSpec:
         with pytest.raises((ValueError, TypeError)):
             ic.TargetSpec(marginals, size, correlations)
 
+    def test_a_pair_given_in_both_orders_is_a_duplicate(self):
+        with pytest.raises(ValueError) as info:
+            ic.TargetSpec({"a": HALF, "b": HALF}, 10, {("a", "b"): HALF, ("b", "a"): HALF})
+        assert str(info.value) == "duplicate correlation for pair (a, b)"
+
 
 class TestSynthesis:
     def test_marginal_quotas_are_exact(self):
@@ -349,6 +354,16 @@ def boolean_tables(draw):
     return draw(st.lists(row, min_size=1, max_size=12))
 
 
+@st.composite
+def flag_rows(draw):
+    """A width of one to four and one to eight rows of the bytes 0, 1, 2
+    and 10 ('\\n'), most of them `width` 0/1 bytes, some short or long."""
+    width = draw(st.integers(1, 4))
+    valid = st.lists(st.sampled_from([0, 1]), min_size=width, max_size=width)
+    other = st.lists(st.sampled_from([0, 1, 2, 10]), max_size=width + 2)
+    return width, draw(st.lists(st.one_of(valid, valid, other).map(bytes), min_size=1, max_size=8))
+
+
 def written_table(rows, separator: str, words: tuple[str, str]) -> str:
     """`rows` as a records text: columns c0, c1, ..., values written as
     words[False] and words[True], every line ended by a newline."""
@@ -359,10 +374,7 @@ def written_table(rows, separator: str, words: tuple[str, str]) -> str:
 
 class TestRecordTable:
     def test_worked_example(self):
-        table = ic.RecordTable(
-            ("rain", "wet"),
-            ((True, True), (True, True), (True, False), (False, False), (False, False)),
-        )
+        table = ic.RecordTable(("rain", "wet"), (b"\1\1", b"\1\1", b"\1\0", b"\0\0", b"\0\0"))
         space, env = ic.incidences_from_records(table)
         assert space.weights == (F(2, 5), F(1, 5), F(2, 5))
         assert env["rain"] == points(space, [0, 1])
@@ -371,11 +383,9 @@ class TestRecordTable:
         assert ic.cond_prob(ic.Atom("wet"), ic.Atom("rain"), env, space) == F(2, 3)
 
     def test_points_follow_first_occurrence(self):
-        table = ic.RecordTable(
-            ("x",), ((False,), (True,), (False,), (True,), (True,))
-        )
+        table = ic.RecordTable(("x",), (b"\0", b"\1", b"\0", b"\1", b"\1"))
         space, env = ic.incidences_from_records(table)
-        # Distinct rows in order of first appearance: (False,), (True,).
+        # Distinct rows in order of first appearance: b"\0", b"\1".
         assert space.weights == (F(2, 5), F(3, 5))
         assert env["x"] == points(space, [1])
 
@@ -408,7 +418,7 @@ class TestRecordTable:
 
     def test_constant_column_rejected_directly(self):
         with pytest.raises(ic.RecordTableError, match="bad column name: 'false'"):
-            ic.RecordTable(("a", "false"), ((True, False),))
+            ic.RecordTable(("a", "false"), (b"\1\0",))
 
     def test_bad_value_reports_line_number(self):
         with pytest.raises(ic.RecordTableError, match="line 3"):
@@ -422,8 +432,8 @@ class TestRecordTable:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (((True, False), (True,), (True, True, True)), "row has 1 values, expected 2"),
-            (((True, False), (True, True, True)), "row has 3 values, expected 2"),
+            ((b"\1\0", b"\1", b"\1\1\1"), "row 2 has 1 values, expected 2"),
+            ((b"\1\0", b"\1\1\1"), "row 2 has 3 values, expected 2"),
         ],
     )
     def test_direct_rows_name_the_first_bad_length(self, rows, message):
@@ -431,16 +441,15 @@ class TestRecordTable:
             ic.RecordTable(("a", "b"), rows)
         assert str(info.value) == message
 
-
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (((2,),), "row 1 holds 2, not a bool or 0/1"),
-            (((True,), ("yes",)), "row 2 holds 'yes', not a bool or 0/1"),
-            (((None,),), "row 1 holds None, not a bool or 0/1"),
-            (((1.0,),), "row 1 holds 1.0, not a bool or 0/1"),
-            ((b"\1", b"\2"), "row 2 holds 2, not a bool or 0/1"),
-            (((False,), 1), "row 2 is not a sequence of values: 1"),
+            ((b"1",), "row 1 is not flag bytes: b'1'"),
+            ((b"\1", ("yes",)), "row 2 is not flag bytes: ('yes',)"),
+            ((b"\0", b"\0\xff"), "row 2 is not flag bytes: b'\\x00\\xff'"),
+            ((b"\1", b"\n"), "row 2 is not flag bytes: b'\\n'"),
+            ((b"\1", b"\2"), "row 2 is not flag bytes: b'\\x02'"),
+            ((b"\0", 1), "row 2 is not flag bytes: 1"),
         ],
     )
     def test_direct_rows_refuse_values_other_than_bools_and_0_1(self, rows, message):
@@ -448,9 +457,17 @@ class TestRecordTable:
             ic.RecordTable(("a",), rows)
         assert str(info.value) == message
 
-    def test_direct_rows_are_kept_as_flag_bytes(self):
-        table = ic.RecordTable(("a", "b"), [(True, 0), [1, False], b"\0\1"])
-        assert table.rows == (b"\1\0", b"\1\0", b"\0\1")
+    @settings(max_examples=500, deadline=None)
+    @given(flag_rows())
+    def test_one_pass_check_agrees_with_a_per_row_check(self, table):
+        width, rows = table
+        bad = [n for n, row in enumerate(rows, 1) if not (len(row) == width and set(row) <= {0, 1})]
+        try:
+            result = ic.RecordTable(tuple(f"c{k}" for k in range(width)), rows)
+        except ic.RecordTableError as error:
+            assert bad and str(error).startswith(f"row {bad[0]} ")
+        else:
+            assert not bad and result.rows == tuple(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(records_texts())
@@ -548,6 +565,13 @@ class TestParseTargets:
             ic.parse_targets("# targets\n" + text)
         lineno = text.count("\n") + 1
         assert str(info.value) == f"line {lineno}: bad atom name: {name!r}"
+
+    @pytest.mark.parametrize("first, second", [("a b", "a b"), ("a b", "b a"), ("b a", "a b")])
+    def test_duplicate_correlation_names_its_line(self, first, second):
+        text = f"prob a = 0.5\nprob b = 0.5\ncorr {first} = 0.1\ncorr {second} = 0.2\n"
+        with pytest.raises(ValueError) as info:
+            ic.parse_targets(text)
+        assert str(info.value) == "line 4: duplicate correlation for pair (a, b)"
 
     def test_bad_value_reports_line_number(self):
         with pytest.raises(ValueError) as info:

@@ -166,6 +166,11 @@ class TestInterning:
     def test_round_trip_is_identity(self, f):
         assert ic.parse_formula(ic.format_formula(f)) is f
 
+    def test_operands_must_be_formulas(self):
+        with pytest.raises(TypeError) as info:
+            ic.And(1, 2)
+        assert str(info.value) == "bad operands for And: (1, 2)"
+
     def test_copies_are_the_interned_node(self):
         f = ic.parse_formula("(a | true) & ~(b -> c)")
         assert copy.copy(f) is f

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import incalc as ic
+from incalc.rational import sqrt_decimal_str
 from helpers import ATOMS, points, random_env, random_formula, random_space
 
 A, B = ic.Atom("a"), ic.Atom("b")
@@ -122,6 +123,10 @@ class TestCorrelation:
             assert gap**2 == c.c_squared * pa * (1 - pa) * pb * (1 - pb)
             assert c.sign == (gap > 0) - (gap < 0)
             checked += 1
+
+    def test_no_square_root_of_a_negative(self):
+        with pytest.raises(ValueError):
+            sqrt_decimal_str(F(-1, 4))
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):

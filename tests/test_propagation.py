@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.cli import main
+from incalc.cli import _COMMANDS, main
 from incalc.propagation import MAX_TABLE_BITS
 from incalc.rational import format_prob
 from helpers import (
@@ -257,6 +257,11 @@ class TestBoundAssignment:
         # grow quadratically in the length.
         assert checks == {n: 3 * n - 2 for n in checks}
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        assignment = ic.BoundAssignment(u(2))
+        assert assignment.__eq__(u(2)) is NotImplemented
+        assert assignment != u(2)
+
     def test_duplicate_declarations_amalgamate(self):
         space = u(4)
         assignment = ic.BoundAssignment(space)
@@ -490,6 +495,9 @@ class TestOracle:
         assert tables == [(str(MAX_TABLE_BITS >> 20), str(MAX_TABLE_BITS >> 25))]
         refused = re.findall(r"(\d+) or more atoms\s+are always refused", readme)
         assert refused == [str(next(n for n in itertools.count(1) if n << n > MAX_TABLE_BITS))]
+        # The help of `solve --complete` names the same figure.
+        complete_help = next(o["help"] for flags, o in _COMMANDS["solve"][2] if "--complete" in flags)
+        assert re.findall(r"at most (\d+) MB", complete_help) == stated
 
     def test_complete_mode_matches_oracle_past_the_old_atom_limit(self):
         # Width-1 instances with 17-23 atoms, all but six of them pinned

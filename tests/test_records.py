@@ -21,7 +21,7 @@ def frozen_values():
         (ic.Incidence(5, 4), "bits"),
         (ic.Query("cond", A, ic.And(A, B)), "g"),
         (ic.TargetSpec({"a": "1/2"}, 10), "size"),
-        (ic.RecordTable(("a", "b"), [(1, 0)]), "rows"),
+        (ic.RecordTable(("a", "b"), [b"\1\0"]), "rows"),
         (ic.Correlation(F(1, 4), -1), "sign"),
         (outcome, "steps"),
     ]
@@ -45,7 +45,7 @@ def frozen_values():
             ic.TargetSpec({"a": "1/2"}, 10),
             "TargetSpec(marginals={'a': Fraction(1, 2)}, size=10, correlations={}, seed=0)",
         ),
-        (ic.RecordTable(("a", "b"), [(1, 0)]), "RecordTable(columns=('a', 'b'), rows=(b'\\x01\\x00',))"),
+        (ic.RecordTable(("a", "b"), [b"\1\0"]), "RecordTable(columns=('a', 'b'), rows=(b'\\x01\\x00',))"),
         (
             ic.parse_kb(KB_TEXT),
             "KnowledgeBase(space=SampleSpace.uniform(2),"
@@ -76,8 +76,9 @@ def test_equal_values_compare_and_hash_equal():
     assert ic.Query("prob", A) != ic.Query("prob", B)
     assert ic.Correlation(F(1, 4), 1) == ic.Correlation(c_squared=F(1, 4), sign=1)
     assert ic.Correlation(F(1, 4), 1) != ic.Correlation(F(1, 4), -1)
-    assert ic.RecordTable(("a",), [(1,)]) == ic.RecordTable(("a",), [b"\1"])
-    assert hash(ic.RecordTable(("a",), [(1,)])) == hash(ic.RecordTable(("a",), [b"\1"]))
+    assert ic.RecordTable(("a",), [b"\1"]) == ic.RecordTable(("a",), (b"\1",))
+    assert hash(ic.RecordTable(("a",), [b"\1"])) == hash(ic.RecordTable(("a",), (b"\1",)))
+    assert ic.RecordTable(("a",), [b"\1"]) != ic.RecordTable(("a",), [b"\0"])
     assert ic.TargetSpec({"a": "0.5"}, 4) == ic.TargetSpec({"a": F(1, 2)}, 4, {}, 0)
     with pytest.raises(TypeError):  # its fields are dicts
         hash(ic.TargetSpec({"a": "0.5"}, 4))
@@ -157,12 +158,12 @@ def test_target_spec_reads_its_targets_as_fractions():
 @pytest.mark.parametrize(
     "columns, rows, message",
     [
-        ((), [(1,)], "table has no columns"),
-        (("a", "2b"), [(1, 0)], "bad column name: '2b'"),
-        (("a", "a"), [(1, 0)], "duplicate column names"),
+        ((), [b"\1"], "table has no columns"),
+        (("a", "2b"), [b"\1\0"], "bad column name: '2b'"),
+        (("a", "a"), [b"\1\0"], "duplicate column names"),
         (("a",), [], "table has no rows"),
-        (("a", "b"), [(1, 0), (1,)], "row has 1 values, expected 2"),
-        (("a",), [(1,), ("yes",)], "row 2 holds 'yes', not a bool or 0/1"),
+        (("a", "b"), [b"\1\0", b"\1"], "row 2 has 1 values, expected 2"),
+        (("a",), [b"\1", (True,)], "row 2 is not flag bytes: (True,)"),
     ],
 )
 def test_record_table_checks(columns, rows, message):

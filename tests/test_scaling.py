@@ -111,6 +111,19 @@ def test_definitions_that_reuse_a_long_one_load_in_linear_work():
     assert _ratio(text, ic.parse_kb) <= MAX_RATIO
 
 
+def test_definitions_of_names_first_bound_load_in_linear_work():
+    # Each name x_k is first an atom of a bounds line, older than the
+    # chain, then defined over the chain's end.  Only a name below an
+    # earlier definition needs the self-reference walk, which here would
+    # cross the whole chain for every line; these names are below none.
+    def text(n):
+        bounds = "".join(f"bounds x{k} inf 0000 sup 1111\n" for k in range(n))
+        defined = "".join(f"formula x{k} = d{n - 1} | b\n" for k in range(n))
+        return "space 4\n" + bounds + _chain(n).removeprefix("space 4\n") + defined
+
+    assert _ratio(text, ic.parse_kb) <= MAX_RATIO
+
+
 def test_propagating_and_dumping_a_chain_is_linear_work():
     def solve(assignment):
         outcome = ic.propagate(assignment)

@@ -133,6 +133,11 @@ class TestIncidence:
         with pytest.raises(ValueError, match="out of range"):
             ic.Incidence.from_indices([4], 4)
 
+    def test_from_indices_needs_a_positive_width(self):
+        with pytest.raises(ValueError) as info:
+            ic.Incidence.from_indices([], 0)
+        assert str(info.value) == "width must be >= 1, got 0"
+
     def test_bits_must_fit_width(self):
         with pytest.raises(ValueError):
             ic.Incidence(0b100, 2)
@@ -173,6 +178,11 @@ class TestIncidence:
         assert i - j == i & j.complement()
         assert (i & j).is_subset(i)
         assert i.is_subset(i | j)
+
+    def test_subset_order_and_truth(self):
+        small, large = ic.Incidence.from_indices([1], 3), ic.Incidence.from_indices([0, 1], 3)
+        assert small <= large and small <= small and not large <= small
+        assert large and not ic.Incidence.empty(3)
 
     def test_str_is_bitstring(self):
         assert str(ic.Incidence.from_indices([1], 3)) == "010"
@@ -235,6 +245,11 @@ class TestSampleSpace:
     def test_weight_of_worked_example(self):
         space = ic.SampleSpace((F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
         assert space.weight_of(ic.Incidence.from_indices([1, 2], 4)) == F(3, 8)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        space = ic.SampleSpace.uniform(2)
+        assert space.__eq__((F(1, 2), F(1, 2))) is NotImplemented
+        assert space != (F(1, 2), F(1, 2))
 
     def test_whole_space_has_weight_one(self):
         space = ic.SampleSpace.uniform(7)
