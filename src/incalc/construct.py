@@ -10,14 +10,14 @@ counts allow.
 
 A records table is read as one text, not row by row.  A clean text, with no
 '#', no '\\r' and content on its first line, is read as it stands: that line
-is the header and the rest are the rows.  Any other text, and a clean one
-whose rows fail, is read from the lines of `kb.directive_lines`.  The shape of
-the rows is checked with two strided slices: as written, then with the value
-words rewritten to '0'/'1' by whole-text replacements, then with each row's
-separators normalised to single spaces, each step only if the one before
-fails.  Only rows that fail all three are walked line by line, to name the
-first bad line.  Each row is kept as flag bytes (one byte per column, the
-encoding of `Incidence.flags`).
+is the header and the rest are the rows.  Any other text is read from the
+lines of `kb.directive_lines`.  The shape of the rows is checked with two
+strided slices: as written, then with the value words rewritten to '0'/'1' by
+whole-text replacements, then with each row's separators normalised to single
+spaces and blank rows dropped, each step only if the one before fails.  Only
+rows that fail all three are walked line by line, to name the first bad line.
+Each row is kept as flag bytes (one byte per column, the encoding of
+`Incidence.flags`).
 `incidences_from_records` folds equal rows with a `Counter` over those bytes,
 builds the space from the counts (`SampleSpace.from_counts`) and reads column
 c as every width-th byte of the distinct rows.
@@ -355,25 +355,24 @@ class RecordTable(Frozen):
         line.  The rows are read as one text (see the module docstring).
         A clean text, with no '#', no '\\r' and content on its first
         line, is read as it stands: that line is the header and the rest,
-        less one final '\\n', the rows.  A text that is not clean, or
-        whose rows fail `_flag_text` as they stand, is read again from
-        `directive_lines`; only rows that fail there too are walked line
-        by line, for their first bad line."""
+        less one final '\\n', the rows.  Any other text is read from
+        `directive_lines`.  Only rows that fail `_flag_text` are walked
+        line by line, for their first bad line."""
         first, _, body = text.partition("\n")
-        flags = None
         if first.strip() and "#" not in text and "\r" not in text:
             header_lineno, header = 1, tuple(first.replace(",", " ").split())
-            flags = _flag_text(body.removesuffix("\n"), len(header))
-        if flags is None:
+            body = body.removesuffix("\n")
+        else:
             lines = directive_lines(text)
             first = next(lines, None)
             if first is None:
                 raise RecordTableError("table has no header line")
             header_lineno, header = first[0], tuple(first[1].replace(",", " ").split())
-            flags = _flag_text("\n".join(map(itemgetter(1), lines)), len(header))
-            if flags is None:
-                _check_rows(text, len(header))
-                flags = b""  # every row is well formed: there are no rows or no columns
+            body = "\n".join(map(itemgetter(1), lines))
+        flags = _flag_text(body, len(header))
+        if flags is None:
+            _check_rows(text, len(header))
+            flags = b""  # every row is well formed: there are no rows or no columns
         rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n")) if flags else ()
         try:
             return cls(header, rows)
@@ -388,8 +387,9 @@ def _flag_text(body: str, width: int) -> bytes | None:
     separated by single spaces (ASCII bytes), or None if that fails.
     `body` is checked as written, then with its value words rewritten to
     '0'/'1' and its commas to spaces, then with each line's separators
-    normalised to single spaces; each step runs only if the one before
-    fails, so a '0'/'1' table written with single spaces pays one check."""
+    normalised to single spaces and blank lines dropped; each step runs
+    only if the one before fails, so a '0'/'1' table written with single
+    spaces pays one check."""
     flags = body.encode("ascii", "replace")
     if _is_flag_text(flags, width):
         return flags
@@ -401,9 +401,10 @@ def _flag_text(body: str, width: int) -> bytes | None:
     flags = body.encode("ascii", "replace")
     if _is_flag_text(flags, width):
         return flags
-    # A line with edge or repeated separators fails the check above, and
-    # only such a line changes here.
-    flags = "\n".join(map(" ".join, map(str.split, body.split("\n")))).encode("ascii", "replace")
+    # A line with edge or repeated separators, or a blank one, fails the
+    # check above, and only such a line changes here.
+    lines = filter(None, map(" ".join, map(str.split, body.split("\n"))))
+    flags = "\n".join(lines).encode("ascii", "replace")
     return flags if _is_flag_text(flags, width) else None
 
 

@@ -336,8 +336,8 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     equal A merge, so the groups never outnumber the points or the
     distinct admitted sets.  A part left with no admitted valuation
     makes the instance inconsistent.  Sentences are read in registration
-    order, so the culprit, the sentence that emptied A at the lowest such
-    point, ends the shortest prefix admitting nothing there.  Otherwise a
+    order, so the culprit, the first sentence that empties a part, ends
+    the shortest inconsistent registration-order prefix.  Otherwise a
     sentence's lower bound gets a group iff A lies inside its table, and
     its upper bound iff A meets it.
     """
@@ -357,7 +357,6 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     truths = [tables[f] for f in sentences]
     full = assignment._full
     groups = {every: full}  # admitted valuations -> the points admitting exactly those
-    first = culprit = None  # lowest point (as a one-bit mask) left with none, and why
     for i, (low, high) in enumerate(zip(assignment._low, assignment._high)):
         out = full & ~high
         if not low | out:
@@ -371,18 +370,15 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
                     if not part:
                         continue
                     kept = valid & table
-                    if kept:
-                        split[kept] = split.get(kept, 0) | part
-                    elif first is None or part & -part < first:
-                        first, culprit = part & -part, sentences[i]
+                    if not kept:
+                        return PropagationOutcome(INCONSISTENT, sentences[i], assignment, 0)
+                    split[kept] = split.get(kept, 0) | part
                 points ^= inside | outside
                 if not points:
                     continue
             split[valid] = split.get(valid, 0) | points
         groups = split
         _check_table_bits(len(sentences) + len(groups), len(atoms))
-    if culprit is not None:
-        return PropagationOutcome(INCONSISTENT, culprit, assignment, 0)
     lower = [0] * len(sentences)
     upper = [0] * len(sentences)
     for valid, points in groups.items():
@@ -433,9 +429,8 @@ def propagate(initial: BoundAssignment, mode: str = "fixpoint") -> PropagationOu
     a point, leaving no value possible there for it.  When complete mode
     finds that no valuation is admitted at some point, the instance has
     no legal assignment: the outcome keeps the declared bounds, `steps`
-    is 0, and the culprit is found at the lowest such point, as the
-    sentence that ends the shortest registration-order prefix of
-    sentences whose bounds already admit no valuation there.
+    is 0, and the culprit is the sentence that ends the shortest
+    registration-order prefix whose bounds already admit no valuation.
     """
     if mode not in (FIXPOINT, "complete"):
         raise ValueError(f"unknown mode {mode!r}")

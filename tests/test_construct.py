@@ -522,6 +522,10 @@ class TestRecordTable:
         monkeypatch.setattr(construct, "directive_lines", scan)
         text = "a b\n1 0\n0 1\n1 0\n"
         assert ic.RecordTable.from_text(text).rows == (b"\1\0", b"\0\1", b"\1\0")
+        # Blank and whitespace-only rows are dropped without the scanner.
+        text = "a b\n1 0\n\n0 1\n \t \n1 0\n\n"
+        assert ic.RecordTable.from_text(text).rows == (b"\1\0", b"\0\1", b"\1\0")
+        assert ingest_fragment(text) == reference_ingest(text)
         with pytest.raises(Scanned):
             ic.RecordTable.from_text("a b\n1 0\n# a comment\n0 1\n1 0\n")
 
@@ -541,7 +545,7 @@ class TestParseTargets:
         "text",
         [
             "prob a = 0.5\nprob a = 0.4\n",
-            "corr a b = 0.1\ncorr b a = 0.1\n",
+            "prob a = 0.5\nprob b = 0.5\ncorr a b = 0.1\ncorr b a = 0.1\n",
             "chance a = 0.5\n",
             "prob a 0.5\n",
         ],

@@ -181,8 +181,8 @@ class TestWorkedExamples:
     def test_complete_mode_culprit_on_unsatisfiable_bounds(self):
         # No valuation is admitted at point 0 (a and ~a must both hold)
         # nor at point 1 (b | c must hold, b and c may not).  The culprit
-        # comes from the lowest such point: ~a is read after a, and only
-        # by then is every valuation rejected.
+        # ends the shortest inconsistent registration-order prefix: a, ~a
+        # already reject every valuation at point 0.
         space = u(2)
         assignment = ic.BoundAssignment(space)
         assignment.declare(A, lower=points(space, [0]))
@@ -596,9 +596,9 @@ class TestEnvelopeGroups:
     @staticmethod
     def _per_point(assignment):
         """(culprit, None, sets) when some point admits no valuation, the
-        culprit found at the lowest such point; else (None, bounds, sets)
-        with bounds[sentence] = (lower bits, upper bits).  `sets` counts
-        the distinct admitted sets met before stopping."""
+        culprit ending the shortest prefix that admits none at some
+        point; else (None, bounds, sets) with bounds[sentence] = (lower
+        bits, upper bits).  `sets` counts the distinct admitted sets."""
         sentences = assignment.sentences()
         names = [f.name for f in sentences if isinstance(f, ic.Atom)]
         envs = [
@@ -614,20 +614,23 @@ class TestEnvelopeGroups:
         def admitted(k, prefix):
             return [v for v, env in enumerate(envs) if all(admits(k, f, env) for f in prefix)]
 
+        every = [admitted(k, sentences) for k in range(assignment.space.size)]
+        sets = len(set(map(tuple, every)))
+        refuted = [k for k, here in enumerate(every) if not here]
+        if refuted:
+            ends = min(
+                next(i for i in range(len(sentences)) if not admitted(k, sentences[: i + 1]))
+                for k in refuted
+            )
+            return sentences[ends], None, sets
         lower = dict.fromkeys(sentences, 0)
         upper = dict.fromkeys(sentences, 0)
-        sets = set()
-        for k in range(assignment.space.size):
-            here = admitted(k, sentences)
-            sets.add(tuple(here))
-            if not here:
-                ends = next(i for i in range(len(sentences)) if not admitted(k, sentences[: i + 1]))
-                return sentences[ends], None, len(sets)
+        for k, here in enumerate(every):
             for f in sentences:
                 values = [holds_at(f, 0, envs[v]) for v in here]
                 lower[f] |= all(values) << k
                 upper[f] |= any(values) << k
-        return None, {f: (lower[f], upper[f]) for f in sentences}, len(sets)
+        return None, {f: (lower[f], upper[f]) for f in sentences}, sets
 
     def test_matches_per_point_enumeration(self):
         rng = random.Random(89)
@@ -651,6 +654,64 @@ class TestEnvelopeGroups:
                 assert {f: tuple(b.bits for b in final.bounds(f)) for f in final} == bounds
             seen[outcome.ok, sets > 1 << len(atoms)] += 1
         assert min(seen[ok, many] for ok in (True, False) for many in (True, False)) >= 5
+
+    @staticmethod
+    def _refuted_instances():
+        """(assignment, culprit) for the seeded draws that pass
+        `check_consistency` and that complete mode finds inconsistent."""
+        rng = random.Random(7)
+        for _ in range(3000):
+            make = sound_instance if rng.random() < 0.5 else arbitrary_instance
+            assignment = make(
+                rng,
+                width=rng.randint(1, 8),
+                atoms=ATOMS[: rng.randint(1, 4)],
+                n_sentences=rng.randint(1, 5),
+            )[1]
+            if ic.check_consistency(assignment) is None:
+                outcome = ic.propagate(assignment, "complete")
+                if not outcome.ok:
+                    yield assignment, outcome.culprit
+
+    def test_culprit_does_not_depend_on_the_numbering_of_points(self):
+        rng = random.Random(8)
+        refuted = 0
+        for assignment, culprit in self._refuted_instances():
+            space = assignment.space
+            order = rng.sample(range(space.size), space.size)  # point k becomes order[k]
+
+            def moved(inc):
+                bits = sum((inc.bits >> k & 1) << j for k, j in enumerate(order))
+                return ic.Incidence(bits, inc.width)
+
+            weights = [None] * space.size
+            for k, j in enumerate(order):
+                weights[j] = space.weights[k]
+            renumbered = ic.BoundAssignment(ic.SampleSpace(weights))
+            for sentence in assignment.sentences():
+                low, high = assignment.bounds(sentence)
+                renumbered.declare(sentence, lower=moved(low), upper=moved(high))
+            assert renumbered.sentences() == assignment.sentences()
+            assert ic.propagate(renumbered, "complete").culprit == culprit
+            refuted += 1
+        assert refuted >= 300
+
+    def test_culprit_ends_the_shortest_inconsistent_prefix(self):
+        refuted = 0
+        for assignment, culprit in self._refuted_instances():
+            sentences = assignment.sentences()
+            ends = sentences.index(culprit)
+            for length, ok in ((ends, True), (ends + 1, False)):
+                prefix = ic.BoundAssignment(assignment.space)
+                for j, sentence in enumerate(sentences):
+                    if j < length:
+                        prefix.declare(sentence, *assignment.bounds(sentence))
+                    else:
+                        prefix.declare(sentence)
+                assert prefix.sentences() == sentences
+                assert ic.propagate(prefix, "complete").ok is ok
+            refuted += 1
+        assert refuted >= 300
 
     def test_table_budget_refuses_before_evaluating(self, tmp_path, capsys, monkeypatch):
         # 20 atoms and a chain of implications: more registered nodes than
