@@ -59,7 +59,7 @@ def _read(path: str) -> str:
 def _cmd_eval(args) -> int:
     kb = parse_kb(_read(args.kb))
     sentence = kb.resolve(args.formula)
-    inc = incidence_of(sentence, kb.environment(), kb.space)
+    inc = incidence_of(sentence, kb.incidences, kb.space)
     print(inc.to_bitstring())
     print(inc.to_point_set())
     print(f"p = {format_prob(kb.space.weight_of(inc))}")
@@ -68,7 +68,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_query(args) -> int:
     kb = parse_kb(_read(args.kb))
-    env = kb.environment()
+    env = kb.incidences
     for q in kb.queries:
         if q.kind == "prob":
             value = format_prob(prob(q.f, env, kb.space))

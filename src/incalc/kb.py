@@ -57,23 +57,12 @@ class Query(Frozen):
 class KnowledgeBase(Record):
     __slots__ = ("space", "incidences", "bounds", "formulas", "queries")
 
-    def __init__(
-        self,
-        space: SampleSpace,
-        incidences: dict[str, Incidence] | None = None,
-        bounds: list[tuple[Formula, Incidence, Incidence]] | None = None,
-        formulas: dict[str, Formula] | None = None,
-        queries: list[Query] | None = None,
-    ):
+    def __init__(self, space: SampleSpace):
         self.space = space
-        self.incidences = {} if incidences is None else incidences
-        self.bounds = [] if bounds is None else bounds
-        self.formulas = {} if formulas is None else formulas
-        self.queries = [] if queries is None else queries
-
-    def environment(self) -> dict[str, Incidence]:
-        """The exact incidences, for truth-functional evaluation."""
-        return dict(self.incidences)
+        self.incidences: dict[str, Incidence] = {}
+        self.bounds: list[tuple[Formula, Incidence, Incidence]] = []
+        self.formulas: dict[str, Formula] = {}
+        self.queries: list[Query] = []
 
     def resolve(self, text: str) -> Formula:
         """Parse formula text in this KB's context: a name that a

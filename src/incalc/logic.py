@@ -117,15 +117,9 @@ class Formula:
             raise TypeError(f"bad operands for {type(self).__name__}: {args!r}")
         self.args = args
 
-    def __reduce__(self):
-        return type(self), self.args
-
     def __repr__(self) -> str:
         note = _too_long(self)
         return f"<{note}>" if note else f"parse_formula({format_formula(self)!r})"
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 class Top(Formula):
@@ -146,9 +140,6 @@ class Atom(Formula):
         if not is_name(name):
             raise ValueError(f"bad atom name: {name!r}")
         self.name, self.args = name, ()
-
-    def __reduce__(self):
-        return Atom, (self.name,)
 
 
 class Not(Formula):

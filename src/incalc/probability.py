@@ -14,8 +14,8 @@ from .errors import (
     DegenerateMarginalError,
     ZeroProbabilityError,
 )
-from .logic import Environment, Formula, incidence_of
-from .rational import sqrt_decimal_str
+from .logic import Environment, Formula, describe, incidence_of
+from .rational import exact_str, fraction_str, sqrt_decimal_str
 from .record import Frozen
 from .space import SampleSpace
 
@@ -30,7 +30,7 @@ def cond_prob(f: Formula, given: Formula, env: Environment, space: SampleSpace) 
     condition = incidence_of(given, env, space)
     base = space.weight_of(condition)
     if base == 0:
-        raise ZeroProbabilityError(f"cannot condition on {given}: probability is zero")
+        raise ZeroProbabilityError(f"cannot condition on {describe(given)}: probability is zero")
     joint = space.weight_of(incidence_of(f, env, space) & condition)
     return joint / base
 
@@ -62,7 +62,7 @@ class Correlation(Frozen):
         return text if self.sign > 0 else "-" + text
 
     def __str__(self) -> str:
-        return f"{self.decimal()} (c^2 = {self.c_squared})"
+        return f"{self.decimal()} (c^2 = {fraction_str(self.c_squared)})"
 
 
 def correlation(a: Formula, b: Formula, env: Environment, space: SampleSpace) -> Correlation:
@@ -79,7 +79,7 @@ def correlation(a: Formula, b: Formula, env: Environment, space: SampleSpace) ->
     pb = space.weight_of(ib)
     if pa in (0, 1) or pb in (0, 1):
         raise DegenerateMarginalError(
-            f"correlation undefined: marginals are {pa} and {pb}"
+            f"correlation undefined: marginals are {exact_str(pa)} and {exact_str(pb)}"
         )
     pab = space.weight_of(ia & ib)
     numer = pab - pa * pb

@@ -206,9 +206,6 @@ class BoundAssignment:
             lines.append(f"{text} inf={low_bits} sup={high_bits} p=[{low_p}, {high_p}]")
         return "\n".join(lines)
 
-    def __contains__(self, sentence: Formula) -> bool:
-        return sentence in self._position
-
     def __iter__(self):
         return iter(self._position)
 

@@ -135,10 +135,17 @@ def _digits_str(n: int) -> str:
     return "".join(reversed(chunks))
 
 
+def fraction_str(q: Fraction) -> str:
+    """`str(q)` with every digit written, however many: 'num/den', or the
+    bare integer when the value is whole."""
+    if q.denominator == 1:
+        return _digits_str(q.numerator)
+    return f"{_digits_str(q.numerator)}/{_digits_str(q.denominator)}"
+
+
 def format_prob(q: Fraction) -> str:
     """Dual rendering of an exact probability: 'num/den (= decimal)',
     or the bare integer when the value is whole ('0', '1'); every digit
     is written, however many."""
-    if q.denominator == 1:
-        return _digits_str(q.numerator)
-    return f"{_digits_str(q.numerator)}/{_digits_str(q.denominator)} (= {decimal_str(q)})"
+    text = fraction_str(q)
+    return text if q.denominator == 1 else f"{text} (= {decimal_str(q)})"

@@ -4,9 +4,8 @@ Each class names its fields in `__slots__`, in the order its constructor
 takes them.  Two values are equal when they are of the same class and
 their fields are equal, and a value's repr is its class name with each
 field as `name=repr(value)`.  A `Frozen` value sets its fields once, in
-`__init__` through `object.__setattr__`; it hashes by its fields, refuses
-assignment and deletion with `AttributeError`, and is copied and pickled
-by calling its constructor on its fields again.
+`__init__` through `object.__setattr__`; it hashes by its fields and
+refuses assignment and deletion with `AttributeError`.
 """
 
 
@@ -37,6 +36,3 @@ class Frozen(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._fields()

@@ -134,19 +134,22 @@ class Incidence(Frozen):
     @classmethod
     def from_indices(cls, indices: Iterable[int], width: int) -> "Incidence":
         """The set of the given points, in any order, repeats allowed: one
-        byte per point is set, then read back as bits, the inverse of
-        `flags()`, so the cost is linear in the width."""
+        byte per point up to the largest index is set, then read back as
+        bits, as `from_flags` reads them, so the cost is linear in the
+        indices and the largest of them, not in the width."""
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        flags = bytearray(width)
+        indices = list(indices)
+        top = max(indices, default=-1)
+        if top >= width or indices and min(indices) < 0:
+            shown = exact_str(next(k for k in indices if not 0 <= k < width))
+            if len(shown) > _QUOTED:
+                shown = f"{shown[:12]}... ({len(shown)} characters)"
+            raise ValueError(f"point index {shown} out of range for width {width}")
+        flags = bytearray(top + 1)
         for k in indices:
-            if not 0 <= k < width:
-                shown = exact_str(k)
-                if len(shown) > _QUOTED:
-                    shown = f"{shown[:12]}... ({len(shown)} characters)"
-                raise ValueError(f"point index {shown} out of range for width {width}")
             flags[k] = 1
-        return cls.from_flags(flags)
+        return cls(int(flags.translate(_FLAG_CHARS)[::-1] or b"0", 2), width)
 
     @classmethod
     def from_flags(cls, flags: bytes | bytearray) -> "Incidence":
@@ -187,12 +190,6 @@ class Incidence(Frozen):
         if self.width != other.width:
             raise WidthMismatchError(f"widths differ: {self.width} vs {other.width}")
 
-    def complement(self) -> "Incidence":
-        return Incidence(~self.bits & (1 << self.width) - 1, self.width)
-
-    def __invert__(self) -> "Incidence":
-        return self.complement()
-
     def __and__(self, other: "Incidence") -> "Incidence":
         self._check_width(other)
         return Incidence(self.bits & other.bits, self.width)
@@ -201,25 +198,12 @@ class Incidence(Frozen):
         self._check_width(other)
         return Incidence(self.bits | other.bits, self.width)
 
-    def __sub__(self, other: "Incidence") -> "Incidence":
-        self._check_width(other)
-        return Incidence(self.bits & ~other.bits, self.width)
-
     def is_subset(self, other: "Incidence") -> bool:
         self._check_width(other)
         return self.bits & ~other.bits == 0
 
-    def __le__(self, other: "Incidence") -> bool:
-        return self.is_subset(other)
-
     def __contains__(self, index: int) -> bool:
         return 0 <= index < self.width and self.bits >> index & 1 == 1
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __str__(self) -> str:
-        return self.to_bitstring()
 
 
 def parse_incidence_text(text: str, width: int) -> Incidence:
@@ -260,15 +244,15 @@ class SampleSpace:
     Weights must sum to exactly 1; individual points may have weight zero.
     They are read by `rational.as_ratio` and kept as integer numerators
     over one common denominator, the lcm of the reduced denominators, so
-    equal weights give equal (and equally hashing) spaces however they
-    were written.  A uniform space keeps no numerators: each would be 1.
+    equal weights give equal spaces however they were written.  A uniform
+    space keeps no numerators: each would be 1.
     Each distinct weight is read by `as_ratio` and scaled once, and
     `map_weights` renders it once; the checks still see every point.
     Equal weights merge only once they are known to be read alike: a list
     that is not all `str`, all `int` or all `Fraction` is first read
     whole, so that no float hides behind an equal `Fraction`.
     The first weighing builds the bit planes `_numerator` weighs by
-    (`_bit_planes`), a cache that equality and hashing never read.
+    (`_bit_planes`), a cache that equality never reads.
     `from_counts` builds a space of observed frequencies from integer
     counts over one total, reduced by one `gcd`.  Both hand their
     numerators to `_keep`, which checks them and decides how they are
@@ -350,11 +334,6 @@ class SampleSpace:
     def is_uniform(self) -> bool:
         return self._numerators is None
 
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        """Each point's weight, point 0 first, one `Fraction` per distinct weight."""
-        return self.map_weights(Fraction)
-
     def map_weights(self, fn) -> tuple:
         """`fn` of each point's weight, point 0 first; `fn` is called once
         per distinct weight, on a `Fraction`."""
@@ -371,16 +350,10 @@ class SampleSpace:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         if self._numerators is None:
             return f"SampleSpace.uniform({self._size})"
-        return f"SampleSpace({self.weights!r})"
-
-    def empty(self) -> Incidence:
-        return Incidence.empty(self._size)
+        return f"SampleSpace({self.map_weights(Fraction)!r})"
 
     def full(self) -> Incidence:
         return Incidence.full(self._size)

@@ -345,7 +345,7 @@ class TestSample:
         assert (kb.incidences["b"] & kb.incidences["c"]).count() == _overlap_count(
             50, 50, 100, Fraction(-1, 2)
         )
-        corr = ic.correlation(ic.Atom("a"), ic.Atom("c"), kb.environment(), kb.space)
+        corr = ic.correlation(ic.Atom("a"), ic.Atom("c"), kb.incidences, kb.space)
         assert (corr.sign, corr.c_squared) == (1, Fraction(16, 25))
 
     def test_triangle_exits_two_naming_its_closing_pair(self, capsys, tmp_path):
@@ -643,6 +643,40 @@ class TestDigitsPastTheLimit:
         prob = f"1/1{'0' * 4300} (= 0)"
         mask = f"1{'0' * 4300}"
         assert out == f"a inf={mask} sup={mask} p=[{prob}, {prob}]\nCONSISTENT\n"
+
+    @staticmethod
+    def corr_kb(tmp_path, tiny_weight_kb, a, b):
+        """The tiny-weight KB's space, atoms a and b, and `query corr a , b`."""
+        space = tiny_weight_kb.read_text().split("\n", 1)[0]
+        path = tmp_path / "corr.kb"
+        path.write_text(f"{space}\ninc a = {a}\ninc b = {b}\nquery corr a , b\n")
+        return path
+
+    def test_query_corr_prints_every_digit_of_c_squared(self, capsys, tmp_path, tiny_weight_kb):
+        path = self.corr_kb(tmp_path, tiny_weight_kb, "{0,1,4300}", "{1,2,4299}")
+        code, out, err = run(capsys, "query", path)
+        assert (code, err) == (0, "")
+        # Point 0 weighs 1e-4300 and point k > 0 weighs 9e-k.
+        weight = {0: Fraction(1, 10**4300), **{k: Fraction(9, 10**k) for k in (1, 2, 4299, 4300)}}
+        pa, pb, pab = (sum(map(weight.get, s)) for s in ({0, 1, 4300}, {1, 2, 4299}, {1}))
+        gap = pab - pa * pb
+        c_squared = gap * gap / (pa * (1 - pa) * pb * (1 - pb))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            shown = f"{c_squared.numerator}/{c_squared.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert min(map(len, shown.split("/"))) > limit
+        assert out == f"corr a , b = 0.301511 (c^2 = {shown})\n"
+
+    def test_degenerate_marginals_are_named_past_the_digit_limit(
+        self, capsys, tmp_path, tiny_weight_kb
+    ):
+        path = self.corr_kb(tmp_path, tiny_weight_kb, "{0}", "1" * 4301)
+        code, out, err = run(capsys, "query", path)
+        assert (code, out) == (2, "")
+        assert err == "error: correlation undefined: marginals are 1/<4301 digits> and 1\n"
 
 
 # Each argv once through `main` as it stands and once with the reader

@@ -30,7 +30,7 @@ class TestParseKB:
 
     def test_weighted_space(self):
         kb = ic.parse_kb("space weights 1/2 1/4 1/4\ninc a = 101\n")
-        assert kb.space.weights == (F(1, 2), F(1, 4), F(1, 4))
+        assert kb.space.map_weights(F) == (F(1, 2), F(1, 4), F(1, 4))
         assert not kb.space.is_uniform
 
     def test_comments_and_blank_lines(self):
@@ -177,7 +177,7 @@ class TestParseKB:
         # 5000/20000 + 2500/10000 + 2500/5000 = 1 over 10^4 points.
         weights = ["1/20000", "1/10000", "1/20000", "1/5000"] * 2500
         kb = ic.parse_kb(f"space weights {' '.join(weights)}\n")
-        assert kb.space.size == 10**4 and len(set(kb.space.weights)) == 3
+        assert kb.space.size == 10**4 and len(set(kb.space.map_weights(F))) == 3
         assert len(calls) <= 3
 
     def test_space_size_is_read_like_any_number(self):
@@ -203,12 +203,6 @@ class TestParseKB:
 
 
 class TestKnowledgeBase:
-    def test_environment_is_a_copy(self):
-        kb = ic.parse_kb("space 2\ninc a = 10\n")
-        env = kb.environment()
-        env["b"] = kb.space.empty()
-        assert "b" not in kb.incidences
-
     def test_initial_assignment_structure(self):
         kb = ic.parse_kb((DATA / "example.kb").read_text())
         assignment = kb.initial_assignment()
@@ -218,7 +212,7 @@ class TestKnowledgeBase:
         conj = ic.parse_formula("a & b")
         assert assignment.bounds(conj)[0] == points(kb.space, [3])
         claim = kb.formulas["claim"]
-        assert assignment.bounds(claim) == (kb.space.empty(), kb.space.full())
+        assert assignment.bounds(claim) == (ic.Incidence.empty(kb.space.size), kb.space.full())
 
     def test_resolve_uses_definitions(self):
         kb = ic.parse_kb("space 2\nformula f = a & b\n")
@@ -260,12 +254,14 @@ class TestKnowledgeBase:
             if name in defined:
                 expected = (lineno, f"duplicate formula name {name!r}")
                 break
-            sentence = ic.parse_formula(str(body), defined)
+            sentence = ic.parse_formula(ic.format_formula(body), defined)
             if name in atom_names(sentence):
                 expected = (lineno, f"formula {name!r} refers to itself")
                 break
             defined[name] = sentence
-        text = "space 2\n" + "".join(f"formula {name} = {body}\n" for name, body in lines)
+        text = "space 2\n" + "".join(
+            f"formula {name} = {ic.format_formula(body)}\n" for name, body in lines
+        )
         if expected is None:
             assert ic.parse_kb(text).formulas == defined
         else:

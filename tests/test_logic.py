@@ -1,6 +1,4 @@
-import copy
 import gc
-import pickle
 import random
 import re
 import sys
@@ -170,12 +168,6 @@ class TestInterning:
         with pytest.raises(TypeError) as info:
             ic.And(1, 2)
         assert str(info.value) == "bad operands for And: (1, 2)"
-
-    def test_copies_are_the_interned_node(self):
-        f = ic.parse_formula("(a | true) & ~(b -> c)")
-        assert copy.copy(f) is f
-        assert copy.deepcopy(f) is f
-        assert pickle.loads(pickle.dumps(f)) is f
 
     def test_threads_get_one_node_per_formula(self):
         # Threads race to build the same new formulas; a lost race would
@@ -354,7 +346,7 @@ class TestPrinter:
         monkeypatch.setattr(logic, "MAX_TEXT", 11)
         assert repr(f) == "<a sentence of 12 characters, too long to render>"
         with pytest.raises(ic.InstanceTooLargeError):
-            str(f)
+            ic.format_formula(f)
 
     def test_repr_of_a_deep_chain_is_immediate(self):
         # Each level uses the one below twice, so d40's text would be
@@ -393,7 +385,7 @@ class TestIncidenceOf:
     def test_constants(self, ten_point):
         space, env = ten_point
         assert ic.incidence_of(ic.TRUE, env, space) == space.full()
-        assert ic.incidence_of(ic.FALSE, env, space) == space.empty()
+        assert ic.incidence_of(ic.FALSE, env, space) == ic.Incidence.empty(space.size)
 
     def test_unbound_atom(self, ten_point):
         space, env = ten_point

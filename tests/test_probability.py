@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -54,8 +55,21 @@ class TestCondProb:
 
     def test_zero_condition_raises(self, ten_point):
         space, env = ten_point
-        with pytest.raises(ic.ZeroProbabilityError):
+        message = "^cannot condition on false: probability is zero$"
+        with pytest.raises(ic.ZeroProbabilityError, match=message):
             ic.cond_prob(A, ic.FALSE, env, space)
+        # Each level uses the one below twice, so d40's text would be
+        # terabytes: the message names its length instead.
+        d = ic.And(A, ic.Not(A))
+        for _ in range(40):
+            d = ic.And(d, d)
+        with pytest.raises(ic.ZeroProbabilityError) as info:
+            ic.cond_prob(A, d, env, space)
+        assert re.fullmatch(
+            r"cannot condition on a sentence of \d{13,} characters, too long to render:"
+            r" probability is zero",
+            str(info.value),
+        )
 
     def test_conditioning_on_self_is_one(self, ten_point):
         space, env = ten_point

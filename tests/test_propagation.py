@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -150,7 +151,9 @@ class TestWorkedExamples:
         space = u(10)
         assignment = ic.BoundAssignment(space)
         assignment.declare(
-            ic.parse_formula("a & b"), lower=space.empty(), upper=points(space, [0, 1, 2])
+            ic.parse_formula("a & b"),
+            lower=ic.Incidence.empty(space.size),
+            upper=points(space, [0, 1, 2]),
         )
         assignment.declare(B, lower=points(space, range(8)), upper=space.full())
         outcome = ic.propagate(assignment)
@@ -214,7 +217,8 @@ class TestBoundAssignment:
         assignment.declare(ic.parse_formula("a & true"))
         assert assignment.bounds(ic.TRUE) == (space.full(), space.full())
         assignment.declare(ic.parse_formula("a | false"))
-        assert assignment.bounds(ic.FALSE) == (space.empty(), space.empty())
+        empty = ic.Incidence.empty(space.size)
+        assert assignment.bounds(ic.FALSE) == (empty, empty)
 
     def test_subformulas_registered_in_preorder(self):
         assignment = ic.BoundAssignment(u(2))
@@ -302,7 +306,8 @@ class TestBoundAssignment:
         for line, sentence in zip(lines, assignment):
             low, high = assignment.bounds(sentence)
             probs = ", ".join(format_prob(space.weight_of(bound)) for bound in (low, high))
-            assert line == f"{sentence} inf={low} sup={high} p=[{probs}]"
+            bits = f"inf={low.to_bitstring()} sup={high.to_bitstring()}"
+            assert line == f"{ic.format_formula(sentence)} {bits} p=[{probs}]"
 
     def test_unknown_sentence(self):
         assignment = ic.BoundAssignment(u(2))
@@ -549,7 +554,7 @@ class TestOracle:
         assert outcome.ok
         tight = tight_bounds(small)
         assert tight.bounds(x24) == (one.full(), one.full())
-        assert tight.bounds(x0) == (one.empty(), one.full())
+        assert tight.bounds(x0) == (ic.Incidence.empty(one.size), one.full())
         for f in assignment:
             expected = (pinned[f], pinned[f]) if f in pinned else tight.bounds(f)
             assert outcome.final.bounds(f) == expected
@@ -685,8 +690,8 @@ class TestEnvelopeGroups:
                 return ic.Incidence(bits, inc.width)
 
             weights = [None] * space.size
-            for k, j in enumerate(order):
-                weights[j] = space.weights[k]
+            for k, w in enumerate(space.map_weights(Fraction)):
+                weights[order[k]] = w
             renumbered = ic.BoundAssignment(ic.SampleSpace(weights))
             for sentence in assignment.sentences():
                 low, high = assignment.bounds(sentence)

@@ -2,8 +2,6 @@
 validation: `Incidence`, `Query`, `KnowledgeBase`, `TargetSpec`,
 `RecordTable`, `Correlation` and `PropagationOutcome`."""
 
-import copy
-import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -100,13 +98,6 @@ def test_frozen_classes_refuse_assignment(value, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         delattr(value, field)
-
-
-@pytest.mark.parametrize("value, _", frozen_values())
-def test_frozen_values_copy_and_pickle(value, _):
-    assert copy.copy(value) == value
-    assert copy.deepcopy(value) == value
-    assert pickle.loads(pickle.dumps(value)) == value
 
 
 @pytest.mark.parametrize("bits", [0, -1, 1])

@@ -4,12 +4,15 @@ Each case runs one layer at n and at 4n and counts the interpreter's
 profile events (every Python call and return, generator resumption and
 C call).  Unlike a timing, the count does not vary from run to run, so
 a ratio well above 4 shows a quadratic walk.  A quadratic inside one C
-call, such as `list.pop(0)`, stays invisible to this count.
+call, such as `list.pop(0)`, stays invisible to this count.  So does a
+buffer as wide as the space, which the point-set case guards by the
+memory it traces instead.
 """
 
 import contextlib
 import io
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -173,3 +176,14 @@ def test_querying_a_wide_weighted_kb_is_linear_work(tmp_path):
         _run_quietly("query", kb)
 
     assert _ratio(_wide_weighted_kb(tmp_path), query) <= MAX_RATIO
+
+
+def test_a_point_set_costs_its_largest_index_not_the_width():
+    tracemalloc.start()
+    try:
+        inc = ic.parse_incidence_text("{5,70}", 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (inc.bits, inc.width) == (1 << 5 | 1 << 70, 10**7)
+    assert peak < 1 << 20

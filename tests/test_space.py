@@ -169,23 +169,16 @@ class TestIncidence:
     @given(st.integers(1, 24).flatmap(lambda w: st.tuples(incidences(w), incidences(w))))
     def test_de_morgan(self, pair):
         i, j = pair
-        assert (i & j).complement() == i.complement() | j.complement()
-        assert (i | j).complement() == i.complement() & j.complement()
+        full = (1 << i.width) - 1
+        assert (i & j).bits ^ full == (i.bits ^ full) | (j.bits ^ full)
+        assert (i | j).bits ^ full == (i.bits ^ full) & (j.bits ^ full)
 
     @given(st.integers(1, 24).flatmap(lambda w: st.tuples(incidences(w), incidences(w))))
     def test_difference_and_subset(self, pair):
         i, j = pair
-        assert i - j == i & j.complement()
+        assert i.is_subset(j) == (i.bits & ~j.bits == 0)
         assert (i & j).is_subset(i)
         assert i.is_subset(i | j)
-
-    def test_subset_order_and_truth(self):
-        small, large = ic.Incidence.from_indices([1], 3), ic.Incidence.from_indices([0, 1], 3)
-        assert small <= large and small <= small and not large <= small
-        assert large and not ic.Incidence.empty(3)
-
-    def test_str_is_bitstring(self):
-        assert str(ic.Incidence.from_indices([1], 3)) == "010"
 
 
 class TestParseIncidenceText:
@@ -254,7 +247,7 @@ class TestSampleSpace:
     def test_whole_space_has_weight_one(self):
         space = ic.SampleSpace.uniform(7)
         assert space.weight_of(space.full()) == 1
-        assert space.weight_of(space.empty()) == 0
+        assert space.weight_of(ic.Incidence.empty(7)) == 0
 
     def test_zero_weight_points_allowed(self):
         space = ic.SampleSpace((F(1, 2), F(0), F(1, 2)))
@@ -307,7 +300,7 @@ class TestSampleSpace:
     @given(written_weights(), st.data())
     def test_weight_of_matches_the_per_point_sum(self, weights, data):
         space = ic.SampleSpace(weights)
-        assert space.weights == tuple(F(w) for w in weights)
+        assert space.map_weights(F) == tuple(F(w) for w in weights)
         assert space.weight_of(space.full()) == 1
         inc = data.draw(incidences(len(weights)))
         assert space.weight_of(inc) == reference_weight_of(weights, inc)
@@ -316,7 +309,7 @@ class TestSampleSpace:
     def test_spelling_of_weights_does_not_matter(self, weights, data):
         respelled = [data.draw(st.sampled_from([F(w), str(F(w))])) for w in weights]
         space, again = ic.SampleSpace(weights), ic.SampleSpace(respelled)
-        assert space == again and hash(space) == hash(again)
+        assert space == again
         assert space.is_uniform == (len(set(map(F, weights))) == 1)
 
     def test_equal_weights_written_differently_are_equal(self):
@@ -327,9 +320,9 @@ class TestSampleSpace:
         ]
         for left, right in pairs:
             a, b = ic.SampleSpace(left), ic.SampleSpace(right)
-            assert a == b and hash(a) == hash(b)
+            assert a == b
         assert ic.SampleSpace(("2/4", "2/4")) == ic.SampleSpace.uniform(2)
-        assert hash(ic.SampleSpace(("1/3",) * 3)) == hash(ic.SampleSpace.uniform(3))
+        assert ic.SampleSpace(("1/3",) * 3) == ic.SampleSpace.uniform(3)
         assert ic.SampleSpace((F(1, 2), F(1, 2))) != ic.SampleSpace((F(1, 4), F(3, 4)))
         assert ic.SampleSpace.uniform(2) != ic.SampleSpace.uniform(3)
 
@@ -379,12 +372,12 @@ class TestSampleSpace:
         numerators = tuple(n * (denominator // d) for n, d in ratios)
         weights = tuple(F(n, d) for n, d in ratios)
         space = ic.SampleSpace(written)
-        assert space == ic.SampleSpace(weights) and space.weights == weights
+        assert space == ic.SampleSpace(weights) and space.map_weights(F) == weights
         if set(numerators) == {1}:
-            assert hash(space) == hash((len(weights), denominator, None))
+            assert space._key() == (len(weights), denominator, None)
             assert repr(space) == f"SampleSpace.uniform({len(weights)})"
         else:
-            assert hash(space) == hash((len(weights), denominator, numerators))
+            assert space._key() == (len(weights), denominator, numerators)
             assert repr(space) == f"SampleSpace({weights!r})"
         assert space.map_weights(str) == tuple(map(str, weights))
 
@@ -400,8 +393,8 @@ class TestSampleSpace:
         total = sum(counts)
         space = ic.SampleSpace.from_counts(counts, total)
         expected = ic.SampleSpace((c, total) for c in counts)
-        assert space == expected and hash(space) == hash(expected)
-        assert space.weights == expected.weights and repr(space) == repr(expected)
+        assert space == expected and repr(space) == repr(expected)
+        assert space.map_weights(F) == expected.map_weights(F)
         assert space.is_uniform == (len(set(counts)) == 1)
 
     @pytest.mark.parametrize(
@@ -431,7 +424,8 @@ class TestSampleSpace:
             i
         ) + space.weight_of(j)
         assert space.weight_of(i & j) <= space.weight_of(i)
-        assert space.weight_of(i.complement()) == 1 - space.weight_of(i)
+        complement = ic.Incidence(i.bits ^ space.full().bits, width)
+        assert space.weight_of(complement) == 1 - space.weight_of(i)
 
 
 class TestWeighing:
@@ -484,16 +478,17 @@ class TestWeighing:
         total = sum(numerators)
         weights = [F(n, total) for n in numerators]
         for space in spaces_of_numerators(numerators):
-            for inc in (ic.Incidence(1, space.size), ~ic.Incidence(1, space.size)):
+            rest = ic.Incidence(space.full().bits ^ 1, space.size)
+            for inc in (ic.Incidence(1, space.size), rest):
                 assert space.weight_of(inc) == reference_weight_of(weights, inc)
         assert len(calls) == 4
 
-    def test_weighing_leaves_equality_and_hash_alone(self):
+    def test_weighing_leaves_equality_alone(self):
         counts = [3, 0, 5, 3, 7, 1] * 50
         for weigh_first in range(2):
             spaces = spaces_of_numerators(counts)
             spaces[weigh_first].weight_of(ic.Incidence(0b110101, len(counts)))
-            assert spaces[0] == spaces[1] and hash(spaces[0]) == hash(spaces[1])
+            assert spaces[0] == spaces[1]
             assert spaces[0]._key() == spaces[1]._key()
 
     @given(st.lists(st.integers(1, 10**30) | st.integers(1, 12), max_size=40))
