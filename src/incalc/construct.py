@@ -43,7 +43,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
@@ -387,24 +387,26 @@ def _flag_text(body: str, width: int) -> bytes | None:
     separated by single spaces (ASCII bytes), or None if that fails.
     `body` is checked as written, then with its value words rewritten to
     '0'/'1' and its commas to spaces, then with each line's separators
-    normalised to single spaces and blank lines dropped; each step runs
-    only if the one before fails, so a '0'/'1' table written with single
-    spaces pays one check."""
+    normalised to single spaces and the lines blank as written dropped;
+    each step runs only if the one before fails, so a '0'/'1' table
+    written with single spaces pays one check."""
     flags = body.encode("ascii", "replace")
     if _is_flag_text(flags, width):
         return flags
-    body = body.lower().replace(",", " ")
+    body = body.lower()
     # Each word becomes one character, so a token of two or more values
     # run together, like 'tf', stays too long to pass for one value.
     for word, bit in _BIT_WORDS:
         body = body.replace(word, bit)
-    flags = body.encode("ascii", "replace")
+    flags = body.replace(",", " ").encode("ascii", "replace")
     if _is_flag_text(flags, width):
         return flags
     # A line with edge or repeated separators, or a blank one, fails the
-    # check above, and only such a line changes here.
-    lines = filter(None, map(" ".join, map(str.split, body.split("\n"))))
-    flags = "\n".join(lines).encode("ascii", "replace")
+    # check above, and only such a line changes here.  Lines blank as
+    # written are dropped before commas become spaces, so a line of
+    # commas alone stays, as a row of no values that fails the check.
+    lines = map(methodcaller("replace", ",", " "), filter(str.strip, body.split("\n")))
+    flags = "\n".join(map(" ".join, map(str.split, lines))).encode("ascii", "replace")
     return flags if _is_flag_text(flags, width) else None
 
 

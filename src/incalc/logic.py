@@ -270,7 +270,7 @@ def format_formulas(nodes: Iterable[Formula]) -> list[str]:
     """
     nodes = list(nodes)
     wanted = set(nodes)
-    order = sorted(subformulas(*nodes), key=_by_serial)
+    order = _by_serial_below(wanted)
     length = _text_lengths(order)
     total = 0
     for k, f in enumerate(nodes, 1):
@@ -299,6 +299,18 @@ def format_formulas(nodes: Iterable[Formula]) -> list[str]:
     return [text[f] for f in nodes]
 
 
+def _by_serial_below(wanted: set[Formula]) -> list[Formula]:
+    """Every distinct node in or below `wanted`, by serial, so children
+    first: one set closure that pushes only nodes not yet seen."""
+    below, stack = set(wanted), list(wanted)
+    while stack:
+        for a in stack.pop().args:
+            if a not in below:
+                below.add(a)
+                stack.append(a)
+    return sorted(below, key=_by_serial)
+
+
 def _text_lengths(order: list[Formula]) -> dict[Formula, int]:
     """Each node's rendered length, one int per node, children first:
     `order` holds every node below the ones asked for, by serial."""
@@ -319,7 +331,7 @@ def format_formula(f: Formula) -> str:
 def _too_long(f: Formula) -> str | None:
     """A note of `f`'s length when its text passes MAX_TEXT characters,
     counted without rendering it; None when the text fits."""
-    n = _text_lengths(sorted(subformulas(f), key=_by_serial))[f]
+    n = _text_lengths(_by_serial_below({f}))[f]
     return f"a sentence of {exact_str(n)} characters, too long to render" if n > MAX_TEXT else None
 
 

@@ -56,10 +56,7 @@ class Correlation(Frozen):
         object.__setattr__(self, "sign", sign)
 
     def decimal(self) -> str:
-        if self.sign == 0:
-            return "0"
-        text = sqrt_decimal_str(self.c_squared)
-        return text if self.sign > 0 else "-" + text
+        return sqrt_decimal_str(self.c_squared, self.sign < 0)
 
     def __str__(self) -> str:
         return f"{self.decimal()} (c^2 = {fraction_str(self.c_squared)})"

@@ -35,14 +35,20 @@ set inclusions for every state of the three nodes at widths 1 and 2.
 The fixpoint loop works on two lists of bitmasks indexed by
 registration position, with child and parent positions computed once
 per call.  A compound node's plan is its operands' positions, read from
-its first and last argument, and its connective's truth table.  The worklist is a FIFO queue (a `deque`, so
-taking the next node costs O(1) however many are queued), each node in
-it at most once; an update that changes a node's bounds wakes that node,
-when compound, and its parents, all but the node that ran it, which the
-update left closed.  An `Incidence` is built only where a bound is read
-out.  `dump` renders all sentences from one text memo, each shared
-subterm once, and reads each distinct mask's weight as an integer
-numerator, so it builds one `Fraction` per distinct weight.
+its first and last argument, and its connective's truth table.  The
+worklist is a FIFO queue (a `deque`, so taking the next node costs O(1)
+however many are queued), each node in it at most once.  It starts with
+every compound node children first, in the postorder of the
+registration walk, so each operand is updated before its parents and
+bounds flow up the way the axioms compute incidences; over exact atoms
+each node is then updated once.  The order depends on the registration
+order alone, not on when the nodes were built.  An update that changes
+a node's bounds wakes that node, when compound, and its parents, all
+but the node that ran it, which the update left closed.  An `Incidence`
+is built only where a bound is read out.  `dump` renders all sentences
+from one text memo, each shared subterm once, and reads each distinct
+mask's weight as an integer numerator, so it builds one `Fraction` per
+distinct weight.
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
@@ -266,23 +272,39 @@ def _run_fixpoint(assignment: BoundAssignment) -> PropagationOutcome:
     full, sentences = assignment._full, list(position)
     # Per compound node: its operands' positions (B = A when unary) and
     # its connective's truth table.  A change to a node's bounds wakes
-    # its parents in registration order, then the node itself when it is
-    # compound.
-    plans: list[tuple[int, int, tuple] | None] = []
+    # its parents, latest registered first, then the node itself when it
+    # is compound.
+    n = len(sentences)
+    plans: list[tuple[int, int, tuple] | None] = [None] * n
     wakes: list[list[int]] = [[] for _ in sentences]
-    for i, sentence in enumerate(sentences):
+    # Registration is a preorder walk, so the operands registered after a
+    # node were registered during its walk, and the walk of node i ends
+    # at ends[i]: the latest end among those operands, or i itself.  An
+    # operand registered before i ended its walk before i began, so its
+    # end never passes i.
+    ends = list(range(n))
+    compound = []  # latest registered first
+    for i in range(n - 1, -1, -1):
+        sentence = sentences[i]
         args = sentence.args
         if args:
             a, b = position[args[0]], position[args[-1]]
             wakes[a].append(i)
             if b != a:
                 wakes[b].append(i)
-            plans.append((a, b, _ROWS[type(sentence)]))
-        else:
-            plans.append(None)
-    queued = bytearray(plan is not None for plan in plans)
-    pending = deque(itertools.compress(range(len(plans)), queued))
+            plans[i] = (a, b, _ROWS[type(sentence)])
+            end = ends[a] if ends[a] > ends[b] else ends[b]
+            if end > i:
+                ends[i] = end
+            compound.append(i)
+    # The first sweep takes the compound nodes children first, in the
+    # walk's postorder: by the end of their walk, and among equal ends
+    # (a node and the operands its walk ends with) the latest registered
+    # first, as the stable sort keeps them from `compound`.
+    pending = deque(sorted(compound, key=ends.__getitem__))
+    queued = bytearray(n)
     for i in pending:
+        queued[i] = 1
         wakes[i].append(i)
     steps = 0
     while pending:
@@ -405,29 +427,32 @@ def propagate(initial: BoundAssignment, mode: str = "fixpoint") -> PropagationOu
 
     The input assignment is not touched; the outcome holds a private
     copy.  With mode="fixpoint" the updates run to their fixed point,
-    taking the queued nodes first in, first out; the fixed point does not
-    depend on that order, only the step count does.  With mode="complete" the
-    bounds become exactly the envelope of the legal assignments, computed
-    over the groups of points that admit equal sets of valuations, at a
-    cost of the groups times the registered nodes in operations on
-    2^atoms-bit truth tables.  Instances whose truth tables, one per
-    registered node (so one per atom at least), and admitted sets, one
-    per group, would take more than MAX_TABLE_BITS (128 MB) raise
-    InstanceTooLargeError.  The truth tables are counted before any is
-    built, so 26 or more atoms are refused at once, whatever the width.
-    The budget counts bits, and memory runs higher: an int keeps 30 bits
-    per 32-bit digit, and the splits build transient sets (22 atoms, 64
-    nodes: 65 tables counted, a tracemalloc peak of 73.6 tables).
+    taking the queued nodes first in, first out, after a first sweep
+    that takes every compound node children first; the fixed point does
+    not depend on that order, only the step count and the culprit of an
+    inconsistency do.  With mode="complete" the bounds become exactly
+    the envelope of the legal assignments, computed over the groups of
+    points that admit equal sets of valuations, at a cost of the groups
+    times the registered nodes in operations on 2^atoms-bit truth
+    tables.  Instances whose truth tables, one per registered node (so
+    one per atom at least), and admitted sets, one per group, would take
+    more than MAX_TABLE_BITS (128 MB) raise InstanceTooLargeError.  The
+    truth tables are counted before any is built, so 26 or more atoms
+    are refused at once, whatever the width.  The budget counts bits, and
+    memory runs higher: an int keeps 30 bits per 32-bit digit, and the
+    splits build transient sets (22 atoms, 64 nodes: 65 tables counted,
+    a tracemalloc peak of 73.6 tables).
 
     A lower bound escaping its upper bound is reported eagerly via the
     outcome's culprit, and propagation stops there.  Before the updates
     the culprit is the first such sentence in registration order; during
-    them it is the first operand of the node whose update first empties
-    a point, leaving no value possible there for it.  When complete mode
-    finds that no valuation is admitted at some point, the instance has
-    no legal assignment: the outcome keeps the declared bounds, `steps`
-    is 0, and the culprit is the sentence that ends the shortest
-    registration-order prefix whose bounds already admit no valuation.
+    them it is the first operand of the node whose update, in the
+    worklist's order, first empties a point, leaving no value possible
+    there for it.  When complete mode finds that no valuation is
+    admitted at some point, the instance has no legal assignment: the
+    outcome keeps the declared bounds, `steps` is 0, and the culprit is
+    the sentence that ends the shortest registration-order prefix whose
+    bounds already admit no valuation.
     """
     if mode not in (FIXPOINT, "complete"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -105,16 +105,17 @@ def decimal_str(q: Fraction) -> str:
     return _strip_scaled(scaled, q < 0)
 
 
-def sqrt_decimal_str(q: Fraction) -> str:
-    """Decimal rendering of sqrt(q), rounded to nearest at DIGITS places,
-    zeros trimmed: sqrt(n/d) * 10**DIGITS = sqrt(M)/d for
-    M = n * d * 10**(2*DIGITS), whose nearest integer is
+def sqrt_decimal_str(q: Fraction, negative: bool = False) -> str:
+    """Decimal rendering of sqrt(q), or of -sqrt(q) when `negative`,
+    rounded to nearest at DIGITS places, zeros trimmed, and with no sign
+    when it rounds to 0, as in `decimal_str`: sqrt(n/d) * 10**DIGITS =
+    sqrt(M)/d for M = n * d * 10**(2*DIGITS), whose nearest integer is
     (floor(2*sqrt(M)) + d) // (2*d), and floor(2*sqrt(M)) = isqrt(4*M)."""
     if q < 0:
         raise ValueError("square root of a negative rational")
     n, d = q.numerator, q.denominator
     m = n * d * 10 ** (2 * DIGITS)
-    return _strip_scaled((isqrt(4 * m) + d) // (2 * d), False)
+    return _strip_scaled((isqrt(4 * m) + d) // (2 * d), negative)
 
 
 def _digits_str(n: int) -> str:

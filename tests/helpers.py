@@ -490,31 +490,54 @@ def reference_random_subset(rng: random.Random, mask: int, count: int, size: int
 
 
 @contextlib.contextmanager
-def shuffled_worklist(seed: int):
-    """Within the block, the fixpoint takes its queued nodes in a seeded
-    random order: `incalc.propagation.deque` is replaced by a `deque`
-    whose `popleft` removes the item at `rng.randrange(len(queue))`.
-    Order-independence of the fixed point is checked by running under
-    this.  Fails if the block built no such queue, so that a fixpoint
-    which no longer takes its worklist from `deque` cannot pass for a
-    shuffled one."""
-    rng = random.Random(seed)
+def _patched_worklist(take: Callable[[deque], int], result=None):
+    """Within the block, `incalc.propagation.deque` is replaced by a
+    `deque` whose `popleft` is `take(queue)`, and `result` is yielded.
+    Fails if the block built no such queue, so that a fixpoint which no
+    longer takes its worklist from `deque` cannot pass for a patched
+    one."""
     built = []
 
-    class ShuffledQueue(deque):
+    class PatchedQueue(deque):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-        def popleft(self):
-            k = rng.randrange(len(self))
-            item = self[k]
-            del self[k]
-            return item
+        popleft = take
 
-    with mock.patch("incalc.propagation.deque", ShuffledQueue):
-        yield
+    with mock.patch("incalc.propagation.deque", PatchedQueue):
+        yield result
     assert built, "the block built no worklist through incalc.propagation.deque"
+
+
+def shuffled_worklist(seed: int):
+    """Within the block, the fixpoint takes its queued nodes in a seeded
+    random order: its `deque`'s `popleft` removes the item at
+    `rng.randrange(len(queue))`.  Order-independence of the fixed point
+    is checked by running under this."""
+    rng = random.Random(seed)
+
+    def take(queue: deque) -> int:
+        k = rng.randrange(len(queue))
+        item = queue[k]
+        del queue[k]
+        return item
+
+    return _patched_worklist(take)
+
+
+def counting_worklist():
+    """Within the block, the fixpoint takes its queued nodes first in,
+    first out as usual, and each position it takes is appended to the
+    list the block is given, so its length counts the updates run."""
+    taken: list[int] = []
+
+    def take(queue: deque) -> int:
+        item = deque.popleft(queue)
+        taken.append(item)
+        return item
+
+    return _patched_worklist(take, taken)
 
 
 def reference_overlap_count(kx: int, ky: int, size: int, c: Fraction) -> int:

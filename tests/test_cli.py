@@ -187,19 +187,19 @@ class TestSolve:
         # 303 registered sentences at width 32, shared chains included.
         # The output was recorded from the Incidence-based loop that the
         # int-array core replaced.  The step counts (default worklist
-        # order, then three shuffled ones) are those of one update per
-        # node, each bound it changes counting once.
+        # order, children first, then three shuffled ones) are those of
+        # one update per node, each bound it changes counting once.
         code, out, err = run(capsys, "solve", DATA / "fixpoint.kb")
         assert code == 0 and err == ""
         assert out == golden("fixpoint_solve.golden")
         assignment = ic.parse_kb((DATA / "fixpoint.kb").read_text()).initial_assignment()
         assert len(assignment) == 303
-        assert ic.propagate(assignment).steps == 1171
+        assert ic.propagate(assignment).steps == 1072
         shuffled = []
         for seed in range(3):
             with shuffled_worklist(seed):
                 shuffled.append(ic.propagate(assignment).steps)
-        assert shuffled == [1269, 1232, 1246]
+        assert shuffled == [1208, 1242, 1217]
 
     def test_weighted_space_matches_golden(self, capsys):
         # Unequal weights, one zero, and many masks of one weight.  The
@@ -669,6 +669,14 @@ class TestDigitsPastTheLimit:
             sys.set_int_max_str_digits(limit)
         assert min(map(len, shown.split("/"))) > limit
         assert out == f"corr a , b = 0.301511 (c^2 = {shown})\n"
+
+    def test_query_corr_rounding_to_zero_prints_no_sign(self, capsys, tmp_path, tiny_weight_kb):
+        # Disjoint, so c is negative; point 0 weighs 1e-4300, so c^2 is
+        # about 9e-4300 and c rounds to 0 at six places.
+        path = self.corr_kb(tmp_path, tiny_weight_kb, "{0}", "{1}")
+        code, out, err = run(capsys, "query", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("corr a , b = 0 (c^2 = 1/")
 
     def test_degenerate_marginals_are_named_past_the_digit_limit(
         self, capsys, tmp_path, tiny_weight_kb

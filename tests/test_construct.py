@@ -410,6 +410,8 @@ class TestRecordTable:
             ("a a\n1 1\n", "duplicate column"),
             ("a 2b\n1 1\n", "bad column name"),
             ("# header next\na, true\n1 1\n", "line 2: bad column name: 'true'"),
+            ("a\n0\n0\n0\n,\n", "line 5: row has 0 values, expected 1"),
+            ("a # column\n0\n\n,\n", "line 4: row has 0 values, expected 1"),
         ],
     )
     def test_rejected(self, text, fragment):

@@ -100,6 +100,11 @@ class TestCorrelation:
         assert c.decimal() == "-1"
         assert str(c) == "-1 (c^2 = 1)"
 
+    def test_negative_rounding_to_zero_prints_no_sign(self):
+        # As `rational.decimal_str` writes a negative that rounds to 0.
+        assert ic.Correlation(F(1, 10**20), -1).decimal() == "0"
+        assert ic.Correlation(F(1, 10**12), -1).decimal() == "-0.000001"
+
     def test_degenerate_marginals_rejected(self, ten_point):
         space, env = ten_point
         with pytest.raises(ic.DegenerateMarginalError):

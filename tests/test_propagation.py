@@ -18,6 +18,7 @@ from helpers import (
     RULES,
     RULES_BY_CONNECTIVE,
     arbitrary_instance,
+    counting_worklist,
     enumerate_legal,
     formulas_st,
     holds_at,
@@ -32,6 +33,7 @@ from helpers import (
 )
 
 A, B = ic.Atom("a"), ic.Atom("b")
+DATA = Path(__file__).parent / "data"
 
 
 def u(n):
@@ -412,6 +414,69 @@ class TestPropagate:
                     shuffled = ic.propagate(assignment)
                 assert shuffled.final == reference.final
                 assert shuffled.steps <= bound
+
+    @staticmethod
+    def dag_kb(rng, wrong=0):
+        """6 atoms pinned by `inc` lines at width 8, then 60 `formula`
+        lines, each joining two terms over earlier names (a name, its
+        negation, or two names in parentheses), so that subterms are
+        widely shared.  The last `wrong` definitions are then pinned by
+        `bounds` lines to the complement of their value."""
+        width, ops, names = 8, ("&", "|", "->"), list("abcdef")
+        lines = [f"space {width}"]
+        lines += [f"inc {a} = {rng.getrandbits(width):0{width}b}" for a in names]
+
+        def term():
+            x, kind = rng.choice(names), rng.randrange(3)
+            return (x, f"~{x}", f"({x} {rng.choice(ops)} {rng.choice(names)})")[kind]
+
+        for k in range(60):
+            lines.append(f"formula s{k} = {term()} {rng.choice(ops)} {term()}")
+            names.append(f"s{k}")
+        kb = ic.parse_kb("\n".join(lines))
+        for name in names[len(names) - wrong :]:
+            value = ic.incidence_of(kb.formulas[name], kb.incidences, kb.space)
+            flipped = ic.Incidence(value.bits ^ (1 << width) - 1, width).to_bitstring()
+            lines.append(f"bounds ({name}) inf {flipped} sup {flipped}")
+        return "\n".join(lines) + "\n"
+
+    def test_each_node_of_a_dag_over_exact_atoms_is_updated_once(self):
+        # Children first, every operand is exact by the time its parents
+        # run, so each update leaves its node exact, and the parents it
+        # wakes are still queued.
+        for seed in range(3):
+            assignment = ic.parse_kb(self.dag_kb(random.Random(seed))).initial_assignment()
+            compound = [i for i, f in enumerate(assignment) if f.args]
+            with counting_worklist() as taken:
+                outcome = ic.propagate(assignment)
+            assert outcome.ok
+            assert sorted(taken) == compound
+
+    @staticmethod
+    def solved(text):
+        """Steps, culprit text and dump of `solve` on `text`, and the
+        registration positions in the order of the nodes' serials."""
+        assignment = ic.parse_kb(text).initial_assignment()
+        outcome = ic.propagate(assignment)
+        culprit = outcome.culprit and ic.format_formula(outcome.culprit)
+        serials = [f.serial for f in assignment]
+        by_serial = sorted(range(len(serials)), key=serials.__getitem__)
+        return (outcome.steps, culprit, outcome.final.dump()), by_serial
+
+    def test_seed_order_ignores_interning_history(self):
+        consistent = (DATA / "fixpoint.kb").read_text()
+        inconsistent = self.dag_kb(random.Random(5), wrong=8)
+        for text in (consistent, inconsistent):
+            fresh, fresh_serials = self.solved(text)
+            texts = list(map(ic.format_formula, ic.parse_kb(text).initial_assignment()))
+            # That parse is dropped, so these nodes are built anew, in
+            # reverse, and held through the second solve.
+            kept = [ic.parse_formula(t) for t in reversed(texts)]
+            again, serials_again = self.solved(text)
+            del kept
+            assert serials_again != fresh_serials  # the history did change
+            assert again == fresh
+        assert fresh[1] is not None  # the last KB is inconsistent
 
     def test_a_shuffled_worklist_must_be_built(self):
         # Complete mode runs no worklist, so the block builds no queue
