@@ -8,16 +8,15 @@ given target marginals and pairwise correlations it synthesises a uniform
 space and atom incidences realising them as closely as integer point
 counts allow.
 
-A records table is read as one text, not row by row.  A clean text, with no
-'#', no '\\r' and content on its first line, is read as it stands: that line
-is the header and the rest are the rows.  Any other text is read from the
-lines of `kb.directive_lines`.  The shape of the rows is checked with two
-strided slices: as written, then with the value words rewritten to '0'/'1' by
-whole-text replacements, then with each row's separators normalised to single
-spaces and blank rows dropped, each step only if the one before fails.  Only
-rows that fail all three are walked line by line, to name the first bad line.
-Each row is kept as flag bytes (one byte per column, the encoding of
-`Incidence.flags`).
+A records table is read as written or one row at a time.  A clean text,
+with no '#', no '\\r' and content on its first line, is read as it stands:
+that line is the header and the rest are the rows.  Any other text is read
+from the lines of `kb.directive_lines`.  Rows of single-spaced '0'/'1'
+values pass one check of two strided slices and become flag bytes by one
+`bytes.translate`; any other rows are read from `directive_lines` one at a
+time, each mapped to flag bytes through one table of the value words, so
+the first bad row raises its own error.  Each row is kept as flag bytes (one
+byte per column, the encoding of `Incidence.flags`).
 `incidences_from_records` folds equal rows with a `Counter` over those bytes,
 builds the space from the counts (`SampleSpace.from_counts`) and reads column
 c as every width-th byte of the distinct rows.
@@ -43,7 +42,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 
 from .errors import InfeasibleTargetError, RecordTableError
 from .kb import directive_lines
@@ -55,9 +54,7 @@ from .space import FLAG_BYTES, Incidence, SampleSpace
 _PROB_RE = re.compile(rf"prob\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 _CORR_RE = re.compile(rf"corr\s+({IDENT_RE.pattern})\s+({IDENT_RE.pattern})\s*=\s*(\S+)")
 
-# Longer words first, so that 'true' is not read as 't' + 'rue'.
-_BIT_WORDS = (("false", "0"), ("true", "1"), ("f", "0"), ("t", "1"))
-_VALUES = frozenset({"0", "1", *dict(_BIT_WORDS)})
+_FLAGS = {"0": 0, "1": 1, "f": 0, "t": 1, "false": 0, "true": 1}  # a row's values, lowercased
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its set bits
 
 
@@ -352,12 +349,11 @@ class RecordTable(Frozen):
         {0, 1, t, f, true, false} (case-insensitive).  Lines are read as
         by `kb.directive_lines`: '#' starts a comment, blank lines are
         skipped, and an error in the header or a row names its 1-based
-        line.  The rows are read as one text (see the module docstring).
-        A clean text, with no '#', no '\\r' and content on its first
-        line, is read as it stands: that line is the header and the rest,
-        less one final '\\n', the rows.  Any other text is read from
-        `directive_lines`.  Only rows that fail `_flag_text` are walked
-        line by line, for their first bad line."""
+        line.  A clean text, with no '#', no '\\r' and content on its
+        first line, is read as it stands: that line is the header and the
+        rest, less one final '\\n', the rows.  Any other text is read from
+        `directive_lines`.  Rows that are not single-spaced '0'/'1' values
+        are read again from `directive_lines`, one at a time."""
         first, _, body = text.partition("\n")
         if first.strip() and "#" not in text and "\r" not in text:
             header_lineno, header = 1, tuple(first.replace(",", " ").split())
@@ -369,45 +365,19 @@ class RecordTable(Frozen):
                 raise RecordTableError("table has no header line")
             header_lineno, header = first[0], tuple(first[1].replace(",", " ").split())
             body = "\n".join(map(itemgetter(1), lines))
-        flags = _flag_text(body, len(header))
-        if flags is None:
-            _check_rows(text, len(header))
-            flags = b""  # every row is well formed: there are no rows or no columns
-        rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n")) if flags else ()
+        flags = body.encode("ascii", "replace")
+        if _is_flag_text(flags, len(header)):
+            rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n"))
+        else:
+            lines = directive_lines(text)
+            next(lines)
+            rows = tuple(_read_row(lineno, line, len(header)) for lineno, line in lines)
         try:
             return cls(header, rows)
         except RecordTableError as error:
             if "column" not in str(error):
                 raise
             raise RecordTableError(f"line {header_lineno}: {error}") from None
-
-
-def _flag_text(body: str, width: int) -> bytes | None:
-    """The rows of `body` as '0'/'1' values, each line `width` of them
-    separated by single spaces (ASCII bytes), or None if that fails.
-    `body` is checked as written, then with its value words rewritten to
-    '0'/'1' and its commas to spaces, then with each line's separators
-    normalised to single spaces and the lines blank as written dropped;
-    each step runs only if the one before fails, so a '0'/'1' table
-    written with single spaces pays one check."""
-    flags = body.encode("ascii", "replace")
-    if _is_flag_text(flags, width):
-        return flags
-    body = body.lower()
-    # Each word becomes one character, so a token of two or more values
-    # run together, like 'tf', stays too long to pass for one value.
-    for word, bit in _BIT_WORDS:
-        body = body.replace(word, bit)
-    flags = body.replace(",", " ").encode("ascii", "replace")
-    if _is_flag_text(flags, width):
-        return flags
-    # A line with edge or repeated separators, or a blank one, fails the
-    # check above, and only such a line changes here.  Lines blank as
-    # written are dropped before commas become spaces, so a line of
-    # commas alone stays, as a row of no values that fails the check.
-    lines = map(methodcaller("replace", ",", " "), filter(str.strip, body.split("\n")))
-    flags = "\n".join(map(" ".join, map(str.split, lines))).encode("ascii", "replace")
-    return flags if _is_flag_text(flags, width) else None
 
 
 def _is_flag_text(flags: bytes, width: int) -> bool:
@@ -420,19 +390,18 @@ def _is_flag_text(flags: bytes, width: int) -> bool:
     return not flags[::2].translate(None, b"01") and flags[1::2] == separators[:-1]
 
 
-def _check_rows(text: str, width: int) -> None:
-    """Raise the error of the first bad row of `text`: a bad value (in
-    its original case) before a wrong number of values."""
-    lines = directive_lines(text)
-    next(lines)
-    for lineno, line in lines:
-        values = line.lower().replace(",", " ").split()
-        for k, value in enumerate(values):
-            if value not in _VALUES:
-                token = line.replace(",", " ").split()[k]
-                raise RecordTableError(f"line {lineno}: bad value {token!r}")
-        if len(values) != width:
-            raise RecordTableError(f"line {lineno}: row has {len(values)} values, expected {width}")
+def _read_row(lineno: int, line: str, width: int) -> bytes:
+    """The flag bytes of one row, or its error: a bad value (in its
+    original case) before a wrong number of values."""
+    values = line.lower().replace(",", " ").split()
+    try:
+        row = bytes(map(_FLAGS.__getitem__, values))
+    except KeyError as error:
+        token = line.replace(",", " ").split()[values.index(error.args[0])]
+        raise RecordTableError(f"line {lineno}: bad value {token!r}") from None
+    if len(row) != width:
+        raise RecordTableError(f"line {lineno}: row has {len(row)} values, expected {width}")
+    return row
 
 
 def incidences_from_records(table: RecordTable) -> tuple[SampleSpace, dict[str, Incidence]]:

@@ -87,7 +87,9 @@ class KnowledgeBase(Record):
 def directive_lines(text: str) -> Iterator[tuple[int, str]]:
     """The lines of `text` that have content once their '#' comment is
     cut, as (1-based line number, stripped text).  Every line-oriented
-    input (KB, targets, records) is read through this one scanner.  A line
+    input (KB, targets, records) is read through this one scanner, and
+    no other code breaks a text at its line ends: a records table read as
+    written holds no '\\r', so it is cut at '\\n' alone, as here.  A line
     ends at '\\n', '\\r\\n' or '\\r' only: a form feed, '\\x85', U+2028 and
     the other breaks of `str.splitlines` are whitespace inside a line.
     The text is split once and each line cut, stripped, numbered and kept

@@ -380,22 +380,18 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
         out = full & ~high
         if not low | out:
             continue
-        sides = (truths[i], ~truths[i])
+        # Inside the lower bound, outside the upper, and the rest, whose A stays.
+        sides = ((low, truths[i]), (out, ~truths[i]), (full ^ (low | out), None))
         split = {}
         for valid, points in groups.items():
-            inside, outside = points & low, points & out
-            if inside or outside:
-                for part, table in zip((inside, outside), sides):
-                    if not part:
-                        continue
-                    kept = valid & table
-                    if not kept:
-                        return PropagationOutcome(INCONSISTENT, sentences[i], assignment, 0)
-                    split[kept] = split.get(kept, 0) | part
-                points ^= inside | outside
-                if not points:
+            for side, table in sides:
+                part = points & side
+                if not part:
                     continue
-            split[valid] = split.get(valid, 0) | points
+                kept = valid if table is None else valid & table
+                if not kept:
+                    return PropagationOutcome(INCONSISTENT, sentences[i], assignment, 0)
+                split[kept] = split.get(kept, 0) | part
         groups = split
         _check_table_bits(len(sentences) + len(groups), len(atoms))
     lower = [0] * len(sentences)

@@ -372,6 +372,17 @@ def written_table(rows, separator: str, words: tuple[str, str]) -> str:
     return "".join(separator.join(line) + "\n" for line in lines)
 
 
+# Ways of writing a large table that are not single-spaced 0/1 rows: the
+# words for false and true, the separator, the line end, and a line that
+# follows about one row in ten, or None.
+LARGE_SHAPES = {
+    "words": (("F", "true"), " ", "\n", None),
+    "comma separators": (("0", "1"), ", ", "\n", None),
+    "tabs and blank lines": (("0", "1"), "\t", "\n", ""),
+    "CRLF and a comment": (("0", "1"), " ", "\r\n", "# a comment"),
+}
+
+
 class TestRecordTable:
     def test_worked_example(self):
         table = ic.RecordTable(("rain", "wet"), (b"\1\1", b"\1\1", b"\1\0", b"\0\0", b"\0\0"))
@@ -479,8 +490,8 @@ class TestRecordTable:
     @settings(max_examples=150, deadline=None)
     @given(boolean_tables(), st.sampled_from([("FALSE", "TRUE"), ("F", "T"), ("false", "True")]))
     def test_every_spelling_of_a_table_ingests_alike(self, rows, words):
-        # Single spaces pass the whole-text check as written; the other
-        # separators pass it only once they are normalised.
+        # Single-spaced 0/1 rows pass the as-written check; every other
+        # spelling is read one row at a time.
         expected = reference_ingest(written_table(rows, " ", ("0", "1")))
         for separator in (" ", ", ", "\t", "   ", " \t , "):
             for spelling in (("0", "1"), words):
@@ -514,7 +525,30 @@ class TestRecordTable:
     def test_a_text_without_comments_reads_as_the_per_row_reference(self, text):
         assert outcome(ingest_fragment, text) == outcome(reference_ingest, text)
 
-    def test_only_a_text_with_a_comment_goes_through_the_line_scanner(self, monkeypatch):
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
+    def test_large_tables_read_as_the_per_row_reference(self, shape):
+        words, separator, line_end, extra = LARGE_SHAPES[shape]
+        rng = random.Random(shape)
+        rows = [[words[rng.getrandbits(1)] for _ in range(6)] for _ in range(5000)]
+        bad_value, short_row = [row[:] for row in rows], [row[:] for row in rows]
+        bad_value[rng.randrange(5000)][rng.randrange(6)] = "maybe"
+        short_row[rng.randrange(5000)].pop()
+        for table in (rows, bad_value, short_row):
+            lines = [separator.join(f"c{k}" for k in range(6))]
+            for row in table:
+                lines.append(separator.join(row))
+                if extra is not None and rng.random() < 0.1:
+                    lines.append(extra)
+            text = line_end.join(lines) + line_end
+            expected = outcome(reference_ingest, text)
+            assert expected.startswith("error: line ") == (table is not rows)
+            assert outcome(ingest_fragment, text) == expected
+
+    def test_only_a_clean_flag_table_is_read_without_the_line_scanner(self, monkeypatch):
+        # Blank and whitespace-only rows are read one at a time, through the scanner.
+        text = "a b\n1 0\n\n0 1\n \t \n1 0\n\n"
+        assert ingest_fragment(text) == reference_ingest(text)
+
         class Scanned(Exception):
             pass
 
@@ -524,10 +558,6 @@ class TestRecordTable:
         monkeypatch.setattr(construct, "directive_lines", scan)
         text = "a b\n1 0\n0 1\n1 0\n"
         assert ic.RecordTable.from_text(text).rows == (b"\1\0", b"\0\1", b"\1\0")
-        # Blank and whitespace-only rows are dropped without the scanner.
-        text = "a b\n1 0\n\n0 1\n \t \n1 0\n\n"
-        assert ic.RecordTable.from_text(text).rows == (b"\1\0", b"\0\1", b"\1\0")
-        assert ingest_fragment(text) == reference_ingest(text)
         with pytest.raises(Scanned):
             ic.RecordTable.from_text("a b\n1 0\n# a comment\n0 1\n1 0\n")
 

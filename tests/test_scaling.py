@@ -82,11 +82,16 @@ def test_building_the_assignment_of_many_bounds_is_linear_work():
 
 
 # A clean table is read as it stands; a comment sends it through
-# `kb.directive_lines`.
-@pytest.mark.parametrize("comment", ["", "# three flags a row\n"], ids=["clean", "commented"])
-def test_ingesting_records_is_linear_work(comment):
+# `kb.directive_lines`, and value words send each row through the
+# per-row reader.
+@pytest.mark.parametrize(
+    "comment, words",
+    [("", "01"), ("# three flags a row\n", "01"), ("", ("F", "true"))],
+    ids=["clean", "commented", "words"],
+)
+def test_ingesting_records_is_linear_work(comment, words):
     def records(n):
-        rows = "".join(f"{i & 1} {i >> 1 & 1} {i >> 2 & 1}\n" for i in range(n))
+        rows = "".join(f"{words[i & 1]} {words[i >> 1 & 1]} {words[i >> 2 & 1]}\n" for i in range(n))
         return f"{comment}a b c\n{rows}"
 
     def ingest(text):

@@ -216,9 +216,7 @@ class TestDirectiveLines:
             for path in sorted((SRC / "incalc").glob("*.py"))
             for name in line_split_callers(ast.parse(path.read_text()))
         ]
-        # `_flag_text` splits only rows joined from directive_lines' lines
-        # or rows of a text that holds no '\r'.
-        assert callers == ["construct._flag_text", "kb.directive_lines"]
+        assert callers == ["kb.directive_lines"]
 
     def test_callers_are_found_in_methods_and_at_module_level(self):
         tree = ast.parse(
