@@ -8,15 +8,14 @@ given target marginals and pairwise correlations it synthesises a uniform
 space and atom incidences realising them as closely as integer point
 counts allow.
 
-A records table is read as written or one row at a time.  A clean text,
-with no '#', no '\\r' and content on its first line, is read as it stands:
-that line is the header and the rest are the rows.  Any other text is read
-from the lines of `kb.directive_lines`.  Rows of single-spaced '0'/'1'
-values pass one check of two strided slices and become flag bytes by one
-`bytes.translate`; any other rows are read from `directive_lines` one at a
-time, each mapped to flag bytes through one table of the value words, so
-the first bad row raises its own error.  Each row is kept as flag bytes (one
-byte per column, the encoding of `Incidence.flags`).
+A records table is read by one of two routes, once its line ends are
+unified as `kb.directive_lines` unifies them.  A clean text (no '#',
+content on its first line) whose rows are single-spaced '0'/'1' values
+passes one check of two strided slices and becomes flag bytes by one
+`bytes.translate`.  Any other text is read from `directive_lines` once,
+one row at a time, each row mapped to flag bytes through one table of the
+value words, so the first bad row raises its own error.  Each row is kept
+as flag bytes (one byte per column, the encoding of `Incidence.flags`).
 `incidences_from_records` folds equal rows with a `Counter` over those bytes,
 builds the space from the counts (`SampleSpace.from_counts`) and reads column
 c as every width-th byte of the distinct rows.
@@ -42,10 +41,9 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from operator import itemgetter
 
 from .errors import InfeasibleTargetError, RecordTableError
-from .kb import directive_lines
+from .kb import directive_lines, unify_line_ends
 from .logic import IDENT_RE, is_name
 from .rational import as_ratio, exact_str, round_half_up
 from .record import Frozen
@@ -349,28 +347,23 @@ class RecordTable(Frozen):
         {0, 1, t, f, true, false} (case-insensitive).  Lines are read as
         by `kb.directive_lines`: '#' starts a comment, blank lines are
         skipped, and an error in the header or a row names its 1-based
-        line.  A clean text, with no '#', no '\\r' and content on its
-        first line, is read as it stands: that line is the header and the
-        rest, less one final '\\n', the rows.  Any other text is read from
-        `directive_lines`.  Rows that are not single-spaced '0'/'1' values
-        are read again from `directive_lines`, one at a time."""
+        line.  Once line ends are unified, a clean text (no '#', content
+        on its first line) whose rows are single-spaced '0'/'1' values is
+        read as written; any other text is read from `directive_lines`
+        once, one row at a time."""
+        text = unify_line_ends(text)
         first, _, body = text.partition("\n")
-        if first.strip() and "#" not in text and "\r" not in text:
-            header_lineno, header = 1, tuple(first.replace(",", " ").split())
-            body = body.removesuffix("\n")
+        header_lineno, header = 1, tuple(first.replace(",", " ").split())
+        clean = header and "#" not in text  # b"" is no flag text
+        flags = body.removesuffix("\n").encode("ascii", "replace") if clean else b""
+        if _is_flag_text(flags, len(header)):
+            rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n"))
         else:
             lines = directive_lines(text)
             first = next(lines, None)
             if first is None:
                 raise RecordTableError("table has no header line")
             header_lineno, header = first[0], tuple(first[1].replace(",", " ").split())
-            body = "\n".join(map(itemgetter(1), lines))
-        flags = body.encode("ascii", "replace")
-        if _is_flag_text(flags, len(header)):
-            rows = tuple(flags.translate(FLAG_BYTES, b" ").split(b"\n"))
-        else:
-            lines = directive_lines(text)
-            next(lines)
             rows = tuple(_read_row(lineno, line, len(header)) for lineno, line in lines)
         try:
             return cls(header, rows)

@@ -89,16 +89,21 @@ def directive_lines(text: str) -> Iterator[tuple[int, str]]:
     cut, as (1-based line number, stripped text).  Every line-oriented
     input (KB, targets, records) is read through this one scanner, and
     no other code breaks a text at its line ends: a records table read as
-    written holds no '\\r', so it is cut at '\\n' alone, as here.  A line
-    ends at '\\n', '\\r\\n' or '\\r' only: a form feed, '\\x85', U+2028 and
-    the other breaks of `str.splitlines` are whitespace inside a line.
-    The text is split once and each line cut, stripped, numbered and kept
-    by C-level iterators, with no Python frame per line; comments are cut
-    only when the text holds a '#'."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    written is cut at '\\n' alone once `unify_line_ends` has run, as here.
+    A line ends at '\\n', '\\r\\n' or '\\r' only: a form feed, '\\x85',
+    U+2028 and the other breaks of `str.splitlines` are whitespace inside
+    a line.  The text is split once and each line cut, stripped, numbered
+    and kept by C-level iterators, with no Python frame per line; comments
+    are cut only when the text holds a '#'."""
+    lines = unify_line_ends(text).split("\n")
     if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
     return filter(itemgetter(1), enumerate(map(str.strip, lines), 1))
+
+
+def unify_line_ends(text: str) -> str:
+    """`text` with each '\\r\\n' and each other '\\r' turned into '\\n'."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -216,7 +221,8 @@ def _parse_query(kb: KnowledgeBase, line: str) -> None:
     if kind == "prob":
         kb.queries.append(Query("prob", kb.resolve(rest)))
     elif kind == "cond":
-        m = re.search(r"\bgiven\b", rest)
+        # Split at the first `given` that follows a name, a constant or ')'.
+        m = re.search(r"(?<=[\w)])\s*\bgiven\b", rest)
         if not m:
             raise KBError("expected `query cond <formula> given <formula>`")
         kb.queries.append(

@@ -131,6 +131,16 @@ class TestQuery:
         code, _, err = run(capsys, "query", kb)
         assert code == 2 and "correlation" in err
 
+    def test_an_atom_named_given_may_open_a_cond_query(self, capsys, tmp_path):
+        kb = tmp_path / "given.kb"
+        kb.write_text(
+            "space 2\ninc given = 10\ninc a = 11\n"
+            "query cond given given a\nquery cond a given given\n"
+        )
+        code, out, err = run(capsys, "query", kb)
+        assert (code, err) == (0, "")
+        assert out == "cond given given a = 1/2 (= 0.5)\ncond a given given = 1\n"
+
     @pytest.mark.parametrize("gap", ["\t", "  "], ids=["tab", "two-spaces"])
     @pytest.mark.parametrize(
         "kind, rest", [("prob", "a & b"), ("cond", "a given b"), ("corr", "a , b")]

@@ -4,6 +4,7 @@ from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations, compress
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 import incalc as ic
 from incalc import construct
 from incalc.construct import _overlap_count, _random_subset, _select
+from incalc.kb import directive_lines
 
 from helpers import points, reference_ingest, reference_overlap_count, reference_random_subset
 
+DATA = Path(__file__).parent / "data"
 HALF, TWO_FIFTHS = F(1, 2), F(2, 5)
 
 
@@ -557,9 +560,39 @@ class TestRecordTable:
 
         monkeypatch.setattr(construct, "directive_lines", scan)
         text = "a b\n1 0\n0 1\n1 0\n"
-        assert ic.RecordTable.from_text(text).rows == (b"\1\0", b"\0\1", b"\1\0")
+        for end in ("\n", "\r\n", "\r"):
+            table = ic.RecordTable.from_text(text.replace("\n", end))
+            assert table.rows == (b"\1\0", b"\0\1", b"\1\0")
         with pytest.raises(Scanned):
             ic.RecordTable.from_text("a b\n1 0\n# a comment\n0 1\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a b\n# F and true\ntrue F\nF F\ntrue true\n",
+            "a b\r\n1 0\r\n# a comment\r\n0 1\r\n",
+            "a b\ntrue F\nF F\ntrue true\n",
+        ],
+        ids=["words with a comment", "crlf with a comment", "clean words"],
+    )
+    def test_the_line_scanner_reads_a_text_at_most_once(self, monkeypatch, text):
+        scans = []
+
+        def scan(text):
+            scans.append(text)
+            return directive_lines(text)
+
+        monkeypatch.setattr(construct, "directive_lines", scan)
+        assert ingest_fragment(text) == reference_ingest(text)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.records")), ids=lambda path: path.name)
+    def test_every_line_end_of_a_fixture_ingests_alike(self, path):
+        text = path.read_bytes().decode()
+        expected = ingest_fragment(text)
+        lf = text.replace("\r\n", "\n").replace("\r", "\n")
+        for end in ("\r\n", "\r"):
+            assert ingest_fragment(lf.replace("\n", end)) == expected
 
 
 class TestParseTargets:

@@ -70,6 +70,19 @@ class TestParseKB:
         assert (corr.f, corr.g) == (ic.parse_formula("a | b"), ic.parse_formula("~b"))
 
     @pytest.mark.parametrize(
+        "line, left, right",
+        [
+            ("query cond given given a", "given", "a"),
+            ("query cond a given given", "a", "given"),
+            ("query cond ~given given (given)", "~given", "given"),
+            ("query cond (a)given a & given", "a", "a & given"),
+        ],
+    )
+    def test_cond_splits_at_the_first_given_after_an_operand(self, line, left, right):
+        (query,) = ic.parse_kb(f"space 2\n{line}\n").queries
+        assert (query.f, query.g) == (ic.parse_formula(left), ic.parse_formula(right))
+
+    @pytest.mark.parametrize(
         "text, lineno, fragment",
         [
             ("inc a = 10\n", 1, "space must be declared"),
@@ -90,6 +103,7 @@ class TestParseKB:
             ("space 2\nbounds a inf 10\n", 2, "expected `bounds"),
             ("space 2\nquery prob a &\n", 2, None),
             ("space 2\nquery cond a b\n", 2, "given"),
+            ("space 2\nquery cond a & given a\n", 2, "expected `query cond"),
             ("space 2\nquery corr a b\n", 2, ","),
             ("space 2\nquery guess a\n", 2, "prob|cond|corr"),
             ("space 2\nquery prob(a)\n", 2, "prob|cond|corr"),

@@ -81,9 +81,8 @@ def test_building_the_assignment_of_many_bounds_is_linear_work():
     assert _ratio(kb, ic.KnowledgeBase.initial_assignment) <= MAX_RATIO
 
 
-# A clean table is read as it stands; a comment sends it through
-# `kb.directive_lines`, and value words send each row through the
-# per-row reader.
+# A clean 0/1 table is read as it stands; a comment or value words send
+# each row through `kb.directive_lines` and the per-row reader.
 @pytest.mark.parametrize(
     "comment, words",
     [("", "01"), ("# three flags a row\n", "01"), ("", ("F", "true"))],
