@@ -7,6 +7,8 @@ as plain set operations, and partially known incidences are handled as
 lower/upper bound pairs tightened by propagation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .construct import (
     RecordTable,
     TargetSpec,
@@ -66,52 +68,8 @@ from .space import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And",
-    "Atom",
-    "Bottom",
-    "BoundAssignment",
-    "Correlation",
-    "DegenerateMarginalError",
-    "FALSE",
-    "FIXPOINT",
-    "Formula",
-    "FormulaSyntaxError",
-    "Implies",
-    "INCONSISTENT",
-    "IncalcError",
-    "Incidence",
-    "InfeasibleTargetError",
-    "InstanceTooLargeError",
-    "KBError",
-    "KnowledgeBase",
-    "Not",
-    "Or",
-    "PropagationOutcome",
-    "Query",
-    "RecordTable",
-    "RecordTableError",
-    "SampleSpace",
-    "TRUE",
-    "TargetSpec",
-    "Top",
-    "UnboundAtomError",
-    "UnknownSentenceError",
-    "WidthMismatchError",
-    "ZeroProbabilityError",
-    "check_consistency",
-    "cond_prob",
-    "correlation",
-    "format_formula",
-    "incidence_of",
-    "incidences_from_probabilities",
-    "incidences_from_records",
-    "kb_fragment",
-    "parse_formula",
-    "parse_incidence_text",
-    "parse_kb",
-    "parse_targets",
-    "prob",
-    "propagate",
-    "subformulas",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -78,10 +78,7 @@ class TargetSpec(Frozen):
         pairs = {}
         for pair, c in correlations.items():
             _add_correlation(pairs, pair, c, checked)
-        object.__setattr__(self, "marginals", checked)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "correlations", pairs)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(checked, size, pairs, seed)
 
 
 def _marginal(name: str, p) -> Fraction:
@@ -337,8 +334,7 @@ class RecordTable(Frozen):
                     raise RecordTableError(f"row {number} is not flag bytes: {row!r}")
                 if len(row) != width:
                     raise RecordTableError(f"row {number} has {len(row)} values, expected {width}")
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(columns, rows)
 
     @classmethod
     def from_text(cls, text: str) -> "RecordTable":

@@ -49,9 +49,7 @@ class Query(Frozen):
     __slots__ = ("kind", "f", "g")
 
     def __init__(self, kind: str, f: Formula, g: Formula | None = None):
-        object.__setattr__(self, "kind", kind)  # "prob" | "cond" | "corr"
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
+        super().__init__(kind, f, g)  # kind: "prob" | "cond" | "corr"
 
 
 class KnowledgeBase(Record):

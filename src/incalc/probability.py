@@ -52,8 +52,7 @@ class Correlation(Frozen):
             raise ValueError("c_squared cannot be negative")
         if (c_squared == 0) != (sign == 0):
             raise ValueError("sign must be 0 exactly when c_squared is 0")
-        object.__setattr__(self, "c_squared", c_squared)
-        object.__setattr__(self, "sign", sign)
+        super().__init__(c_squared, sign)
 
     def decimal(self) -> str:
         return sqrt_decimal_str(self.c_squared, self.sign < 0)

@@ -247,10 +247,7 @@ class PropagationOutcome(Frozen):
     __slots__ = ("status", "culprit", "final", "steps")
 
     def __init__(self, status: str, culprit: Formula | None, final: BoundAssignment, steps: int):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "culprit", culprit)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(status, culprit, final, steps)
 
     @property
     def ok(self) -> bool:

@@ -3,9 +3,11 @@
 Each class names its fields in `__slots__`, in the order its constructor
 takes them.  Two values are equal when they are of the same class and
 their fields are equal, and a value's repr is its class name with each
-field as `name=repr(value)`.  A `Frozen` value sets its fields once, in
-`__init__` through `object.__setattr__`; it hashes by its fields and
-refuses assignment and deletion with `AttributeError`.
+field as `name=repr(value)`.  A `Frozen` value sets its fields once: its
+constructor checks them and hands them, in `__slots__` order, to
+`Frozen.__init__`, which stores them through `object.__setattr__`.  It
+hashes by its fields and refuses assignment and deletion with
+`AttributeError`.
 """
 
 
@@ -27,6 +29,10 @@ class Record:
 
 class Frozen(Record):
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._fields())

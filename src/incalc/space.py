@@ -120,6 +120,7 @@ class Incidence(Frozen):
             raise ValueError(f"width must be >= 1, got {width}")
         if not (bits >= 0 and bits.bit_length() <= width):
             raise ValueError(f"bitmask out of range for width {width}")
+        # Direct writes: a solve builds hundreds, and the base's loop doubles the cost.
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "width", width)
 

@@ -1,5 +1,5 @@
-"""The package's export list matches what it binds, so that deleting or
-adding a public name cannot leave `__all__` stale."""
+"""The package's `__all__`, read from its bindings: every export resolves,
+and none is a submodule or a private name."""
 
 import types
 

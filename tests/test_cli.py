@@ -538,15 +538,17 @@ def mutate(rng: random.Random, text: str) -> str:
 def test_mutated_inputs_exit_zero_one_or_two(capsys, monkeypatch, tmp_path):
     # 2,000 seeded mutants of the workflow checks' input files, each run
     # with its check's arguments: any input, however broken, is a result
-    # or a data error, never an internal error.
+    # or a data error, never an internal error.  Sources and mutants go
+    # through bytes, so the CRLF fixtures keep their '\r's.
     rng = random.Random(11)
-    sources = {argv[1]: (DATA / argv[1]).read_text(encoding="utf-8")
+    sources = {argv[1]: (DATA / argv[1]).read_bytes().decode("utf-8")
                for _, _, argv in WORKFLOW_CHECKS}
+    assert "\r" in sources["crlf.records"]
     monkeypatch.chdir(tmp_path)
     for n in range(2000):
         argv = WORKFLOW_CHECKS[n % len(WORKFLOW_CHECKS)][2]
         text = mutate(rng, sources[argv[1]])
-        (tmp_path / argv[1]).write_text(text, encoding="utf-8")
+        (tmp_path / argv[1]).write_bytes(text.encode("utf-8"))
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2) and "internal error:" not in err, (argv, text)

@@ -1,12 +1,14 @@
 """The value classes' equality, hashing, repr, immutability and
 validation: `Incidence`, `Query`, `KnowledgeBase`, `TargetSpec`,
-`RecordTable`, `Correlation` and `PropagationOutcome`."""
+`RecordTable`, `Correlation` and `PropagationOutcome`, and the `Frozen`
+base that stores one field per slot."""
 
 from fractions import Fraction as F
 
 import pytest
 
 import incalc as ic
+from incalc.record import Frozen
 
 A, B = ic.Atom("a"), ic.Atom("b")
 KB_TEXT = "space 2\ninc a = 10\nformula c = a | b\nbounds b inf 00 sup 11\nquery prob c\n"
@@ -98,6 +100,18 @@ def test_frozen_classes_refuse_assignment(value, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         delattr(value, field)
+
+
+@pytest.mark.parametrize("fields", [(1,), (1, 2, 3)], ids=["too-few", "too-many"])
+def test_frozen_base_takes_one_field_per_slot(fields):
+    class Pair(Frozen):
+        __slots__ = ("left", "right")
+
+        def __init__(self):
+            super().__init__(*fields)
+
+    with pytest.raises(ValueError):  # from zip(..., strict=True)
+        Pair()
 
 
 @pytest.mark.parametrize("bits", [0, -1, 1])
