@@ -57,7 +57,6 @@ from .propagation import (
     INCONSISTENT,
     BoundAssignment,
     PropagationOutcome,
-    check_consistency,
     propagate,
 )
 from .space import (

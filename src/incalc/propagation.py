@@ -32,23 +32,25 @@ writes back A's bounds, then B's, then C's, so a shared operand
 (`a & a`, `~a`) needs no special case.  It takes the three nodes to
 their local closure, as the tests check against a catalog of one-line
 set inclusions for every state of the three nodes at widths 1 and 2.
-The fixpoint loop works on two lists of bitmasks indexed by
-registration position, with child and parent positions computed once
-per call.  A compound node's plan is its operands' positions, read from
-its first and last argument, and its connective's truth table.  The
-worklist is a FIFO queue (a `deque`, so taking the next node costs O(1)
-however many are queued), each node in it at most once.  It starts with
-every compound node children first, in the postorder of the
-registration walk, so each operand is updated before its parents and
-bounds flow up the way the axioms compute incidences; over exact atoms
-each node is then updated once.  The order depends on the registration
-order alone, not on when the nodes were built.  An update that changes
-a node's bounds wakes that node, when compound, and its parents, all
-but the node that ran it, which the update left closed.  An `Incidence`
-is built only where a bound is read out.  `dump` renders all sentences
-from one text memo, each shared subterm once, and reads each distinct
-mask's weight as an integer numerator, so it builds one `Fraction` per
-distinct weight.
+The fixpoint loop works on two lists of bitmasks indexed by registration
+position, with child and parent positions computed once per call.  A
+compound node's plan is its operands' positions, read from its first and
+last argument, and its connective's truth table.  The worklist is a FIFO
+queue (a `deque`, so taking the next node costs O(1) however many are
+queued), each node in it at most once.  It starts with every compound
+node children first, in the postorder of the registration walk, recorded
+as the walk registers them, so each operand is updated before its
+parents and bounds flow up the way the axioms compute incidences; over
+exact atoms each node is then updated once.  The order depends on the
+registration order alone, not on when the nodes were built.  Each engine
+finds crossed declared bounds in the loop it runs anyway: the fixpoint
+as it builds the plans, the envelope as it splits the points.  An update
+that changes a node's bounds wakes that node, when compound, and its
+parents, all but the node that ran it, which the update left closed.  An
+`Incidence` is built only where a bound is read out.  `dump` renders all
+sentences from one text memo, each shared subterm once, and reads each
+distinct mask's weight as an integer numerator, so it builds one
+`Fraction` per distinct weight.
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
@@ -115,7 +117,9 @@ class BoundAssignment:
     axioms.  Declaring bounds for an already-known sentence merges them:
     lower bounds amalgamate by union, upper bounds by intersection, which
     can leave the entry inconsistent (lower not inside upper) for
-    `check_consistency` or `propagate` to report.
+    `propagate` to report.  `_sweep` lists the compound nodes' positions
+    in the registration walk's postorder, children first, the order of
+    the fixpoint's first sweep.
     """
 
     def __init__(self, space: SampleSpace):
@@ -124,6 +128,7 @@ class BoundAssignment:
         self._position: dict[Formula, int] = {}
         self._low: list[int] = []
         self._high: list[int] = []
+        self._sweep: list[int] = []
 
     def declare(
         self,
@@ -136,16 +141,22 @@ class BoundAssignment:
         one incidence as both pins the sentence to it."""
         # Every subformula of a registered node is registered, so the walk
         # descends only into new nodes: `subformulas`' preorder, less the
-        # registered parts, at a cost linear in the nodes it registers.
+        # registered parts, at a cost linear in the nodes it registers.  A
+        # new compound node's position, stacked under its operands, comes
+        # back off once its walk ends, in the walk's postorder.
         stack = [sentence]
         while stack:
             sub = stack.pop()
-            if sub not in self._position:
-                self._position[sub] = len(self._low)
+            if type(sub) is int:
+                self._sweep.append(sub)
+            elif sub not in self._position:
+                i = self._position[sub] = len(self._low)
                 pinned = sub in (TRUE, FALSE)
                 self._low.append(sub.apply(self._full) if pinned else 0)
                 self._high.append(sub.apply(self._full) if pinned else self._full)
-                stack.extend(reversed(sub.args))
+                if sub.args:
+                    stack.append(i)
+                    stack.extend(reversed(sub.args))
         if lower is not None:
             self.raise_lower(sentence, lower)
         if upper is not None:
@@ -185,6 +196,7 @@ class BoundAssignment:
         dup = BoundAssignment(self.space)
         dup._position = dict(self._position)
         dup._low, dup._high = self._low.copy(), self._high.copy()
+        dup._sweep = self._sweep.copy()
         return dup
 
     def dump(self) -> str:
@@ -226,15 +238,6 @@ class BoundAssignment:
         return self.space == other.space and mine == theirs
 
 
-def check_consistency(assignment: BoundAssignment) -> Formula | None:
-    """First sentence (in registration order) whose lower bound is not
-    inside its upper bound, or None when every entry is consistent."""
-    for sentence, low, high in zip(assignment, assignment._low, assignment._high):
-        if low & ~high:
-            return sentence
-    return None
-
-
 class PropagationOutcome(Frozen):
     """Result of `propagate`: final bounds, status, the culprit of an
     inconsistency, and the number of strict bound changes the updates
@@ -274,14 +277,10 @@ def _run_fixpoint(assignment: BoundAssignment) -> PropagationOutcome:
     n = len(sentences)
     plans: list[tuple[int, int, tuple] | None] = [None] * n
     wakes: list[list[int]] = [[] for _ in sentences]
-    # Registration is a preorder walk, so the operands registered after a
-    # node were registered during its walk, and the walk of node i ends
-    # at ends[i]: the latest end among those operands, or i itself.  An
-    # operand registered before i ended its walk before i began, so its
-    # end never passes i.
-    ends = list(range(n))
-    compound = []  # latest registered first
+    crossed = None  # the first registered node whose declared bounds cross
     for i in range(n - 1, -1, -1):
+        if low[i] & ~high[i]:
+            crossed = i
         sentence = sentences[i]
         args = sentence.args
         if args:
@@ -290,15 +289,9 @@ def _run_fixpoint(assignment: BoundAssignment) -> PropagationOutcome:
             if b != a:
                 wakes[b].append(i)
             plans[i] = (a, b, _ROWS[type(sentence)])
-            end = ends[a] if ends[a] > ends[b] else ends[b]
-            if end > i:
-                ends[i] = end
-            compound.append(i)
-    # The first sweep takes the compound nodes children first, in the
-    # walk's postorder: by the end of their walk, and among equal ends
-    # (a node and the operands its walk ends with) the latest registered
-    # first, as the stable sort keeps them from `compound`.
-    pending = deque(sorted(compound, key=ends.__getitem__))
+    if crossed is not None:
+        return PropagationOutcome(INCONSISTENT, sentences[crossed], assignment, 0)
+    pending = deque(assignment._sweep)
     queued = bytearray(n)
     for i in pending:
         queued[i] = 1
@@ -350,12 +343,12 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
     only the sentence's table, its part outside the upper bound, where A
     keeps only the table's complement, and the rest; parts left with
     equal A merge, so the groups never outnumber the points or the
-    distinct admitted sets.  A part left with no admitted valuation
-    makes the instance inconsistent.  Sentences are read in registration
-    order, so the culprit, the first sentence that empties a part, ends
-    the shortest inconsistent registration-order prefix.  Otherwise a
-    sentence's lower bound gets a group iff A lies inside its table, and
-    its upper bound iff A meets it.
+    distinct admitted sets.  A sentence whose bounds cross, or that
+    leaves a part with no admitted valuation, makes the instance
+    inconsistent.  Sentences are read in registration order, so that
+    culprit ends the shortest inconsistent registration-order prefix.
+    Otherwise a sentence's lower bound gets a group iff A lies inside its
+    table, and its upper bound iff A meets it.
     """
     sentences = assignment.sentences()
     atoms = [f for f in sentences if isinstance(f, Atom)]
@@ -377,6 +370,8 @@ def _run_envelope(assignment: BoundAssignment) -> PropagationOutcome:
         out = full & ~high
         if not low | out:
             continue
+        if low & out:  # crossed bounds admit no valuation at those points
+            return PropagationOutcome(INCONSISTENT, sentences[i], assignment, 0)
         # Inside the lower bound, outside the upper, and the rest, whose A stays.
         sides = ((low, truths[i]), (out, ~truths[i]), (full ^ (low | out), None))
         split = {}
@@ -437,22 +432,18 @@ def propagate(initial: BoundAssignment, mode: str = "fixpoint") -> PropagationOu
     a tracemalloc peak of 73.6 tables).
 
     A lower bound escaping its upper bound is reported eagerly via the
-    outcome's culprit, and propagation stops there.  Before the updates
-    the culprit is the first such sentence in registration order; during
-    them it is the first operand of the node whose update, in the
-    worklist's order, first empties a point, leaving no value possible
-    there for it.  When complete mode finds that no valuation is
-    admitted at some point, the instance has no legal assignment: the
-    outcome keeps the declared bounds, `steps` is 0, and the culprit is
-    the sentence that ends the shortest registration-order prefix whose
-    bounds already admit no valuation.
+    outcome's culprit, and propagation stops there.  In fixpoint mode,
+    when declared bounds already cross, the culprit is the first such
+    sentence in registration order and `steps` is 0; otherwise it is the
+    first operand of the node whose update, in the worklist's order,
+    first empties a point, leaving no value possible there for it.
+    When complete mode finds that no valuation is admitted at some
+    point, crossed declared bounds included, the instance has no legal
+    assignment: the outcome keeps the declared bounds, `steps` is 0, and
+    the culprit is the sentence that ends the shortest registration-order
+    prefix whose bounds already admit no valuation.
     """
     if mode not in (FIXPOINT, "complete"):
         raise ValueError(f"unknown mode {mode!r}")
     work = initial.copy()
-    bad = check_consistency(work)
-    if bad is not None:
-        return PropagationOutcome(INCONSISTENT, bad, work, 0)
-    if mode == "complete":
-        return _run_envelope(work)
-    return _run_fixpoint(work)
+    return _run_envelope(work) if mode == "complete" else _run_fixpoint(work)

@@ -324,6 +324,41 @@ def tight_bounds(initial: ic.BoundAssignment) -> ic.BoundAssignment | None:
     return result
 
 
+def first_crossed(assignment: ic.BoundAssignment) -> ic.Formula | None:
+    """The first registered sentence whose lower bound is not inside its
+    upper bound, or None when no declared bounds cross."""
+    for sentence in assignment:
+        low, high = assignment.bounds(sentence)
+        if not low.is_subset(high):
+            return sentence
+    return None
+
+
+def reference_sweep(assignment: ic.BoundAssignment) -> list[int]:
+    """The fixpoint's first sweep derived from the registration order
+    alone: the compound nodes' positions in the registration walk's
+    postorder.  Registration is a preorder walk, so the operands
+    registered after a node were registered during its walk, and the
+    walk of node i ends at ends[i]: the latest end among those operands,
+    or i itself.  An operand registered before i ended its walk before i
+    began, so its end never passes i.  The nodes sort by the end of
+    their walk, and among equal ends (a node and the operands its walk
+    ends with) the latest registered first, as the stable sort keeps
+    them from `compound`."""
+    sentences = assignment.sentences()
+    position = {f: i for i, f in enumerate(sentences)}
+    ends = list(range(len(sentences)))
+    compound = []  # latest registered first
+    for i in reversed(range(len(sentences))):
+        args = sentences[i].args
+        if args:
+            end = max(ends[position[args[0]]], ends[position[args[-1]]])
+            if end > i:
+                ends[i] = end
+            compound.append(i)
+    return sorted(compound, key=ends.__getitem__)
+
+
 def reference_fixpoint(initial: ic.BoundAssignment):
     """The fixpoint as the rule catalog defines it, with no worklist:
     every rule of every registered compound sentence, in registration
@@ -331,7 +366,7 @@ def reference_fixpoint(initial: ic.BoundAssignment):
     Returns (status, culprit, final bounds), stopping at the first
     sentence whose lower bound escapes its upper bound."""
     work = initial.copy()
-    bad = ic.check_consistency(work)
+    bad = first_crossed(work)
     if bad is not None:
         return ic.INCONSISTENT, bad, work
     width = work.space.size

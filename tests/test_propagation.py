@@ -20,12 +20,14 @@ from helpers import (
     arbitrary_instance,
     counting_worklist,
     enumerate_legal,
+    first_crossed,
     formulas_st,
     holds_at,
     incidences,
     points,
     random_formula,
     reference_fixpoint,
+    reference_sweep,
     shuffled_worklist,
     sound_instance,
     tight_bounds,
@@ -202,6 +204,20 @@ class TestWorkedExamples:
         assert outcome.steps == 0
         assert tight_bounds(assignment) is None
 
+    def test_crossed_bounds_follow_each_mode_culprit_rule(self):
+        # a and ~a already refute point 0, and then b's own bounds cross.
+        # Complete mode names the end of the shortest prefix that admits
+        # no valuation; plain mode names the first registered sentence
+        # whose declared bounds cross, before any update.
+        assignment = ic.parse_kb((DATA / "crossed_late.kb").read_text()).initial_assignment()
+        assert first_crossed(assignment) == B
+        complete = ic.propagate(assignment, "complete")
+        assert (complete.status, complete.culprit, complete.steps) == (ic.INCONSISTENT, ic.Not(A), 0)
+        assert complete.final == assignment
+        plain = ic.propagate(assignment)
+        assert (plain.status, plain.culprit, plain.steps) == (ic.INCONSISTENT, B, 0)
+        assert plain.final == assignment
+
     def test_detachment_through_implication(self):
         space = u(4)
         assignment = ic.BoundAssignment(space)
@@ -234,6 +250,34 @@ class TestBoundAssignment:
         for sentence in sentences:
             assignment.declare(sentence)
         assert assignment.sentences() == tuple(ic.subformulas(*sentences))
+
+    def test_registration_records_the_postorder_sweep(self):
+        # The sweep recorded by the walk equals the one derived from the
+        # registration order alone, across declares that reuse registered
+        # nodes, and a copy records its own declares apart.
+        rng = random.Random(97)
+        declares = 0
+        for _ in range(150):
+            n_sentences = rng.randint(1, 5)
+            _, assignment = arbitrary_instance(
+                rng, width=2, atoms=ATOMS[:3], n_sentences=n_sentences, depth=rng.randint(1, 3)
+            )
+            declares += n_sentences
+            for f in rng.sample(assignment.sentences(), min(3, len(assignment))):
+                for g in (ic.Not(f), ic.And(f, f), ic.Or(f, ic.TRUE),
+                          ic.Implies(ic.FALSE, f), ic.And(ic.Atom("z"), f)):
+                    assignment.declare(g)
+                    declares += 1
+            assert assignment._sweep == reference_sweep(assignment)
+            before = list(assignment._sweep)
+            dup = assignment.copy()
+            f = rng.choice(assignment.sentences())
+            for g in (ic.And(ic.Atom("y"), f), ic.Or(random_formula(rng, ("y", "z"), 2), f)):
+                dup.declare(g)
+                declares += 1
+            assert dup._sweep == reference_sweep(dup)
+            assert assignment._sweep == before
+        assert declares >= 2000
 
     def test_registering_a_chain_is_linear_in_its_length(self, monkeypatch):
         class Counting(dict):
@@ -342,9 +386,10 @@ class TestBoundAssignment:
         assignment = ic.BoundAssignment(space)
         assignment.declare(B, lower=points(space, [0]), upper=points(space, [1]))
         assignment.declare(A, lower=points(space, [0]), upper=points(space, [1]))
-        assert ic.check_consistency(assignment) == B
         outcome = ic.propagate(assignment)
         assert outcome.status == ic.INCONSISTENT and outcome.culprit == B
+        complete = ic.propagate(assignment, "complete")
+        assert complete.status == ic.INCONSISTENT and complete.culprit == B
 
     def test_propagate_leaves_input_untouched(self):
         space = u(2)
@@ -711,7 +756,7 @@ class TestEnvelopeGroups:
             assignment = make(
                 rng, width=rng.randint(1, 24), atoms=atoms, n_sentences=rng.randint(1, 5)
             )[1]
-            if ic.check_consistency(assignment) is not None:
+            if first_crossed(assignment) is not None:
                 continue
             culprit, bounds, sets = self._per_point(assignment)
             outcome = ic.propagate(assignment, "complete")
@@ -728,7 +773,8 @@ class TestEnvelopeGroups:
     @staticmethod
     def _refuted_instances():
         """(assignment, culprit) for the seeded draws that pass
-        `check_consistency` and that complete mode finds inconsistent."""
+        declare no crossed bounds and that complete mode finds
+        inconsistent."""
         rng = random.Random(7)
         for _ in range(3000):
             make = sound_instance if rng.random() < 0.5 else arbitrary_instance
@@ -738,7 +784,7 @@ class TestEnvelopeGroups:
                 atoms=ATOMS[: rng.randint(1, 4)],
                 n_sentences=rng.randint(1, 5),
             )[1]
-            if ic.check_consistency(assignment) is None:
+            if first_crossed(assignment) is None:
                 outcome = ic.propagate(assignment, "complete")
                 if not outcome.ok:
                     yield assignment, outcome.culprit
@@ -824,6 +870,10 @@ class TestEnvelopeGroups:
         assert main(["solve", str(kb), "--complete"]) == 2
         err = capsys.readouterr().err
         assert "26 atoms" in err and "128 MB" in err
+        # Crossed declared bounds are refused by the budget first.
+        kb.write_text(f"space 1\nbounds ({' & '.join(atoms)}) inf {{0}} sup {{}}\n")
+        assert main(["solve", str(kb), "--complete"]) == 2
+        assert "26 atoms" in capsys.readouterr().err
 
     def test_table_budget_counts_groups_of_points(self, monkeypatch):
         # Two atoms, three nodes: a, b and a & b.  Points 0-4 admit five
