@@ -62,7 +62,8 @@ def _cmd_eval(args) -> int:
     inc = incidence_of(sentence, kb.incidences, kb.space)
     print(inc.to_bitstring())
     print(inc.to_point_set())
-    print(f"p = {format_prob(kb.space.weight_of(inc))}")
+    p = kb.space.weight_of(inc)
+    print(f"p = {format_prob(p.numerator, p.denominator)}")
     return 0
 
 
@@ -71,11 +72,12 @@ def _cmd_query(args) -> int:
     env = kb.incidences
     for q in kb.queries:
         if q.kind == "prob":
-            value = format_prob(prob(q.f, env, kb.space))
-            print(f"prob {format_formula(q.f)} = {value}")
+            p = prob(q.f, env, kb.space)
+            print(f"prob {format_formula(q.f)} = {format_prob(p.numerator, p.denominator)}")
         elif q.kind == "cond":
-            value = format_prob(cond_prob(q.f, q.g, env, kb.space))
-            print(f"cond {format_formula(q.f)} given {format_formula(q.g)} = {value}")
+            p = cond_prob(q.f, q.g, env, kb.space)
+            given = f"{format_formula(q.f)} given {format_formula(q.g)}"
+            print(f"cond {given} = {format_prob(p.numerator, p.denominator)}")
         else:
             c = correlation(q.f, q.g, env, kb.space)
             print(f"corr {format_formula(q.f)} , {format_formula(q.g)} = {c}")

@@ -49,8 +49,10 @@ that changes a node's bounds wakes that node, when compound, and its
 parents, all but the node that ran it, which the update left closed.  An
 `Incidence` is built only where a bound is read out.  `dump` renders all
 sentences from one text memo, each shared subterm once, and reads each
-distinct mask's weight as an integer numerator, so it builds one
-`Fraction` per distinct weight.
+distinct mask's weight as an integer numerator over the space's common
+denominator.  A probability is rendered from that integer pair, once per
+distinct numerator, and a `Fraction` is built only where a public
+function returns one, so `dump` builds none.
 
 The fixed point is sound but not always tight: some instances admit
 bounds strictly looser than the envelope of all legal assignments.
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from fractions import Fraction
 
 from .errors import InstanceTooLargeError, UnknownSentenceError, WidthMismatchError
 from .logic import (
@@ -205,8 +206,8 @@ class BoundAssignment:
 
         Each distinct mask is rendered once: its bit string by
         `space.bitstring`, its weight as an integer numerator over the
-        space's common denominator.  Each distinct numerator becomes one
-        `Fraction`, rendered once by `format_prob`."""
+        space's common denominator.  Each distinct numerator is rendered
+        once, by `format_prob` from the integer pair, with no `Fraction`."""
         space = self.space
         width, numerator, denominator = space.size, space._numerator, space._denominator
         probs: dict[int, str] = {}  # numerator -> its probability's rendering
@@ -216,7 +217,7 @@ class BoundAssignment:
                 n = numerator(mask)
                 text = probs.get(n)
                 if text is None:
-                    text = probs[n] = format_prob(Fraction(n, denominator))
+                    text = probs[n] = format_prob(n, denominator)
                 shown[mask] = bitstring(mask, width), text
         lines = []
         for text, low, high in zip(format_formulas(self._position), self._low, self._high):

@@ -2,7 +2,10 @@
 values, and decimal rendering, square roots included, at DIGITS places.
 
 Everything here stays in integer arithmetic so that rendered output is
-deterministic across platforms and test runs.
+deterministic across platforms and test runs.  A probability is rendered
+from its integer pair, by `format_prob(numerator, denominator)`, and a
+`Fraction` is built only where a public function returns one; the one
+built here is `parse_rational`'s, to read a spelling that `int` cannot.
 """
 
 from __future__ import annotations
@@ -97,23 +100,15 @@ def _strip_scaled(scaled: int, negative: bool) -> str:
     return f"{sign}{whole}.{tail}"
 
 
-def decimal_str(q: Fraction) -> str:
-    """Decimal rendering of q, rounded half-up at DIGITS places, trailing
-    zeros trimmed ('1/5' -> '0.2', '1/3' -> '0.333333')."""
-    p = abs(q)
-    scaled = (2 * p.numerator * 10**DIGITS + p.denominator) // (2 * p.denominator)
-    return _strip_scaled(scaled, q < 0)
-
-
 def sqrt_decimal_str(q: Fraction, negative: bool = False) -> str:
     """Decimal rendering of sqrt(q), or of -sqrt(q) when `negative`,
     rounded to nearest at DIGITS places, zeros trimmed, and with no sign
-    when it rounds to 0, as in `decimal_str`: sqrt(n/d) * 10**DIGITS =
+    when it rounds to 0, as in `format_prob`: sqrt(n/d) * 10**DIGITS =
     sqrt(M)/d for M = n * d * 10**(2*DIGITS), whose nearest integer is
     (floor(2*sqrt(M)) + d) // (2*d), and floor(2*sqrt(M)) = isqrt(4*M)."""
-    if q < 0:
-        raise ValueError("square root of a negative rational")
     n, d = q.numerator, q.denominator
+    if n < 0:
+        raise ValueError("square root of a negative rational")
     m = n * d * 10 ** (2 * DIGITS)
     return _strip_scaled((isqrt(4 * m) + d) // (2 * d), negative)
 
@@ -144,9 +139,17 @@ def fraction_str(q: Fraction) -> str:
     return f"{_digits_str(q.numerator)}/{_digits_str(q.denominator)}"
 
 
-def format_prob(q: Fraction) -> str:
-    """Dual rendering of an exact probability: 'num/den (= decimal)',
-    or the bare integer when the value is whole ('0', '1'); every digit
-    is written, however many."""
-    text = fraction_str(q)
-    return text if q.denominator == 1 else f"{text} (= {decimal_str(q)})"
+def format_prob(numerator: int, denominator: int) -> str:
+    """Dual rendering of the exact probability numerator/denominator,
+    from the ints alone (denominator >= 1, the pair not necessarily
+    reduced): 'num/den (= decimal)' in lowest terms, or the bare integer
+    when the value is whole ('0', '1'); every digit is written, however
+    many.  The decimal is the magnitude rounded half-up at DIGITS places,
+    trailing zeros trimmed, with a '-' unless it rounds to 0 ('2/10' ->
+    '1/5 (= 0.2)', '-1/3' -> '-1/3 (= -0.333333)')."""
+    common = gcd(numerator, denominator)
+    n, d = numerator // common, denominator // common
+    if d == 1:
+        return _digits_str(n)
+    scaled = (2 * abs(n) * 10**DIGITS + d) // (2 * d)
+    return f"{_digits_str(n)}/{_digits_str(d)} (= {_strip_scaled(scaled, n < 0)})"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import incalc as ic
 from incalc import And, Implies, Not, Or
-from incalc.rational import round_half_up
+from incalc.rational import DIGITS, fraction_str, round_half_up
 
 ATOMS = ("a", "b", "c", "d", "e", "f")
 
@@ -139,6 +139,23 @@ def random_space(rng: random.Random, size: int) -> ic.SampleSpace:
     if rng.random() < 0.5:
         return ic.SampleSpace.uniform(size)
     return ic.SampleSpace(random_weights(rng, size))
+
+
+def reference_format_prob(q: Fraction) -> str:
+    """The `Fraction`-based rendering of a probability that
+    `rational.format_prob(numerator, denominator)` replaced: `str(q)` with
+    every digit, and for a value that is not whole ' (= decimal)', |q|
+    rounded half-up at DIGITS places, trailing zeros trimmed, and a '-'
+    only for a negative that does not round to 0."""
+    text = fraction_str(q)
+    if q.denominator == 1:
+        return text
+    p = abs(q)
+    scaled = (2 * p.numerator * 10**DIGITS + p.denominator) // (2 * p.denominator)
+    whole, frac = divmod(scaled, 10**DIGITS)
+    sign = "-" if q < 0 and scaled else ""
+    tail = f".{frac:0{DIGITS}d}".rstrip("0") if frac else ""
+    return f"{text} (= {sign}{whole}{tail})"
 
 
 def reference_weight_of(weights, inc: ic.Incidence) -> Fraction:

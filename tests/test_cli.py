@@ -302,6 +302,53 @@ def test_readme_example_matches_the_program(capsys, monkeypatch, argv, shown):
         assert printed == shown
 
 
+def fractions_built(argv) -> tuple[int, int]:
+    """`main(argv)`'s exit code and the number of `Fraction`s it built,
+    counted as calls of `Fraction.__new__`, and of
+    `Fraction._from_coprime_ints` where it exists (Python 3.12 and later
+    build arithmetic results through it, without `__new__`)."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in codes:
+            built += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main([str(a) for a in argv])
+    finally:
+        sys.setprofile(previous)
+    return code, built
+
+
+class TestSolveBuildsNoFraction:
+    """A probability is rendered from its integer pair: a solve, which
+    returns no `Fraction`, builds none."""
+
+    @pytest.mark.parametrize("options", [[], ["--complete"]], ids=["plain", "complete"])
+    @pytest.mark.parametrize("name", ["fixpoint.kb", "contradiction.kb", "weights.kb"])
+    def test_solve(self, capsys, tmp_path, name, options):
+        path = DATA / name
+        if name == "weights.kb":
+            path = tmp_path / name
+            path.write_text("space weights 1/2 1/4 1/4\ninc a = {0}\nbounds a | b inf {0,1} sup {0,1}\n")
+        code, built = fractions_built(["solve", path, *options])
+        out = capsys.readouterr().out
+        assert code in (0, 1) and out
+        assert built == 0
+
+    def test_the_count_sees_a_query(self, capsys):
+        # `prob` returns a `Fraction`, so the count is not blind.
+        code, built = fractions_built(["query", DATA / "example.kb"])
+        capsys.readouterr()
+        assert code == 0 and built > 0
+
+
 class TestSample:
     def test_deterministic_and_seed_sensitive(self, capsys):
         code, first, err = run(capsys, "sample", DATA / "ab.targets", "--size", 50)

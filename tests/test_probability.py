@@ -3,10 +3,12 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import incalc as ic
-from incalc.rational import sqrt_decimal_str
-from helpers import ATOMS, points, random_env, random_formula, random_space
+from incalc.rational import format_prob, sqrt_decimal_str
+from helpers import ATOMS, points, random_env, random_formula, random_space, reference_format_prob
 
 A, B = ic.Atom("a"), ic.Atom("b")
 
@@ -101,7 +103,7 @@ class TestCorrelation:
         assert str(c) == "-1 (c^2 = 1)"
 
     def test_negative_rounding_to_zero_prints_no_sign(self):
-        # As `rational.decimal_str` writes a negative that rounds to 0.
+        # As `rational.format_prob` writes a negative decimal that rounds to 0.
         assert ic.Correlation(F(1, 10**20), -1).decimal() == "0"
         assert ic.Correlation(F(1, 10**12), -1).decimal() == "-0.000001"
 
@@ -154,3 +156,48 @@ class TestCorrelation:
             ic.Correlation(F(0), 1)
         with pytest.raises(ValueError):
             ic.Correlation(F(1, 2), 2)
+
+
+UNIT = 10**6  # one unit in the sixth, last rendered decimal place is 1/UNIT
+PAST_LIMIT = st.integers(10**4300, 10**4302)  # more digits than `str` writes by default
+
+# (n, d) with d >= 1, in the shapes where a rendering goes wrong first.
+VALUES = st.one_of(
+    st.tuples(st.integers(-(10**9), 10**9), st.integers(1, 10**9)),
+    st.tuples(st.integers(-50, 50), st.just(1)),  # whole
+    st.integers(0, UNIT).map(lambda k: (2 * k + 1, 2 * UNIT)),  # a tie at the sixth place
+    st.integers(1, 1000).map(lambda k: (k, 2 * UNIT * k + 1)),  # under half a unit: 0
+    st.tuples(st.integers(-(10**4302), 10**4302), PAST_LIMIT),
+    st.tuples(st.integers(1, 10**9), PAST_LIMIT),  # tiny
+    st.tuples(PAST_LIMIT, st.integers(1, 10**9)),  # huge
+)
+
+
+class TestFormatProb:
+    @given(VALUES, st.sampled_from((1, -1)), st.integers(1, UNIT))
+    @example((3, 1), -1, 7)
+    @example((0, 5), 1, 3)
+    def test_matches_the_fraction_rendering(self, value, sign, scale):
+        # `scale` leaves the pair unreduced; the value is sign * n / d.
+        n, d = value
+        numerator, denominator = sign * n * scale, d * scale
+        expected = reference_format_prob(F(numerator, denominator))
+        assert format_prob(numerator, denominator) == expected
+
+    @pytest.mark.parametrize(
+        "pair, text",
+        [
+            ((2, 10), "1/5 (= 0.2)"),
+            ((1, 3), "1/3 (= 0.333333)"),
+            ((-2, 3), "-2/3 (= -0.666667)"),
+            ((1, 2 * UNIT), "1/2000000 (= 0.000001)"),
+            ((-1, 2 * UNIT), "-1/2000000 (= -0.000001)"),
+            ((-1, 2 * UNIT + 1), "-1/2000001 (= 0)"),
+            ((6, 3), "2"),
+            ((0, 7), "0"),
+            ((-4, 2), "-2"),
+            ((2, 2 * 10**4300), f"1/1{'0' * 4300} (= 0)"),
+        ],
+    )
+    def test_known_renderings(self, pair, text):
+        assert format_prob(*pair) == text

@@ -351,7 +351,8 @@ class TestBoundAssignment:
         assert len(lines) == len(assignment)
         for line, sentence in zip(lines, assignment):
             low, high = assignment.bounds(sentence)
-            probs = ", ".join(format_prob(space.weight_of(bound)) for bound in (low, high))
+            weights = (space.weight_of(bound) for bound in (low, high))
+            probs = ", ".join(format_prob(w.numerator, w.denominator) for w in weights)
             bits = f"inf={low.to_bitstring()} sup={high.to_bitstring()}"
             assert line == f"{ic.format_formula(sentence)} {bits} p=[{probs}]"
 
